@@ -93,11 +93,13 @@ void BM_DecisionProcess(benchmark::State& state) {
     bgp::Candidate c;
     c.peer = static_cast<bgp::PeerId>(i);
     c.peer_router_id = IPv4Address(static_cast<std::uint32_t>(rng.Next()));
-    c.attributes.as_path = bgp::AsPath::Sequence(
+    bgp::PathAttributes attrs;
+    attrs.as_path = bgp::AsPath::Sequence(
         {static_cast<bgp::Asn>(rng.Range(1, 1000)),
          static_cast<bgp::Asn>(rng.Range(1, 1000))});
-    c.attributes.med = static_cast<std::uint32_t>(rng.Below(100));
-    candidates.push_back(std::move(c));
+    attrs.med = static_cast<std::uint32_t>(rng.Below(100));
+    c.decision = bgp::DecisionFields::Of(attrs);
+    candidates.push_back(c);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(bgp::SelectBest(candidates));
@@ -107,6 +109,7 @@ BENCHMARK(BM_DecisionProcess)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_ClassifierThroughput(benchmark::State& state) {
   Rng rng(4);
+  bgp::AttrTable table;
   std::vector<core::UpdateEvent> events;
   for (int i = 0; i < 10000; ++i) {
     core::UpdateEvent ev;
@@ -117,11 +120,14 @@ void BM_ClassifierThroughput(benchmark::State& state) {
         24);
     ev.is_withdraw = rng.Bernoulli(0.5);
     if (!ev.is_withdraw) {
-      ev.attributes.as_path = bgp::AsPath::Sequence(
+      bgp::PathAttributes attrs;
+      attrs.as_path = bgp::AsPath::Sequence(
           {static_cast<bgp::Asn>(100 + ev.peer)});
-      ev.attributes.next_hop = IPv4Address(198, 32, 1, 1);
+      attrs.next_hop = IPv4Address(198, 32, 1, 1);
+      ev.attr_id = table.Intern(attrs);
+      ev.fwd_id = table.Forwarding(ev.attr_id);
     }
-    events.push_back(std::move(ev));
+    events.push_back(ev);
   }
   core::Classifier classifier;
   for (auto _ : state) {

@@ -1,49 +1,24 @@
 #include "bgp/decision.h"
 
 namespace iri::bgp {
-namespace {
-
-std::uint32_t LocalPrefOf(const PathAttributes& a) {
-  return a.local_pref.value_or(kDefaultLocalPref);
-}
-
-std::uint32_t MedOf(const PathAttributes& a) { return a.med.value_or(0); }
-
-// Interned candidates read the precomputed value; others recompute.
-std::uint32_t DecisionLengthOf(const Candidate& c) {
-  return c.as_path_id != kInvalidAsPathId
-             ? c.decision_length
-             : static_cast<std::uint32_t>(c.attributes.as_path.DecisionLength());
-}
-
-Asn FirstAsnOf(const Candidate& c) {
-  return c.as_path_id != kInvalidAsPathId ? c.first_asn
-                                          : c.attributes.as_path.FirstAsn();
-}
-
-}  // namespace
 
 bool Preferred(const Candidate& a, const Candidate& b) {
+  const DecisionFields& da = a.decision;
+  const DecisionFields& db = b.decision;
   // 1. LOCAL_PREF, higher wins.
-  const std::uint32_t lp_a = LocalPrefOf(a.attributes);
-  const std::uint32_t lp_b = LocalPrefOf(b.attributes);
-  if (lp_a != lp_b) return lp_a > lp_b;
+  if (da.local_pref != db.local_pref) return da.local_pref > db.local_pref;
 
   // 2. AS_PATH length, shorter wins.
-  const std::uint32_t len_a = DecisionLengthOf(a);
-  const std::uint32_t len_b = DecisionLengthOf(b);
-  if (len_a != len_b) return len_a < len_b;
-
-  // 3. ORIGIN, lower wins.
-  if (a.attributes.origin != b.attributes.origin) {
-    return a.attributes.origin < b.attributes.origin;
+  if (da.path_length != db.path_length) {
+    return da.path_length < db.path_length;
   }
 
+  // 3. ORIGIN, lower wins.
+  if (da.origin != db.origin) return da.origin < db.origin;
+
   // 4. MED, lower wins, but only comparable for the same neighbor AS.
-  if (FirstAsnOf(a) == FirstAsnOf(b)) {
-    const std::uint32_t med_a = MedOf(a.attributes);
-    const std::uint32_t med_b = MedOf(b.attributes);
-    if (med_a != med_b) return med_a < med_b;
+  if (da.first_asn == db.first_asn && da.med != db.med) {
+    return da.med < db.med;
   }
 
   // 5. Lowest peer router id — guarantees a total order so the decision is

@@ -12,27 +12,24 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
+#include "bgp/intern.h"
 #include "bgp/route.h"
 
 namespace iri::bgp {
 
-inline constexpr std::uint32_t kDefaultLocalPref = 100;
-
 // One candidate path for a prefix, as seen in a router's Adj-RIBs-In.
+// Trivially copyable: the attribute set lives in the owning Rib's AttrTable
+// and the candidate carries its id plus a copy of the set's decision fields,
+// so the ladder runs on integers without touching the table.
 struct Candidate {
   PeerId peer = 0;
   IPv4Address peer_router_id;  // final tie-break
-  PathAttributes attributes;
-  // Decision-process fast path, filled by the owning Rib from its interned
-  // AS-path table (bgp/intern.h): ladder steps 2 and 4 become integer reads
-  // instead of segment walks. kInvalidAsPathId means "not interned" — the
-  // ladder then recomputes from `attributes`, so hand-built Candidates in
-  // tests keep working unchanged.
-  AsPathId as_path_id = kInvalidAsPathId;
-  std::uint32_t decision_length = 0;
-  Asn first_asn = 0;
+  AttrSetId attr_id = kInvalidAttrSetId;
+  DecisionFields decision;
 };
+static_assert(std::is_trivially_copyable_v<Candidate>);
 
 // Returns the index of the best candidate, or -1 when `candidates` is empty.
 // Pure function: deterministic given the candidate list order-independently

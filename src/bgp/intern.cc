@@ -10,20 +10,30 @@ std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * kFnvPrime;
 }
 
-}  // namespace
-
-std::size_t HashAsPath(const AsPath& path) {
+std::uint64_t HashPath(const AsPath& path) {
   std::uint64_t h = kFnvOffset;
   for (const auto& seg : path.segments()) {
     h = Mix(h, static_cast<std::uint64_t>(seg.type));
     h = Mix(h, seg.asns.size());
     for (Asn asn : seg.asns) h = Mix(h, asn);
   }
-  return static_cast<std::size_t>(h);
+  return h;
+}
+
+}  // namespace
+
+DecisionFields DecisionFields::Of(const PathAttributes& attrs) {
+  DecisionFields d;
+  d.local_pref = attrs.local_pref.value_or(kDefaultLocalPref);
+  d.path_length = static_cast<std::uint32_t>(attrs.as_path.DecisionLength());
+  d.med = attrs.med.value_or(0);
+  d.first_asn = attrs.as_path.FirstAsn();
+  d.origin = attrs.origin;
+  return d;
 }
 
 std::size_t HashAttributes(const PathAttributes& attrs) {
-  std::uint64_t h = static_cast<std::uint64_t>(HashAsPath(attrs.as_path));
+  std::uint64_t h = HashPath(attrs.as_path);
   h = Mix(h, static_cast<std::uint64_t>(attrs.origin));
   h = Mix(h, attrs.next_hop.bits());
   h = Mix(h, attrs.med ? (1ULL << 32) | *attrs.med : 0);
@@ -37,28 +47,34 @@ std::size_t HashAttributes(const PathAttributes& attrs) {
   return static_cast<std::size_t>(h);
 }
 
-AsPathId AsPathTable::Intern(const AsPath& path) {
-  auto it = lookup_.find(&path);
-  if (it != lookup_.end()) return it->second;
-  IRI_ASSERT(entries_.size() < kInvalidAsPathId, "AsPathTable id space exhausted");
-  const AsPath* canonical = arena_.New<AsPath>(path);
-  const AsPathId id = static_cast<AsPathId>(entries_.size());
-  entries_.push_back(Entry{canonical,
-                           static_cast<std::uint32_t>(canonical->DecisionLength()),
-                           canonical->FirstAsn()});
-  lookup_.emplace(canonical, id);
-  return id;
+std::size_t AttrTable::FwdHash::operator()(const FwdKey& k) const {
+  return static_cast<std::size_t>(Mix(HashPath(*k.path), k.next_hop.bits()));
 }
 
-AttrSetId PathAttributesTable::Intern(const PathAttributes& attrs) {
+AttrTable::AttrTable() {
+  // Pre-size the probe tables: a border router at paper scale sees a few
+  // hundred to a few thousand distinct sets, and rehashing mid-run is pure
+  // overhead (bucket order is inert either way).
+  lookup_.reserve(1024);
+  fwd_lookup_.reserve(1024);
+  const AttrSetId empty = Intern(PathAttributes{});
+  IRI_ASSERT(empty == kEmptyAttrSetId && Forwarding(empty) == 0,
+             "the empty attribute set must intern first, as id 0");
+}
+
+AttrSetId AttrTable::Intern(const PathAttributes& attrs) {
   auto it = lookup_.find(&attrs);
   if (it != lookup_.end()) return it->second;
   IRI_ASSERT(entries_.size() < kInvalidAttrSetId,
-             "PathAttributesTable id space exhausted");
+             "AttrTable id space exhausted");
   const PathAttributes* canonical = arena_.New<PathAttributes>(attrs);
   const AttrSetId id = static_cast<AttrSetId>(entries_.size());
-  entries_.push_back(
-      Entry{canonical, canonical->next_hop, paths_.Intern(canonical->as_path)});
+  const ForwardingId fwd_id =
+      fwd_lookup_
+          .emplace(FwdKey{canonical->next_hop, &canonical->as_path},
+                   static_cast<ForwardingId>(fwd_lookup_.size()))
+          .first->second;
+  entries_.push_back(Entry{canonical, DecisionFields::Of(*canonical), fwd_id});
   lookup_.emplace(canonical, id);
   return id;
 }

@@ -1,20 +1,25 @@
-// Hash-consed AS-path and attribute-set tables (interning).
+// The hash-consed attribute-set table (interning).
 //
 // At full paper scale (scale_denominator = 1: 42 k prefixes, millions of
 // updates per simulated day) the simulator sees the same few thousand
-// distinct AS paths and attribute sets over and over. Interning each
-// distinct value once turns the hot comparisons — AS-path length and
-// neighbor AS in the decision process, forwarding-tuple and exact-duplicate
-// checks in the classifier — into integer compares against precomputed
-// metadata, and turns per-update deep copies into id copies.
+// distinct attribute sets over and over. Each distinct set is interned once
+// — at UPDATE decode, import-policy output, origination and export — and
+// from then on the pipeline carries its AttrSetId: RIB candidates, outbound
+// queue slots, Adj-RIB-Out entries, the packer's grouping key and the
+// classifier's per-route state are all integers. Each entry precomputes the
+// decision-process fields and a forwarding id, so the decision ladder, the
+// exact-duplicate test and the paper's forwarding-tuple test
+// (ForwardingEquivalent) are integer reads and compares.
 //
 // Determinism argument (see DESIGN.md §12): ids are assigned in insertion
 // order, so for a fixed update stream the (value → id) mapping is a pure
-// function of the stream. The unordered lookup maps are only ever probed
+// function of the stream. Ids are only ever compared for equality and used
+// to look up the canonical value; no id, and no order derived from one,
+// reaches any output. The unordered lookup maps are only ever probed
 // (find/emplace); nothing iterates them, so their bucket order can never
-// reach a digest or any other output. Canonical values live in an Arena
-// owned by the table: block addresses are stable for the table's lifetime,
-// which is what lets entries hold plain pointers.
+// reach a digest either. Canonical values live in an Arena owned by the
+// table: block addresses are stable for the table's lifetime, which is what
+// lets entries hold plain pointers.
 #pragma once
 
 #include <cstddef>
@@ -30,107 +35,74 @@
 
 namespace iri::bgp {
 
-// Handle into a PathAttributesTable. Same contract as AsPathId: equal ids
-// ⟺ byte-equal attribute sets, table-local, insertion-ordered.
+inline constexpr std::uint32_t kDefaultLocalPref = 100;
+
+// Handle into an AttrTable: equal ids ⟺ byte-equal attribute sets. Ids are
+// table-local and insertion-ordered; id 0 is always the default-constructed
+// (empty) set.
 using AttrSetId = std::uint32_t;
+inline constexpr AttrSetId kEmptyAttrSetId = 0;
 inline constexpr AttrSetId kInvalidAttrSetId = 0xFFFFFFFF;
 
-// Structural hashes (FNV-1a over the value's canonical fields). Process-local
+// Forwarding-class id: two sets of one table share a ForwardingId exactly
+// when PathAttributes::ForwardingEquivalent holds (same NEXT_HOP and
+// AS_PATH). The empty set's class is 0.
+using ForwardingId = std::uint32_t;
+
+// The decision-process inputs of one attribute set (bgp/decision.h ladder
+// steps 1–4), with the absent-attribute defaults already applied.
+struct DecisionFields {
+  std::uint32_t local_pref = kDefaultLocalPref;  // absent => 100
+  std::uint32_t path_length = 0;  // AsPath::DecisionLength (SET counts 1)
+  std::uint32_t med = 0;          // absent => 0
+  Asn first_asn = 0;              // neighbor AS: the MED comparability gate
+  Origin origin = Origin::kIgp;
+
+  static DecisionFields Of(const PathAttributes& attrs);
+
+  friend bool operator==(const DecisionFields&, const DecisionFields&) = default;
+};
+
+// Structural hash (FNV-1a over the set's canonical fields). Process-local
 // only — never emitted, so the constants can change freely.
-std::size_t HashAsPath(const AsPath& path);
 std::size_t HashAttributes(const PathAttributes& attrs);
 
-// Interned AS paths with the decision-process metadata precomputed per
-// distinct path: DecisionLength (ladder step 2) and FirstAsn (the MED
-// comparability gate). One table per Rib, i.e. per partition — no sharing,
-// no locks.
-class AsPathTable {
+// One table per Rib (i.e. per router) and one per ExchangeMonitor: no
+// sharing across partitions, no locks.
+class AttrTable {
  public:
-  // Pre-size the probe table: a border router at paper scale sees a few
-  // hundred to a few thousand distinct paths, and rehashing mid-run is pure
-  // overhead (bucket order is inert either way).
-  AsPathTable() { lookup_.reserve(1024); }
-  AsPathTable(const AsPathTable&) = delete;
-  AsPathTable& operator=(const AsPathTable&) = delete;
+  AttrTable();
+  AttrTable(const AttrTable&) = delete;
+  AttrTable& operator=(const AttrTable&) = delete;
 
-  // Returns the id for `path`, inserting a canonical copy on first sight.
-  AsPathId Intern(const AsPath& path);
+  // Returns the id for `attrs`, inserting a canonical copy on first sight.
+  AttrSetId Intern(const PathAttributes& attrs);
 
-  const AsPath& Get(AsPathId id) const {
-    IRI_ASSERT(id < entries_.size(), "AsPathId out of range");
-    return *entries_[id].path;
-  }
-  std::uint32_t DecisionLength(AsPathId id) const {
-    IRI_ASSERT(id < entries_.size(), "AsPathId out of range");
-    return entries_[id].decision_length;
-  }
-  Asn FirstAsn(AsPathId id) const {
-    IRI_ASSERT(id < entries_.size(), "AsPathId out of range");
-    return entries_[id].first_asn;
+  const PathAttributes& Get(AttrSetId id) const { return *At(id).attrs; }
+  const DecisionFields& Decision(AttrSetId id) const { return At(id).decision; }
+  ForwardingId Forwarding(AttrSetId id) const { return At(id).fwd_id; }
+
+  // Get(a).ForwardingEquivalent(Get(b)), as one integer compare.
+  bool ForwardingEquivalent(AttrSetId a, AttrSetId b) const {
+    return Forwarding(a) == Forwarding(b);
   }
 
+  bool Contains(AttrSetId id) const { return id < entries_.size(); }
   std::size_t size() const { return entries_.size(); }
+  std::size_t NumForwardingClasses() const { return fwd_lookup_.size(); }
   std::size_t arena_bytes() const { return arena_.bytes_allocated(); }
 
  private:
   struct Entry {
-    const AsPath* path;  // canonical copy, arena-owned
-    std::uint32_t decision_length;
-    Asn first_asn;
-  };
-  struct PtrHash {
-    std::size_t operator()(const AsPath* p) const { return HashAsPath(*p); }
-  };
-  struct PtrEq {
-    bool operator()(const AsPath* a, const AsPath* b) const { return *a == *b; }
-  };
-
-  std::vector<Entry> entries_;  // id-indexed, insertion order
-  // Probed only (find/emplace) — never iterated, so bucket order is inert.
-  std::unordered_map<const AsPath*, AsPathId, PtrHash, PtrEq> lookup_;
-  core::Arena arena_{16 * 1024};
-};
-
-// Interned full attribute sets, for the classifier's per-route state. Each
-// entry precomputes the forwarding tuple's non-prefix half (NEXT_HOP plus
-// the interned AS path), so the paper's forwarding-instability vs.
-// policy-fluctuation split becomes two integer compares.
-class PathAttributesTable {
- public:
-  PathAttributesTable() { lookup_.reserve(1024); }
-  PathAttributesTable(const PathAttributesTable&) = delete;
-  PathAttributesTable& operator=(const PathAttributesTable&) = delete;
-
-  AttrSetId Intern(const PathAttributes& attrs);
-
-  const PathAttributes& Get(AttrSetId id) const {
-    IRI_ASSERT(id < entries_.size(), "AttrSetId out of range");
-    return *entries_[id].attrs;
-  }
-  AsPathId PathId(AttrSetId id) const {
-    IRI_ASSERT(id < entries_.size(), "AttrSetId out of range");
-    return entries_[id].path_id;
-  }
-
-  // attrs(a).ForwardingEquivalent(attrs(b)), as integer compares.
-  bool ForwardingEquivalent(AttrSetId a, AttrSetId b) const {
-    IRI_ASSERT(a < entries_.size() && b < entries_.size(),
-               "AttrSetId out of range");
-    return entries_[a].next_hop == entries_[b].next_hop &&
-           entries_[a].path_id == entries_[b].path_id;
-  }
-
-  std::size_t size() const { return entries_.size(); }
-  std::size_t NumDistinctPaths() const { return paths_.size(); }
-  std::size_t arena_bytes() const {
-    return arena_.bytes_allocated() + paths_.arena_bytes();
-  }
-
- private:
-  struct Entry {
     const PathAttributes* attrs;  // canonical copy, arena-owned
+    DecisionFields decision;
+    ForwardingId fwd_id;
+  };
+  // The forwarding half of a canonical set: its NEXT_HOP and (a pointer to)
+  // its AS_PATH.
+  struct FwdKey {
     IPv4Address next_hop;
-    AsPathId path_id;
+    const AsPath* path;
   };
   struct PtrHash {
     std::size_t operator()(const PathAttributes* p) const {
@@ -142,11 +114,24 @@ class PathAttributesTable {
       return *a == *b;
     }
   };
+  struct FwdHash {
+    std::size_t operator()(const FwdKey& k) const;
+  };
+  struct FwdEq {
+    bool operator()(const FwdKey& a, const FwdKey& b) const {
+      return a.next_hop == b.next_hop && *a.path == *b.path;
+    }
+  };
+
+  const Entry& At(AttrSetId id) const {
+    IRI_ASSERT(id < entries_.size(), "AttrSetId out of range");
+    return entries_[id];
+  }
 
   std::vector<Entry> entries_;  // id-indexed, insertion order
   // Probed only (find/emplace) — never iterated, so bucket order is inert.
   std::unordered_map<const PathAttributes*, AttrSetId, PtrHash, PtrEq> lookup_;
-  AsPathTable paths_;
+  std::unordered_map<FwdKey, ForwardingId, FwdHash, FwdEq> fwd_lookup_;
   core::Arena arena_{16 * 1024};
 };
 

@@ -62,6 +62,9 @@ class Policy {
   static Policy DenyAll() { return Policy(false); }
 
   Policy& Add(PolicyRule rule) {
+    const MatchSpec& m = rule.match;
+    reads_prefix_ = reads_prefix_ || m.covered_by || m.exact ||
+                    m.min_length > 0 || m.max_length < 32;
     rules_.push_back(std::move(rule));
     return *this;
   }
@@ -82,11 +85,18 @@ class Policy {
   // ApplyInPlace would otherwise need.
   bool IsIdentity() const { return rules_.empty() && default_accept_; }
 
+  // True when some rule matches on the route's prefix. Otherwise the
+  // chain's verdict and rewrite are a function of the attribute set alone
+  // (actions never read the prefix), which is what lets a router memoise
+  // its exports per attribute set.
+  bool ReadsPrefix() const { return reads_prefix_; }
+
  private:
   explicit Policy(bool default_accept) : default_accept_(default_accept) {}
 
   std::vector<PolicyRule> rules_;
   bool default_accept_;
+  bool reads_prefix_ = false;
 };
 
 }  // namespace iri::bgp

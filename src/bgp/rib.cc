@@ -8,15 +8,11 @@ void Rib::AddPeer(PeerId peer, IPv4Address router_id) {
   peers_[peer] = router_id;
 }
 
-RibChange Rib::Announce(PeerId peer, Route route) {
-  return Announce(peer, route.prefix, route.attributes);
-}
-
-RibChange Rib::Announce(PeerId peer, const Prefix& prefix,
-                        const PathAttributes& attrs) {
+RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   obs::ScopedTimer timer(&announce_site_, 1);
   IRI_ASSERT(peers_.contains(peer),
              "Announce from a peer never registered with AddPeer");
+  IRI_ASSERT(attrs_.Contains(attrs), "Announce of an id not from attrs()");
   Entry* entry;
   if (Entry** slot = index_.Find(prefix); slot != nullptr) {
     entry = *slot;
@@ -32,52 +28,24 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix,
                : kLocalPeer;
 
   // Only the announcing peer's candidate can mutate, so change detection
-  // needs exactly one comparison, made before the overwrite — no deep copy
-  // of the previous best. Re-announcements dominate the update stream, so
-  // the replace path avoids the intern table entirely when the previous
-  // candidate already carries the answer: a byte-equal attribute set keeps
-  // everything, an unchanged AS path keeps the cached id and decision
-  // metadata. Only a genuinely new path pays for hashing.
-  bool replaced = false;
-  bool replaced_same_attrs = false;
+  // needs exactly one id compare, made before the overwrite.
+  Candidate* own = nullptr;
   for (auto& cand : entry->candidates) {
     if (cand.peer == peer) {  // implicit withdrawal of the previous path
-      if (cand.attributes == attrs) {
-        replaced_same_attrs = true;  // byte-equal: nothing to update
-      } else if (cand.attributes.as_path == attrs.as_path) {
-        // Path unchanged: the cached id/decision metadata stay valid.
-        cand.attributes = attrs;
-      } else {
-        const AsPathId path_id = paths_.Intern(attrs.as_path);
-        cand.attributes = attrs;
-        cand.as_path_id = path_id;
-        cand.decision_length = paths_.DecisionLength(path_id);
-        cand.first_asn = paths_.FirstAsn(path_id);
-      }
-      replaced = true;
+      own = &cand;
       break;
     }
   }
-  if (!replaced) {
-    const AsPathId path_id = paths_.Intern(attrs.as_path);
-    if (!entry->pool.empty()) {
-      // Revive a parked candidate: its attribute buffers keep their
-      // capacity, so the copy-assign below usually allocates nothing.
-      entry->candidates.push_back(std::move(entry->pool.back()));
-      entry->pool.pop_back();
-    } else {
-      entry->candidates.emplace_back();
-    }
-    Candidate& incoming = entry->candidates.back();
-    incoming.peer = peer;
-    incoming.peer_router_id = peers_[peer];
-    incoming.attributes = attrs;
-    incoming.as_path_id = path_id;
-    incoming.decision_length = paths_.DecisionLength(path_id);
-    incoming.first_asn = paths_.FirstAsn(path_id);
+  const bool same_attrs = own != nullptr && own->attr_id == attrs;
+  if (own == nullptr) {
+    own = &entry->candidates.emplace_back();
+    own->peer = peer;
+    own->peer_router_id = peers_[peer];
     peer_prefixes_[peer].insert(prefix);
     ++num_routes_;
   }
+  own->attr_id = attrs;
+  own->decision = attrs_.Decision(attrs);
 
   entry->best = SelectBest(entry->candidates);
   IRI_DCHECK(entry->best >= 0 && static_cast<std::size_t>(entry->best) <
@@ -92,7 +60,7 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix,
   } else {
     // Same peer stayed best. If it is the announcing peer its attributes may
     // have changed (compared above); any other candidate is untouched.
-    change.best_changed = new_best.peer == peer && !replaced_same_attrs;
+    change.best_changed = new_best.peer == peer && !same_attrs;
   }
   return change;
 }
@@ -110,9 +78,6 @@ RibChange Rib::Withdraw(PeerId peer, const Prefix& prefix) {
   bool removed = false;
   for (std::size_t i = 0; i < entry->candidates.size(); ++i) {
     if (entry->candidates[i].peer == peer) {
-      // Park the candidate for reuse instead of freeing its buffers: the
-      // erase below only shuffles moved-from shells.
-      entry->pool.push_back(std::move(entry->candidates[i]));
       entry->candidates.erase(entry->candidates.begin() +
                               static_cast<std::ptrdiff_t>(i));
       removed = true;
@@ -127,7 +92,7 @@ RibChange Rib::Withdraw(PeerId peer, const Prefix& prefix) {
   --num_routes_;
 
   if (entry->candidates.empty()) {
-    // Tombstone: the entry (and its pooled storage) stays in the trie so
+    // Tombstone: the entry (and its candidate buffer) stays in the trie so
     // the next announcement of this prefix reuses it wholesale.
     entry->best = -1;
     --num_prefixes_;
@@ -187,6 +152,8 @@ bool Rib::AuditInvariants() const {
   std::size_t duplicate_peer_routes = 0;
   std::size_t unindexed_routes = 0;    // candidate missing from peer_prefixes_
   std::size_t stale_index_entries = 0; // index_ disagrees with the trie
+  std::size_t bad_attr_ids = 0;        // id out of range, or cached decision
+                                       // fields that disagree with attrs_
   table_.Visit([&](const Prefix& prefix, const Entry& e) {
     Entry* const* idx = index_.Find(prefix);
     if (idx == nullptr || *idx != &e) ++stale_index_entries;
@@ -201,6 +168,11 @@ bool Rib::AuditInvariants() const {
       ++malformed_entries;
     }
     for (std::size_t i = 0; i < e.candidates.size(); ++i) {
+      const Candidate& c = e.candidates[i];
+      if (!attrs_.Contains(c.attr_id) ||
+          !(c.decision == attrs_.Decision(c.attr_id))) {
+        ++bad_attr_ids;
+      }
       for (std::size_t j = i + 1; j < e.candidates.size(); ++j) {
         if (e.candidates[i].peer == e.candidates[j].peer) {
           ++duplicate_peer_routes;
@@ -227,6 +199,9 @@ bool Rib::AuditInvariants() const {
              "Adj-RIB-In holds two routes from one peer for one prefix");
   IRI_ASSERT(unindexed_routes == 0,
              "route present in the table but missing from the per-peer index");
+  IRI_ASSERT(bad_attr_ids == 0,
+             "candidate attribute id out of range or its cached decision "
+             "fields disagree with the attribute table");
   IRI_ASSERT(candidate_total == num_routes_,
              "num_routes_ disagrees with the table's candidate count");
   IRI_ASSERT(indexed_total == num_routes_,
@@ -234,7 +209,8 @@ bool Rib::AuditInvariants() const {
   return malformed_entries == 0 && duplicate_peer_routes == 0 &&
          unindexed_routes == 0 && candidate_total == num_routes_ &&
          indexed_total == num_routes_ && live_prefixes == num_prefixes_ &&
-         stale_index_entries == 0 && index_.size() == table_.size();
+         stale_index_entries == 0 && index_.size() == table_.size() &&
+         bad_attr_ids == 0;
 }
 
 }  // namespace iri::bgp

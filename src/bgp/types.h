@@ -21,14 +21,6 @@ inline constexpr Asn kMaxAsn = 0xFFFF;
 // RFC 1997 community value (high 16 bits: AS, low 16 bits: local tag).
 using Community = std::uint32_t;
 
-// Handle into an AsPathTable (bgp/intern.h). Hash-consed: two ids from the
-// same table are equal iff the paths are byte-equal, so the decision process
-// and classifier compare ids instead of walking segments. Ids are
-// table-local and assigned in insertion order — deterministic per partition,
-// but never meaningful across tables or in any output.
-using AsPathId = std::uint32_t;
-inline constexpr AsPathId kInvalidAsPathId = 0xFFFFFFFF;
-
 enum class Origin : std::uint8_t {
   kIgp = 0,         // NLRI is interior to the originating AS
   kEgp = 1,         // learned via EGP

@@ -5,6 +5,7 @@
 namespace iri::bgp {
 
 std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
+                                       const AttrTable& attrs,
                                        std::vector<obs::CauseVec>* causes) {
   std::vector<UpdateMessage> out;
   std::vector<obs::CauseVec> out_causes;  // parallel to out when requested
@@ -32,17 +33,18 @@ std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
     if (causes != nullptr) out_causes.push_back(std::move(withdrawal_causes));
   }
 
-  // Announcements grouped by identical attribute sets. Order within a group
-  // follows arrival order; groups are emitted in order of first appearance.
-  // Grouping reorders ops relative to the input, so the sideband is built
-  // here, one slot per NLRI prefix, in the same order.
+  // Announcements grouped by identical attribute sets (equal ids). Order
+  // within a group follows arrival order; groups are emitted in order of
+  // first appearance. Grouping reorders ops relative to the input, so the
+  // sideband is built here, one slot per NLRI prefix, in the same order.
   std::vector<UpdateMessage> groups;
+  std::vector<AttrSetId> group_ids;  // parallel to groups
   std::vector<obs::CauseVec> group_causes;
   for (const RouteOp& op : ops) {
     if (op.IsWithdraw()) continue;
     std::size_t group_index = groups.size();
     for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (groups[i].attributes == *op.attributes &&
+      if (group_ids[i] == op.attr_id &&
           EstimateUpdateSize(groups[i]) < kMaxMessageSize - 64) {
         group_index = i;
         break;
@@ -50,7 +52,8 @@ std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
     }
     if (group_index == groups.size()) {
       groups.push_back({});
-      groups.back().attributes = *op.attributes;
+      groups.back().attributes = attrs.Get(op.attr_id);
+      group_ids.push_back(op.attr_id);
       if (causes != nullptr) group_causes.emplace_back();
     }
     groups[group_index].nlri.push_back(op.prefix);
@@ -69,7 +72,7 @@ void OutboundQueue::Enqueue(TimePoint now, RouteOp op) {
   auto [slot, inserted] = index_.TryEmplace(op.prefix);
   if (inserted) {
     *slot = static_cast<std::uint32_t>(pending_.size());
-    pending_.push_back(std::move(op));
+    pending_.push_back(op);
   } else {
     // Latest wins, keeping the original order slot; an announcement that
     // supersedes a queued withdrawal remembers it (see RouteOp).
@@ -78,7 +81,7 @@ void OutboundQueue::Enqueue(TimePoint now, RouteOp op) {
         (prior.IsWithdraw() || prior.withdraw_preceded)) {
       op.withdraw_preceded = true;
     }
-    prior = std::move(op);
+    prior = op;
   }
 }
 
@@ -95,13 +98,12 @@ TimePoint OutboundQueue::ComputeDeadline(TimePoint now) {
   return now + config_.interval * spread;
 }
 
-std::vector<RouteOp> OutboundQueue::Flush(TimePoint now) {
-  if (pending_.empty() || now < deadline_) return {};
+void OutboundQueue::Flush(TimePoint now, std::vector<RouteOp>& out) {
+  out.clear();
+  if (pending_.empty() || now < deadline_) return;
   deadline_ = TimePoint::Max();
   index_.Clear();
-  std::vector<RouteOp> ops;
-  ops.swap(pending_);  // already in first-enqueue order
-  return ops;
+  out.swap(pending_);  // already in first-enqueue order
 }
 
 }  // namespace iri::bgp

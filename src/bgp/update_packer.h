@@ -14,10 +14,11 @@
 //    change, per the route-dampening draft's recommendation.
 #pragma once
 
-#include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "bgp/intern.h"
 #include "bgp/message.h"
 #include "bgp/route.h"
 #include "netbase/probe_map.h"
@@ -27,10 +28,12 @@
 
 namespace iri::bgp {
 
-// One net route change bound for a peer: announce (attrs set) or withdraw.
+// One net route change bound for a peer: announce (attr_id names an
+// interned set of the sending router's table) or withdraw (invalid id).
+// Trivially copyable, so queue slots move as plain bytes.
 struct RouteOp {
   Prefix prefix;
-  std::optional<PathAttributes> attributes;  // nullopt == withdrawal
+  AttrSetId attr_id = kInvalidAttrSetId;  // kInvalidAttrSetId == withdrawal
   // True when a withdrawal for this prefix was queued earlier in the same
   // flush window and later superseded by this announcement. A stateful
   // sender coalesces the pair away; the pathological stateless
@@ -40,29 +43,33 @@ struct RouteOp {
   bool withdraw_preceded = false;
   // Provenance sideband: the injected cause this op descends from. Rides the
   // queue slot under latest-wins coalescing (the surviving op's cause wins,
-  // like its attributes) and is excluded from equality — two ops that would
+  // like its attribute id) and is excluded from equality — two ops that would
   // put the same bytes on the wire compare equal whatever their ancestry.
   // Zero bytes when provenance is compiled out.
   [[no_unique_address]] obs::CauseTag cause{};
 
-  bool IsWithdraw() const { return !attributes.has_value(); }
+  bool IsWithdraw() const { return attr_id == kInvalidAttrSetId; }
 
   friend bool operator==(const RouteOp& a, const RouteOp& b) {
-    return a.prefix == b.prefix && a.attributes == b.attributes &&
+    return a.prefix == b.prefix && a.attr_id == b.attr_id &&
            a.withdraw_preceded == b.withdraw_preceded;
   }
 };
+static_assert(std::is_trivially_copyable_v<RouteOp>);
 
 // Packs a batch of route ops into wire-legal UPDATE messages: withdrawals
-// are combined, announcements are grouped by identical attribute sets, and
+// are combined, announcements are grouped by attribute id (equal ids are
+// byte-equal sets of `attrs`, the table the ops' ids come from), and
 // messages are split below kMaxMessageSize. When `causes` is non-null it
 // receives one CauseVec per output message, each aligned with that
 // message's wire event order (withdrawn prefixes, then NLRI) — the grouping
 // reorders ops, so the sideband must be built here to stay aligned.
 std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
+                                       const AttrTable& attrs,
                                        std::vector<obs::CauseVec>* causes);
-inline std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops) {
-  return PackUpdates(ops, nullptr);
+inline std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
+                                              const AttrTable& attrs) {
+  return PackUpdates(ops, attrs, nullptr);
 }
 
 enum class TimerDiscipline : std::uint8_t { kUnjittered, kJittered };
@@ -91,9 +98,11 @@ class OutboundQueue {
   bool empty() const { return pending_.empty(); }
   std::size_t pending_ops() const { return pending_.size(); }
 
-  // Drains the queue if the deadline has passed; returns net ops in first-
-  // enqueued order. Returns empty when called before the deadline.
-  std::vector<RouteOp> Flush(TimePoint now);
+  // Drains the queue into `out` if the deadline has passed: net ops in
+  // first-enqueued order. Leaves `out` empty when called before the
+  // deadline. The queue and `out` swap buffers, so a caller that reuses one
+  // `out` keeps both capacities and steady-state flushing never allocates.
+  void Flush(TimePoint now, std::vector<RouteOp>& out);
 
  private:
   TimePoint ComputeDeadline(TimePoint now);

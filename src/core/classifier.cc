@@ -31,24 +31,15 @@ const char* ToString(Category c) {
   return "?";
 }
 
-ClassifiedEvent Classifier::Classify(UpdateEvent ev) {
-  ClassifiedEvent out;
-  ClassifyInto(ev, out);
-  return out;
-}
-
-void Classifier::ClassifyInto(const UpdateEvent& ev, ClassifiedEvent& out) {
+ClassifiedEvent Classifier::Classify(const UpdateEvent& ev) {
   const ShardVerdict v = ClassifyVerdict(ev);
-  out.category = v.category;
-  out.policy_fluctuation = v.policy_fluctuation;
-  out.event = ev;  // copy-assign: out's buffers keep their capacity
+  return ClassifiedEvent{ev, v.category, v.policy_fluctuation};
 }
 
 ShardVerdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
   ShardVerdict out;
   auto [st_ptr, fresh] = state_.TryEmplace(ev.Key());
   RouteState& st = *st_ptr;
-  if (fresh) st.last_attr_id = default_attr_id_;
 
   if (ev.is_withdraw) {
     if (fresh || st.status == RouteStatus::kWithdrawn) {
@@ -61,44 +52,25 @@ ShardVerdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
       // last_attr_id intentionally retained for WADup detection.
     }
   } else {
-    // Hash-cons once, then every comparison against the remembered route is
-    // on ids: equal id = byte-equal attribute set, equal forwarding half =
-    // the paper's forwarding tuple matches. Exact repeats of the remembered
-    // route (the AADup/WADup bulk of the measured stream) short-circuit on a
-    // deep compare against the interned copy — no hashing, no table probe —
-    // and so does the A↔B oscillation case via the one-step-back memo.
-    // Both memo hits return the id Intern would have found, so the id
-    // stream (and with it every digest) is unchanged.
-    bgp::AttrSetId attr_id;
-    if (attrs_.Get(st.last_attr_id) == ev.attributes) {
-      attr_id = st.last_attr_id;
-    } else if (st.prev_attr_id != bgp::kInvalidAttrSetId &&
-               attrs_.Get(st.prev_attr_id) == ev.attributes) {
-      attr_id = st.prev_attr_id;
-    } else {
-      attr_id = attrs_.Intern(ev.attributes);
-    }
+    // The monitor interned the set once per UPDATE: equal attr_id is a
+    // byte-equal set, equal fwd_id the paper's matching forwarding tuple.
+    const bool same_forwarding = ev.fwd_id == st.last_fwd_id;
     if (fresh) {
       out.category = Category::kInitial;
     } else if (st.status == RouteStatus::kAnnounced) {
-      if (attrs_.ForwardingEquivalent(st.last_attr_id, attr_id)) {
+      if (same_forwarding) {
         out.category = Category::kAADup;
-        out.policy_fluctuation = st.last_attr_id != attr_id;
+        out.policy_fluctuation = ev.attr_id != st.last_attr_id;
       } else {
         out.category = Category::kAADiff;
       }
     } else {  // previously withdrawn, now re-announced
-      if (attrs_.ForwardingEquivalent(st.last_attr_id, attr_id)) {
-        out.category = Category::kWADup;
-      } else {
-        out.category = Category::kWADiff;
-      }
+      out.category =
+          same_forwarding ? Category::kWADup : Category::kWADiff;
     }
     st.status = RouteStatus::kAnnounced;
-    if (attr_id != st.last_attr_id) {
-      st.prev_attr_id = st.last_attr_id;
-      st.last_attr_id = attr_id;
-    }
+    st.last_attr_id = ev.attr_id;
+    st.last_fwd_id = ev.fwd_id;
   }
 
   IRI_ASSERT(static_cast<std::size_t>(out.category) < kNumCategories,
@@ -144,8 +116,8 @@ void ShardedClassifier::Configure(int num_shards) {
 
 void ShardedClassifier::ClassifyInto(const UpdateEvent& ev,
                                      ClassifiedEvent& out) {
-  shards_[static_cast<std::size_t>(map_.ShardOf(ev.prefix))]->ClassifyInto(
-      ev, out);
+  out = shards_[static_cast<std::size_t>(map_.ShardOf(ev.prefix))]->Classify(
+      ev);
 }
 
 void ShardedClassifier::ClassifyBatch(std::span<const UpdateEvent> events,

@@ -7,8 +7,10 @@
 // that unit.
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
+#include "bgp/intern.h"
 #include "bgp/message.h"
 #include "bgp/route.h"
 #include "netbase/time.h"
@@ -16,92 +18,66 @@
 
 namespace iri::core {
 
+// Trivially copyable: the announced attribute set is carried as its id in
+// the monitor's AttrTable, plus that set's forwarding id, which is all the
+// classifier compares.
 struct UpdateEvent {
   TimePoint time;
   bgp::PeerId peer = 0;   // collector-local peering id
   bgp::Asn peer_asn = 0;  // AS of the announcing border router
   bool is_withdraw = false;
   Prefix prefix;
-  bgp::PathAttributes attributes;  // meaningful only when !is_withdraw
+  // Meaningful only when !is_withdraw: equal attr_ids are byte-equal sets,
+  // equal fwd_ids are ForwardingEquivalent sets (same NEXT_HOP and AS_PATH).
+  bgp::AttrSetId attr_id = bgp::kEmptyAttrSetId;
+  bgp::ForwardingId fwd_id = 0;
   // Provenance sideband: the injected root cause this event descends from
   // (null for MRT replay and untagged senders; zero bytes when compiled out).
   [[no_unique_address]] obs::CauseTag cause{};
 
   bgp::PrefixPeer Key() const { return {prefix, peer}; }
 };
+static_assert(std::is_trivially_copyable_v<UpdateEvent>);
 
-// Like ExplodeUpdate below, but recycles `out`'s elements — and their
-// attribute buffer capacity — instead of destroying and re-creating them.
-// `out` only ever grows; elements [start, start + n) of the returned n are
-// valid. This is the monitor's per-message hot path: at full paper scale it
-// runs hundreds of thousands of times per simulated day, and buffer reuse
-// makes the steady state allocation-free. `start` lets the sharded
-// classification pipeline explode straight into its pending batch buffer
-// (appending after the events already queued) with the same recycling.
-inline std::size_t ExplodeUpdateReuse(TimePoint now, bgp::PeerId peer,
-                                      bgp::Asn peer_asn,
-                                      const bgp::UpdateMessage& update,
-                                      std::vector<UpdateEvent>& out,
-                                      std::size_t start = 0,
-                                      const obs::CauseVec& causes = {}) {
-  static const bgp::PathAttributes kEmptyAttrs;
-  const std::size_t total = update.withdrawn.size() + update.nlri.size();
-  if (out.size() < start + total) out.resize(start + total);
-  std::size_t n = start;
-  // The cause sideband indexes wire event order: withdrawn, then NLRI —
-  // exactly the order this loop pair emits.
+// Flattens an UPDATE message into per-prefix events appended to `out`,
+// withdrawals first (matching their position in the wire format). The
+// message's attribute set is interned into `attrs` once, however many NLRI
+// prefixes share it. `causes` is the message's provenance sideband, indexed
+// in the same wire event order. Returns the number of events appended.
+inline std::size_t ExplodeUpdate(TimePoint now, bgp::PeerId peer,
+                                 bgp::Asn peer_asn,
+                                 const bgp::UpdateMessage& update,
+                                 bgp::AttrTable& attrs,
+                                 std::vector<UpdateEvent>& out,
+                                 const obs::CauseVec& causes = {}) {
+  UpdateEvent ev;
+  ev.time = now;
+  ev.peer = peer;
+  ev.peer_asn = peer_asn;
   std::size_t ci = 0;
-  for (const Prefix& w : update.withdrawn) {
-    UpdateEvent& ev = out[n++];
-    ev.time = now;
-    ev.peer = peer;
-    ev.peer_asn = peer_asn;
-    ev.is_withdraw = true;
-    ev.prefix = w;
-    // Copy-assign from the shared empty set (not a fresh temporary) so the
-    // slot's buffer capacity survives for the next announce to land in.
-    ev.attributes = kEmptyAttrs;
-    ev.cause = ci < causes.size() ? causes[ci] : obs::CauseTag{};
+  const auto next_cause = [&causes, &ci] {
+    const obs::CauseTag tag =
+        ci < causes.size() ? causes[ci] : obs::CauseTag{};
     ++ci;
-  }
-  for (const Prefix& p : update.nlri) {
-    UpdateEvent& ev = out[n++];
-    ev.time = now;
-    ev.peer = peer;
-    ev.peer_asn = peer_asn;
-    ev.is_withdraw = false;
-    ev.prefix = p;
-    ev.attributes = update.attributes;
-    ev.cause = ci < causes.size() ? causes[ci] : obs::CauseTag{};
-    ++ci;
-  }
-  return n - start;
-}
-
-// Flattens an UPDATE message into per-prefix events, withdrawals first
-// (matching their position in the wire format).
-inline void ExplodeUpdate(TimePoint now, bgp::PeerId peer, bgp::Asn peer_asn,
-                          const bgp::UpdateMessage& update,
-                          std::vector<UpdateEvent>& out) {
+    return tag;
+  };
+  ev.is_withdraw = true;
   for (const Prefix& w : update.withdrawn) {
-    UpdateEvent ev;
-    ev.time = now;
-    ev.peer = peer;
-    ev.peer_asn = peer_asn;
-    ev.is_withdraw = true;
     ev.prefix = w;
-    out.push_back(std::move(ev));
+    ev.cause = next_cause();
+    out.push_back(ev);
   }
-  for (const Prefix& p : update.nlri) {
-    UpdateEvent ev;
-    ev.time = now;
-    ev.peer = peer;
-    ev.peer_asn = peer_asn;
+  if (!update.nlri.empty()) {
     ev.is_withdraw = false;
-    ev.prefix = p;
-    ev.attributes = update.attributes;
-    out.push_back(std::move(ev));
+    ev.attr_id = attrs.Intern(update.attributes);
+    ev.fwd_id = attrs.Forwarding(ev.attr_id);
+    for (const Prefix& p : update.nlri) {
+      ev.prefix = p;
+      ev.cause = next_cause();
+      out.push_back(ev);
+    }
   }
+  return update.withdrawn.size() + update.nlri.size();
 }
 
 }  // namespace iri::core

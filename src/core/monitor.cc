@@ -1,7 +1,6 @@
 #include "core/monitor.h"
 
 #include <string>
-#include <utility>
 
 #include "core/invariants.h"
 
@@ -20,7 +19,7 @@ void ExchangeMonitor::Attach(sim::Router& route_server) {
 
 void ExchangeMonitor::ConfigureSharding(int shards, int shard_threads,
                                         std::size_t batch_cap) {
-  IRI_ASSERT(pending_count_ == 0 && events_seen_ == 0,
+  IRI_ASSERT(pending_.empty() && events_seen_ == 0,
              "sharding must be configured before ingestion starts");
   classifier_.Configure(shards);
   shard_threads_ = shard_threads < 1 ? 1 : shard_threads;
@@ -115,11 +114,11 @@ void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
     }
     if (mrt_records_metric_ != nullptr) mrt_records_metric_->Add(1);
   }
-  // Stage 1: explode into the pending batch (appending after what is
-  // already queued; slots recycle their attribute buffers) and feed every
-  // category-independent consumer at tap time.
-  const std::size_t n = ExplodeUpdateReuse(now, peer, peer_asn, update,
-                                           pending_, pending_count_, causes);
+  // Stage 1: explode into the pending batch (interning the message's
+  // attribute set once) and feed every category-independent consumer at tap
+  // time.
+  const std::size_t n =
+      ExplodeUpdate(now, peer, peer_asn, update, attrs_, pending_, causes);
   timer.AddItems(n);
   if (events_per_msg_series_ != nullptr) {
     events_per_msg_series_->Observe(static_cast<std::int64_t>(n));
@@ -129,18 +128,17 @@ void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
       health_->ObservePeerEvent(now, peer);
     }
   }
-  pending_count_ += n;
-  if (batch_cap_ == 0 || pending_count_ >= batch_cap_) Drain();
+  if (batch_cap_ == 0 || pending_.size() >= batch_cap_) Drain();
 }
 
 void ExchangeMonitor::Drain() {
-  if (pending_count_ == 0) return;
-  const std::size_t n = pending_count_;
+  if (pending_.empty()) return;
+  const std::size_t n = pending_.size();
   if (verdicts_.size() < n) verdicts_.resize(n);
   {
-    // Stage 2: sharded classification. The timer is the bench's merge-wait
-    // signal (wall time the serial analysis stage spends blocked on the
-    // fork-join); count/items stay deterministic and shard-independent.
+    // Stage 2: sharded classification. The timer's wall time is the scaling
+    // bench's drain_wall_ns_sum (the fork-join, thread spawn included);
+    // count/items stay deterministic and shard-independent.
     obs::ScopedTimer timer(&drain_site_, n);
     classifier_.ClassifyBatch({pending_.data(), n}, {verdicts_.data(), n},
                               shard_threads_);
@@ -168,16 +166,12 @@ void ExchangeMonitor::Drain() {
       if (v.category == Category::kAADup) aadup_series_->Add(1);
     }
     if (!sinks_.empty()) {
-      classified_scratch_.category = v.category;
-      classified_scratch_.policy_fluctuation = v.policy_fluctuation;
-      // Swap, don't copy: the batch slot donates its event (and buffers) to
-      // the sink view and inherits the scratch's previous buffers, so both
-      // sides keep their capacity.
-      std::swap(classified_scratch_.event, pending_[i]);
-      for (const Sink& sink : sinks_) sink(classified_scratch_);
+      const ClassifiedEvent classified{pending_[i], v.category,
+                                       v.policy_fluctuation};
+      for (const Sink& sink : sinks_) sink(classified);
     }
   }
-  pending_count_ = 0;
+  pending_.clear();
 }
 
 std::uint64_t ExchangeMonitor::Replay(mrt::Reader& reader) {

@@ -12,8 +12,9 @@
 //   stage 1 (codec, at tap time): MRT logging (zero-copy from the received
 //     wire bytes), message counters, the events-per-message histogram and
 //     the health monitor's per-event peer feed — everything that does not
-//     depend on the event's category. Exploded events are appended to a
-//     pending batch.
+//     depend on the event's category. The message's attribute set is
+//     interned once into the monitor's AttrTable and the exploded events,
+//     which carry its ids, are appended to a pending batch.
 //   stage 2 (classify, at drain time): the pending batch fans out over the
 //     prefix-sharded classifier (ShardedClassifier), each shard processing
 //     its own events in arrival order.
@@ -115,34 +116,34 @@ class ExchangeMonitor {
   const ShardedClassifier& classifier() const { return classifier_; }
   std::uint64_t events_seen() const { return events_seen_; }
   std::uint64_t messages_seen() const { return messages_seen_; }
-  std::size_t pending_events() const { return pending_count_; }
+  std::size_t pending_events() const { return pending_.size(); }
 
   static constexpr std::size_t kDefaultBatchCap = 4096;
 
  private:
   ShardedClassifier classifier_;
+  // Every event's attr_id/fwd_id comes from this table: each UPDATE's set
+  // is interned once at stage 1, and the classifier only compares the ids.
+  bgp::AttrTable attrs_;
   std::vector<Sink> sinks_;
   mrt::Writer* mrt_ = nullptr;
   bgp::Asn local_asn_ = 0;
   std::uint64_t events_seen_ = 0;
   std::uint64_t messages_seen_ = 0;
-  // Pending batch (stage 1 -> stage 2 hand-off). Slots recycle their
-  // attribute buffers via ExplodeUpdateReuse's append mode; only the first
-  // pending_count_ elements are live.
+  // Pending batch (stage 1 -> stage 2 hand-off); cleared, capacity kept,
+  // by every Drain.
   std::vector<UpdateEvent> pending_;
-  std::size_t pending_count_ = 0;
   std::vector<ShardVerdict> verdicts_;  // stage-2 output, batch-indexed
   int shard_threads_ = 1;
   std::size_t batch_cap_ = 0;  // 0 = drain at the end of every Ingest
-  ClassifiedEvent classified_scratch_;  // stage-3 sink view (recycled)
   obs::Counter* messages_metric_ = nullptr;
   obs::Counter* events_metric_ = nullptr;
   obs::Counter* mrt_records_metric_ = nullptr;
   std::array<obs::Counter*, kNumCategories> category_metrics_{};
   obs::ProfileSite ingest_site_;
-  // Times the stage-2 fan-out/join (the "merge wait" the scaling bench
-  // reports); its deterministic count/items mirror drains and drained
-  // events, shard-count independent.
+  // Times the stage-2 fan-out/join (summed into the scaling bench's
+  // drain_wall_ns_sum); its deterministic count/items mirror drains and
+  // drained events, shard-count independent.
   obs::ProfileSite drain_site_;
   // Per-shard depth instruments (events per shard, peak batch slice).
   // Registered kWallClock: their values are deterministic, but they exist

@@ -15,8 +15,9 @@ TableComposition AnalyzeTable(const bgp::Rib& rib) {
     if (num_paths > 1) ++comp.multihomed;
     if (prefix.length() < 17) ++comp.aggregates;
     for (const auto& candidate : rib.CandidatesFor(prefix)) {
-      paths.insert(candidate.attributes.as_path.ToString());
-      for (const auto& segment : candidate.attributes.as_path.segments()) {
+      const bgp::AsPath& path = rib.AttributesOf(candidate).as_path;
+      paths.insert(path.ToString());
+      for (const auto& segment : path.segments()) {
         for (bgp::Asn asn : segment.asns) ases.insert(asn);
       }
     }
@@ -38,8 +39,9 @@ std::string TableComposition::ToString() const {
 
 TableSnapshot TableSnapshot::Capture(const bgp::Rib& rib) {
   TableSnapshot snap;
-  rib.VisitBest([&snap](const Prefix& prefix, const bgp::Candidate& best) {
-    snap.entries_[prefix] = best.attributes.as_path.ToString();
+  rib.VisitBest([&rib, &snap](const Prefix& prefix,
+                              const bgp::Candidate& best) {
+    snap.entries_[prefix] = rib.AttributesOf(best).as_path.ToString();
   });
   return snap;
 }

@@ -1,8 +1,33 @@
 #include "sim/router.h"
 
-#include <cassert>
-
 namespace iri::sim {
+
+bgp::AttrSetId ExportAttributes(bgp::AttrTable& attrs, bgp::AttrSetId best,
+                                const Prefix& prefix,
+                                const bgp::Policy& policy,
+                                const RouterConfig& config) {
+  bgp::Route route{prefix, attrs.Get(best)};
+  if (!policy.ApplyInPlace(route)) return bgp::kInvalidAttrSetId;
+  if (!config.transparent) {
+    route.attributes.as_path.Prepend(config.asn);
+    route.attributes.next_hop = config.interface_addr;
+  }
+  route.attributes.local_pref.reset();
+  return attrs.Intern(route.attributes);
+}
+
+bgp::AttrSetId ExportMemo::Export(bgp::AttrTable& attrs, bgp::AttrSetId best,
+                                  const Prefix& prefix,
+                                  const bgp::Policy& policy,
+                                  const RouterConfig& config) {
+  if (policy.ReadsPrefix()) {
+    return ExportAttributes(attrs, best, prefix, policy, config);
+  }
+  if (best >= out_.size()) out_.resize(attrs.size());
+  std::optional<bgp::AttrSetId>& memo = out_[best];
+  if (!memo) memo = ExportAttributes(attrs, best, prefix, policy, config);
+  return *memo;
+}
 
 Router::Router(Scheduler& sched, RouterConfig config, std::uint64_t seed)
     : sched_(sched),
@@ -77,6 +102,12 @@ void Router::Originate(const bgp::Route& route) {
   // Injection entry point: ops emitted for this change carry the ambient
   // cause (depth 0 — this is the router where the fault was injected).
   const obs::CauseTag cause = AmbientCause();
+  // Local routes win the decision against any learned path. The scratch
+  // member keeps its buffer capacity across the scenario's hundreds of
+  // thousands of Originate calls.
+  originate_scratch_ = route.attributes;
+  originate_scratch_.local_pref = 1000;
+  const bgp::AttrSetId attr_id = rib_.attrs().Intern(originate_scratch_);
   // Border dampening (RFC 2439 deployed at the provider edge): flapping
   // customer routes accumulate penalty and, once suppressed, are installed
   // locally but NOT advertised until the reuse timer releases them.
@@ -85,8 +116,8 @@ void Router::Originate(const bgp::Route& route) {
     const std::uint32_t* prev = local_index_.Find(route.prefix);
     const bool exists = prev != nullptr && *prev != kNoLocalRoute;
     const bool attr_change =
-        exists && !local_routes_[*prev].attributes.ForwardingEquivalent(
-                      route.attributes);
+        exists && !rib_.attrs().ForwardingEquivalent(
+                      local_routes_[*prev].attr_id, attr_id);
     const auto verdict = dampener_.OnAnnounce(
         {route.prefix, bgp::kLocalPeer}, sched_.Now(), attr_change);
     suppressed = verdict != bgp::DampVerdict::kPass;
@@ -94,17 +125,12 @@ void Router::Originate(const bgp::Route& route) {
   auto [slot, fresh] = local_index_.TryEmplace(route.prefix);
   if (fresh || *slot == kNoLocalRoute) {
     *slot = static_cast<std::uint32_t>(local_routes_.size());
-    local_routes_.push_back(route);
+    local_routes_.push_back(LocalRoute{route.prefix, attr_id});
   } else {
-    local_routes_[*slot] = route;
+    local_routes_[*slot].attr_id = attr_id;
   }
-  // Local routes win the decision against any learned path. The scratch
-  // member keeps its buffer capacity across the scenario's hundreds of
-  // thousands of Originate calls.
-  originate_scratch_ = route.attributes;
-  originate_scratch_.local_pref = 1000;
   const bgp::RibChange change =
-      rib_.Announce(bgp::kLocalPeer, route.prefix, originate_scratch_);
+      rib_.Announce(bgp::kLocalPeer, route.prefix, attr_id);
   if (suppressed) {
     ++stats_.damped_updates;
     if (metrics_.damped_updates) metrics_.damped_updates->Add(1);
@@ -140,7 +166,7 @@ void Router::WithdrawLocal(const Prefix& prefix) {
     const std::uint32_t last =
         static_cast<std::uint32_t>(local_routes_.size()) - 1;
     if (i != last) {
-      local_routes_[i] = std::move(local_routes_[last]);
+      local_routes_[i] = local_routes_[last];
       *local_index_.Find(local_routes_[i].prefix) = i;
     }
     local_routes_.pop_back();
@@ -437,11 +463,11 @@ void Router::SendMessage(bgp::PeerId id, const bgp::Message& msg,
 // ------------------------------------------------------------ update path
 
 bool Router::DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
-                            const bgp::PathAttributes& attrs) {
+                            bgp::AttrSetId attrs) {
   const auto* existing = rib_.Best(nlri);
   const bool attr_change =
       existing != nullptr && existing->peer == from &&
-      !existing->attributes.ForwardingEquivalent(attrs);
+      !rib_.attrs().ForwardingEquivalent(existing->attr_id, attrs);
   const auto verdict =
       dampener_.OnAnnounce({nlri, from}, sched_.Now(), attr_change);
   if (verdict == bgp::DampVerdict::kPass) return false;
@@ -487,17 +513,24 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
     if (change.best_changed) changed.push_back({w, cause});
   }
 
-  // An identity import policy (the common case) lets every NLRI prefix of
-  // the message share the decoded attribute set directly: no per-prefix
-  // Route copy, and the RIB copy-assigns into recycled candidate storage.
+  // The decoded attribute set is interned once per UPDATE. An identity
+  // import policy (the common case) lets every NLRI prefix share that id;
+  // any other policy may rewrite per prefix, and its output is interned.
   const bool identity_import = p.import_policy.IsIdentity();
+  const bool looped = !update.nlri.empty() &&
+                      update.attributes.as_path.Contains(config_.asn);
+  const bgp::AttrSetId shared_id =
+      identity_import && !looped && !update.nlri.empty()
+          ? rib_.attrs().Intern(update.attributes)
+          : bgp::kInvalidAttrSetId;
   for (const Prefix& nlri : update.nlri) {
     const obs::CauseTag cause = next_cause();
     ++stats_.prefixes_announced_rx;
-    if (update.attributes.as_path.Contains(config_.asn)) {
+    if (looped) {
       ++stats_.loops_rejected;
       continue;
     }
+    bgp::AttrSetId attr_id = shared_id;
     if (!identity_import) {
       bgp::Route route{nlri, update.attributes};
       if (!p.import_policy.ApplyInPlace(route)) {
@@ -507,26 +540,15 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
         if (change.best_changed) changed.push_back({nlri, cause});
         continue;
       }
-      if (config_.enable_dampening &&
-          DampenAnnounce(from, nlri, route.attributes)) {
-        if (rib_.Withdraw(from, nlri).best_changed) {
-          changed.push_back({nlri, cause});
-        }
-        continue;
-      }
-      const bgp::RibChange change = rib_.Announce(from, std::move(route));
-      if (change.best_changed) changed.push_back({nlri, cause});
-      continue;
+      attr_id = rib_.attrs().Intern(route.attributes);
     }
-    if (config_.enable_dampening &&
-        DampenAnnounce(from, nlri, update.attributes)) {
+    if (config_.enable_dampening && DampenAnnounce(from, nlri, attr_id)) {
       if (rib_.Withdraw(from, nlri).best_changed) {
         changed.push_back({nlri, cause});
       }
       continue;
     }
-    const bgp::RibChange change =
-        rib_.Announce(from, nlri, update.attributes);
+    const bgp::RibChange change = rib_.Announce(from, nlri, attr_id);
     if (change.best_changed) changed.push_back({nlri, cause});
   }
 
@@ -542,53 +564,37 @@ void Router::PropagateChange(const Prefix& prefix, obs::CauseTag cause) {
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
     Peer& p = peers_[id];
     if (!p.established) continue;
-    std::optional<bgp::PathAttributes> exported;
-    if (best != nullptr) exported = ExportCandidate(p, prefix, *best);
-    if (exported) {
-      EnqueueOp(id, bgp::RouteOp{prefix, std::move(exported), false, cause});
-    } else {
-      EnqueueOp(id, bgp::RouteOp{prefix, std::nullopt, false, cause});
-    }
+    const bgp::AttrSetId exported = best != nullptr
+                                        ? ExportCandidate(p, prefix, *best)
+                                        : bgp::kInvalidAttrSetId;
+    EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
   }
 }
 
 void Router::BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause) {
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
     if (!peers_[id].established) continue;
-    EnqueueOp(id, bgp::RouteOp{prefix, std::nullopt, false, cause});
+    EnqueueOp(id, bgp::RouteOp{prefix, bgp::kInvalidAttrSetId, false, cause});
   }
 }
 
-std::optional<bgp::PathAttributes> Router::ExportRoute(
-    const Peer& peer, const Prefix& prefix) const {
-  const bgp::Candidate* best = rib_.Best(prefix);
-  if (best == nullptr) return std::nullopt;
-  return ExportCandidate(peer, prefix, *best);
-}
-
-std::optional<bgp::PathAttributes> Router::ExportCandidate(
-    const Peer& peer, const Prefix& prefix, const bgp::Candidate& best) const {
+bgp::AttrSetId Router::ExportCandidate(Peer& peer, const Prefix& prefix,
+                                       const bgp::Candidate& best) {
   // Split horizon: never hand a route back to the peer it came from.
   if (best.peer != bgp::kLocalPeer && &peer == &peers_[best.peer]) {
-    return std::nullopt;
+    return bgp::kInvalidAttrSetId;
   }
   // Sender-side loop avoidance: the receiver would reject it anyway.
-  if (best.attributes.as_path.Contains(peer.remote_asn)) return std::nullopt;
-
-  bgp::Route route{prefix, best.attributes};
-  if (!peer.export_policy.ApplyInPlace(route)) return std::nullopt;
-  if (!config_.transparent) {
-    route.attributes.as_path.Prepend(config_.asn);
-    route.attributes.next_hop = config_.interface_addr;
+  if (rib_.AttributesOf(best).as_path.Contains(peer.remote_asn)) {
+    return bgp::kInvalidAttrSetId;
   }
-  // LOCAL_PREF is iBGP-only; all peerings here are external.
-  route.attributes.local_pref.reset();
-  return std::move(route.attributes);
+  return peer.export_memo.Export(rib_.attrs(), best.attr_id, prefix,
+                                peer.export_policy, config_);
 }
 
 void Router::EnqueueOp(bgp::PeerId id, bgp::RouteOp op) {
   Peer& p = peers_[id];
-  p.queue.Enqueue(sched_.Now(), std::move(op));
+  p.queue.Enqueue(sched_.Now(), op);
   if (!p.flush_scheduled) {
     p.flush_scheduled = true;
     sched_.At(p.queue.NextFlush(), [this, id] { FlushPeer(id); });
@@ -599,12 +605,11 @@ void Router::FlushPeer(bgp::PeerId id) {
   Peer& p = peers_[id];
   p.flush_scheduled = false;
   if (crashed_) return;
-  std::vector<bgp::RouteOp> ops = p.queue.Flush(sched_.Now());
-  if (!p.established || ops.empty()) return;
+  p.queue.Flush(sched_.Now(), flush_ops_);
+  if (!p.established || flush_ops_.empty()) return;
 
-  std::vector<bgp::RouteOp> final_ops;
-  final_ops.reserve(ops.size());
-  for (auto& op : ops) {
+  final_ops_.clear();
+  for (const bgp::RouteOp& op : flush_ops_) {
     if (config_.stateless_bgp) {
       // No Adj-RIB-Out: everything goes out, duplicates included. A
       // within-window withdraw..announce pair is transmitted as W then A
@@ -612,32 +617,33 @@ void Router::FlushPeer(bgp::PeerId id) {
       // then the current state). The expanded W inherits the surviving op's
       // cause — the whole train descends from the same fault.
       if (op.withdraw_preceded) {
-        final_ops.push_back(
-            bgp::RouteOp{op.prefix, std::nullopt, false, op.cause});
+        final_ops_.push_back(
+            bgp::RouteOp{op.prefix, bgp::kInvalidAttrSetId, false, op.cause});
       }
-      final_ops.push_back(std::move(op));
+      final_ops_.push_back(op);
       continue;
     }
     auto it = p.adj_rib_out.find(op.prefix);
     if (op.IsWithdraw()) {
       if (it == p.adj_rib_out.end()) continue;  // never told them: suppress
       p.adj_rib_out.erase(it);
-      final_ops.push_back(std::move(op));
+    } else if (it == p.adj_rib_out.end()) {
+      p.adj_rib_out.emplace(op.prefix, op.attr_id);
+    } else if (it->second == op.attr_id) {
+      continue;  // peer already has exactly this route: suppress duplicate
     } else {
-      if (it != p.adj_rib_out.end() && it->second == *op.attributes) {
-        continue;  // peer already has exactly this route: suppress duplicate
-      }
-      p.adj_rib_out[op.prefix] = *op.attributes;
-      final_ops.push_back(std::move(op));
+      it->second = op.attr_id;
     }
+    final_ops_.push_back(op);
   }
-  if (final_ops.empty()) return;
+  if (final_ops_.empty()) return;
 
   // The packer reorders ops (attribute grouping), so it builds the per-
   // message cause sideband itself; skip the work entirely when compiled out.
   std::vector<obs::CauseVec> msg_causes;
   std::vector<bgp::UpdateMessage> msgs = bgp::PackUpdates(
-      final_ops, obs::kProvenanceEnabled ? &msg_causes : nullptr);
+      final_ops_, rib_.attrs(),
+      obs::kProvenanceEnabled ? &msg_causes : nullptr);
   for (std::size_t m = 0; m < msgs.size(); ++m) {
     const bgp::UpdateMessage& msg = msgs[m];
     // Marshaling cost per outbound prefix.
@@ -661,10 +667,10 @@ void Router::FullDump(bgp::PeerId id, obs::CauseTag cause) {
   Peer& p = peers_[id];
   std::uint64_t exported_count = 0;
   rib_.VisitBest([&](const Prefix& prefix, const bgp::Candidate& best) {
-    auto exported = ExportCandidate(p, prefix, best);
-    if (exported) {
+    const bgp::AttrSetId exported = ExportCandidate(p, prefix, best);
+    if (exported != bgp::kInvalidAttrSetId) {
       ++exported_count;
-      EnqueueOp(id, bgp::RouteOp{prefix, std::move(exported), false, cause});
+      EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
     }
   });
   IRI_TRACE(tracer_, sched_.Now(), "redump_end",

@@ -81,6 +81,36 @@ struct RouterConfig {
   Duration reboot_time = Duration::Seconds(90);
 };
 
+// The attribute rewrite of a router configured by `config` exporting the
+// interned set `best` for `prefix` under `policy`: the export policy, then —
+// unless transparent — the AS prepend and NEXT_HOP rewrite, then LOCAL_PREF
+// cleared (it is iBGP-only; every peering here is external). Interns the
+// result into `attrs` and returns its id, or kInvalidAttrSetId when the
+// policy denies. Split horizon and loop avoidance are the caller's.
+bgp::AttrSetId ExportAttributes(bgp::AttrTable& attrs, bgp::AttrSetId best,
+                                const Prefix& prefix,
+                                const bgp::Policy& policy,
+                                const RouterConfig& config);
+
+// ExportAttributes memoised per input id. Under an export policy that never
+// matches on the prefix (the identity, or rules on communities and AS path
+// only) the result depends only on the input set, the policy and the
+// router's config, so it is computed once per distinct set, however many
+// prefixes share it; a policy that reads the prefix is applied afresh on
+// every call. One memo belongs to one (table, policy, config) triple: a
+// router keeps one per peer.
+class ExportMemo {
+ public:
+  bgp::AttrSetId Export(bgp::AttrTable& attrs, bgp::AttrSetId best,
+                        const Prefix& prefix, const bgp::Policy& policy,
+                        const RouterConfig& config);
+
+ private:
+  // Input id -> exported id (kInvalidAttrSetId when denied); nullopt until
+  // first computed.
+  std::vector<std::optional<bgp::AttrSetId>> out_;
+};
+
 class Router : public LinkEndpoint {
  public:
   struct Stats {
@@ -188,7 +218,8 @@ class Router : public LinkEndpoint {
     bgp::OutboundQueue queue;
     bgp::Policy import_policy;
     bgp::Policy export_policy;
-    std::unordered_map<Prefix, bgp::PathAttributes> adj_rib_out;
+    ExportMemo export_memo;  // for export_policy
+    std::unordered_map<Prefix, bgp::AttrSetId> adj_rib_out;
     bool established = false;
     bool flush_scheduled = false;
     // Earliest pending FSM-timer poll, TimePoint::Max() when none. The FSM's
@@ -230,22 +261,19 @@ class Router : public LinkEndpoint {
                      const obs::CauseVec& causes);
   // Charges the dampener for an announcement; true means "suppress it".
   bool DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
-                      const bgp::PathAttributes& attrs);
+                      bgp::AttrSetId attrs);
   // Re-exports the new state of `prefix` to every eligible peer, stamping
   // emitted ops with `cause` (already depth-bumped for re-propagation).
   void PropagateChange(const Prefix& prefix, obs::CauseTag cause);
   // Stateless pathology: spray a withdrawal at every established peer,
   // bypassing export policy and Adj-RIB-Out.
   void BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause);
-  // Computes the route to announce to `peer` for `prefix`, or nullopt when
-  // it must not be announced (split horizon, loop, policy deny).
-  std::optional<bgp::PathAttributes> ExportRoute(const Peer& peer,
-                                                 const Prefix& prefix) const;
-  // Same, given the already-looked-up best candidate — the batched RIB-walk
-  // paths (FullDump's Loc-RIB sweep, PropagateChange's per-peer fan-out)
-  // resolve Best() once instead of once per peer.
-  std::optional<bgp::PathAttributes> ExportCandidate(
-      const Peer& peer, const Prefix& prefix, const bgp::Candidate& best) const;
+  // The interned set to announce to `peer` for `prefix` given its best
+  // candidate, or kInvalidAttrSetId when it must not be announced (split
+  // horizon, loop, policy deny). Callers resolve Best() once for a whole
+  // peer fan-out or Loc-RIB sweep.
+  bgp::AttrSetId ExportCandidate(Peer& peer, const Prefix& prefix,
+                                 const bgp::Candidate& best);
   void EnqueueOp(bgp::PeerId id, bgp::RouteOp op);
   void FlushPeer(bgp::PeerId id);
   void FullDump(bgp::PeerId id, obs::CauseTag cause);
@@ -270,10 +298,17 @@ class Router : public LinkEndpoint {
   // slot. InternalReset's sweep order reaches the wire, so the container's
   // iteration order must not depend on the platform's hash — the vector's
   // order is a pure function of the Originate/WithdrawLocal call sequence.
-  std::vector<bgp::Route> local_routes_;
+  struct LocalRoute {
+    Prefix prefix;
+    bgp::AttrSetId attr_id;  // as installed in the RIB (LOCAL_PREF 1000)
+  };
+  std::vector<LocalRoute> local_routes_;
   ProbeMap<Prefix, std::uint32_t> local_index_;  // kNoLocalRoute = erased
   static constexpr std::uint32_t kNoLocalRoute = 0xFFFFFFFFu;
   bgp::PathAttributes originate_scratch_;  // reused by Originate (hot path)
+  // FlushPeer's buffers, reused across flushes (their capacity persists).
+  std::vector<bgp::RouteOp> flush_ops_;
+  std::vector<bgp::RouteOp> final_ops_;
   // Receive-path decode scratch: every inbound UPDATE decodes into this one
   // message, so its prefix/community buffers are allocated once per router
   // instead of once per message. Safe because delivery is scheduler-driven

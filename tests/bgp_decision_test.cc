@@ -14,10 +14,12 @@ Candidate Make(PeerId peer, std::vector<Asn> path,
   Candidate c;
   c.peer = peer;
   c.peer_router_id = IPv4Address(10, 0, 0, static_cast<std::uint8_t>(peer));
-  c.attributes.as_path = AsPath::Sequence(std::move(path));
-  c.attributes.local_pref = local_pref;
-  c.attributes.med = med;
-  c.attributes.origin = origin;
+  PathAttributes attrs;
+  attrs.as_path = AsPath::Sequence(std::move(path));
+  attrs.local_pref = local_pref;
+  attrs.med = med;
+  attrs.origin = origin;
+  c.decision = DecisionFields::Of(attrs);
   return c;
 }
 

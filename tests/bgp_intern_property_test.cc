@@ -1,9 +1,10 @@
-// Property tests for the hash-consed AS-path / attribute-set tables
-// (bgp/intern.h): interning is a bijection between distinct values and ids,
-// and every precomputed per-id fact agrees with the deep computation it
-// replaces. The decision process and classifier compare ids instead of
-// walking segments, so these properties are what keeps the fast paths
-// semantically invisible.
+// Property tests for the hash-consed attribute-set table (bgp/intern.h):
+// interning is a bijection between distinct sets and ids, the forwarding id
+// partitions sets exactly by PathAttributes::ForwardingEquivalent, id 0 is
+// the empty set, and every precomputed decision field agrees with the deep
+// computation it replaces. The RIB, packer, Adj-RIB-Out and classifier
+// compare ids instead of values, so these properties are what keeps the id
+// paths semantically invisible.
 #include "bgp/intern.h"
 
 #include <gtest/gtest.h>
@@ -43,36 +44,57 @@ PathAttributes RandomAttributes(Rng& rng) {
   return attrs;
 }
 
-TEST(AsPathTableProperty, InternIsBijectionAndMetadataAgrees) {
+TEST(AttrTableProperty, EmptySetIsIdZero) {
+  AttrTable table;
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.Get(kEmptyAttrSetId), PathAttributes{});
+  EXPECT_EQ(table.Intern(PathAttributes{}), kEmptyAttrSetId);
+  EXPECT_EQ(table.Forwarding(kEmptyAttrSetId), 0u);
+  // Anything else gets a fresh id; a set forwarding-equivalent to the empty
+  // one (no NEXT_HOP, empty AS_PATH) shares its forwarding class.
+  PathAttributes med_only;
+  med_only.med = 5;
+  const AttrSetId id = table.Intern(med_only);
+  EXPECT_NE(id, kEmptyAttrSetId);
+  EXPECT_TRUE(table.ForwardingEquivalent(id, kEmptyAttrSetId));
+  EXPECT_EQ(table.NumForwardingClasses(), 1u);
+}
+
+TEST(AttrTableProperty, InternIsBijectionAndMetadataAgrees) {
   Rng rng(20260808);
-  AsPathTable table;
-  std::map<std::string, AsPathId> seen;  // canonical text -> id
+  AttrTable table;
+  std::map<std::string, AttrSetId> seen;  // canonical text -> id
+  seen.emplace(PathAttributes{}.ToString(), kEmptyAttrSetId);
   for (int i = 0; i < 2000; ++i) {
-    const AsPath path = RandomPath(rng);
-    const AsPathId id = table.Intern(path);
+    const PathAttributes attrs = RandomAttributes(rng);
+    const AttrSetId id = table.Intern(attrs);
 
     // Same value <=> same id: intern(a) == intern(b) iff a == b.
-    auto [it, fresh] = seen.emplace(path.ToString(), id);
-    EXPECT_EQ(it->second, id) << "same path re-interned to a different id";
+    auto [it, fresh] = seen.emplace(attrs.ToString(), id);
+    EXPECT_EQ(it->second, id) << "same set re-interned to a different id";
     if (fresh) {
       // First sight: ids are dense and insertion-ordered.
       EXPECT_EQ(id, seen.size() - 1);
     }
 
     // The canonical copy is byte-equal to the input.
-    EXPECT_EQ(table.Get(id), path);
-    // Precomputed decision metadata matches the deep computation.
-    EXPECT_EQ(table.DecisionLength(id), path.DecisionLength());
-    EXPECT_EQ(table.FirstAsn(id), path.FirstAsn());
+    EXPECT_EQ(table.Get(id), attrs);
+    // Precomputed decision fields match the deep computation.
+    const DecisionFields& d = table.Decision(id);
+    EXPECT_EQ(d.local_pref, attrs.local_pref.value_or(kDefaultLocalPref));
+    EXPECT_EQ(d.path_length, attrs.as_path.DecisionLength());
+    EXPECT_EQ(d.med, attrs.med.value_or(0));
+    EXPECT_EQ(d.first_asn, attrs.as_path.FirstAsn());
+    EXPECT_EQ(d.origin, attrs.origin);
   }
   EXPECT_EQ(table.size(), seen.size());
   EXPECT_GT(table.size(), 1u);
   EXPECT_LT(table.size(), 2000u) << "generator never collided; pool too big";
 }
 
-TEST(PathAttributesTableProperty, IdCompareMatchesDeepCompare) {
+TEST(AttrTableProperty, IdCompareMatchesDeepCompare) {
   Rng rng(42);
-  PathAttributesTable table;
+  AttrTable table;
   std::vector<PathAttributes> originals;
   std::vector<AttrSetId> ids;
   for (int i = 0; i < 400; ++i) {
@@ -80,27 +102,28 @@ TEST(PathAttributesTableProperty, IdCompareMatchesDeepCompare) {
     ids.push_back(table.Intern(originals.back()));
     EXPECT_EQ(table.Get(ids.back()), originals.back());
   }
-  // Pairwise: id equality <=> deep equality, and the precomputed
-  // forwarding-tuple compare matches PathAttributes::ForwardingEquivalent.
+  // Pairwise: id equality <=> deep equality, and forwarding-id equality <=>
+  // PathAttributes::ForwardingEquivalent.
   for (std::size_t a = 0; a < ids.size(); ++a) {
     for (std::size_t b = 0; b < ids.size(); ++b) {
       EXPECT_EQ(ids[a] == ids[b], originals[a] == originals[b])
           << "id compare diverged from deep compare at (" << a << "," << b
           << ")";
-      EXPECT_EQ(table.ForwardingEquivalent(ids[a], ids[b]),
+      EXPECT_EQ(table.Forwarding(ids[a]) == table.Forwarding(ids[b]),
                 originals[a].ForwardingEquivalent(originals[b]))
-          << "interned forwarding compare diverged at (" << a << "," << b
-          << ")";
+          << "forwarding id compare diverged at (" << a << "," << b << ")";
     }
   }
+  EXPECT_LT(table.NumForwardingClasses(), table.size())
+      << "generator never produced a policy-only difference";
 }
 
-TEST(PathAttributesTableProperty, CanonicalPointersStableAcrossGrowth) {
+TEST(AttrTableProperty, CanonicalPointersStableAcrossGrowth) {
   Rng rng(7);
-  PathAttributesTable table;
+  AttrTable table;
   // Grab a reference early, then force the arena through many more blocks;
-  // the Rib and classifier hold ids across the whole run, so Get() must
-  // keep returning the same storage.
+  // the Rib and monitor hold ids across the whole run, so Get() must keep
+  // returning the same storage.
   const PathAttributes first = RandomAttributes(rng);
   const AttrSetId first_id = table.Intern(first);
   const PathAttributes* first_ptr = &table.Get(first_id);

@@ -3,17 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 namespace iri::bgp {
 namespace {
 
 Prefix P(const std::string& s) { return *Prefix::Parse(s); }
 
-PathAttributes Attrs(std::vector<Asn> path) {
+// Every op's attribute id comes from this one table, as a router's ops all
+// come from its RIB's table.
+AttrTable& Table() {
+  static AttrTable table;
+  return table;
+}
+
+AttrSetId Attrs(std::vector<Asn> path) {
   PathAttributes a;
   a.as_path = AsPath::Sequence(std::move(path));
   a.next_hop = IPv4Address(10, 0, 0, 1);
-  return a;
+  return Table().Intern(a);
+}
+
+constexpr AttrSetId kWithdraw = kInvalidAttrSetId;
+
+std::vector<RouteOp> FlushOps(OutboundQueue& q, TimePoint now) {
+  std::vector<RouteOp> out;
+  q.Flush(now, out);
+  return out;
 }
 
 TimePoint T(double seconds) {
@@ -26,7 +42,7 @@ TEST(PackUpdates, GroupsAnnouncementsByAttributes) {
       {P("11.0.0.0/8"), Attrs({701})},
       {P("12.0.0.0/8"), Attrs({1239})},
   };
-  auto msgs = PackUpdates(ops);
+  auto msgs = PackUpdates(ops, Table());
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].nlri.size(), 2u);
   EXPECT_EQ(msgs[1].nlri.size(), 1u);
@@ -35,10 +51,10 @@ TEST(PackUpdates, GroupsAnnouncementsByAttributes) {
 TEST(PackUpdates, WithdrawalsPackedTogetherAndFirst) {
   std::vector<RouteOp> ops = {
       {P("10.0.0.0/8"), Attrs({701})},
-      {P("11.0.0.0/8"), std::nullopt},
-      {P("12.0.0.0/8"), std::nullopt},
+      {P("11.0.0.0/8"), kWithdraw},
+      {P("12.0.0.0/8"), kWithdraw},
   };
-  auto msgs = PackUpdates(ops);
+  auto msgs = PackUpdates(ops, Table());
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].withdrawn.size(), 2u);
   EXPECT_TRUE(msgs[0].nlri.empty());
@@ -49,9 +65,9 @@ TEST(PackUpdates, SplitsBelowMaxMessageSize) {
   std::vector<RouteOp> ops;
   for (std::uint32_t i = 0; i < 3000; ++i) {
     ops.push_back({Prefix(IPv4Address((10u << 24) | (i << 8)), 24),
-                   std::nullopt});
+                   kWithdraw});
   }
-  auto msgs = PackUpdates(ops);
+  auto msgs = PackUpdates(ops, Table());
   EXPECT_GT(msgs.size(), 1u);
   std::size_t total = 0;
   for (const auto& m : msgs) {
@@ -67,7 +83,7 @@ TEST(PackUpdates, LargeAnnouncementBatchSplits) {
     ops.push_back({Prefix(IPv4Address((10u << 24) | (i << 8)), 24),
                    Attrs({701, 1239})});
   }
-  auto msgs = PackUpdates(ops);
+  auto msgs = PackUpdates(ops, Table());
   EXPECT_GT(msgs.size(), 1u);
   std::size_t total = 0;
   for (const auto& m : msgs) {
@@ -78,18 +94,18 @@ TEST(PackUpdates, LargeAnnouncementBatchSplits) {
 }
 
 TEST(PackUpdates, EmptyInputYieldsNothing) {
-  EXPECT_TRUE(PackUpdates({}).empty());
+  EXPECT_TRUE(PackUpdates({}, Table()).empty());
 }
 
 TEST(OutboundQueue, LatestWinsPerPrefix) {
   OutboundQueue q({}, 1);
   q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({701})});
-  q.Enqueue(T(2), {P("10.0.0.0/8"), std::nullopt});
+  q.Enqueue(T(2), {P("10.0.0.0/8"), kWithdraw});
   q.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({1239})});
-  auto ops = q.Flush(T(100));
+  auto ops = FlushOps(q, T(100));
   ASSERT_EQ(ops.size(), 1u);
-  ASSERT_TRUE(ops[0].attributes.has_value());
-  EXPECT_EQ(ops[0].attributes->as_path.ToString(), "1239");
+  ASSERT_FALSE(ops[0].IsWithdraw());
+  EXPECT_EQ(Table().Get(ops[0].attr_id).as_path.ToString(), "1239");
 }
 
 TEST(OutboundQueue, PreservesFirstEnqueueOrder) {
@@ -98,7 +114,7 @@ TEST(OutboundQueue, PreservesFirstEnqueueOrder) {
   q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({2})});
   q.Enqueue(T(1), {P("11.0.0.0/8"), Attrs({3})});
   q.Enqueue(T(2), {P("12.0.0.0/8"), Attrs({4})});  // replaces, keeps slot 0
-  auto ops = q.Flush(T(100));
+  auto ops = FlushOps(q, T(100));
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[0].prefix, P("12.0.0.0/8"));
   EXPECT_EQ(ops[1].prefix, P("10.0.0.0/8"));
@@ -110,9 +126,9 @@ TEST(OutboundQueue, FlushBeforeDeadlineReturnsNothing) {
   cfg.interval = Duration::Seconds(30);
   OutboundQueue q(cfg, 1);
   q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({701})});
-  EXPECT_TRUE(q.Flush(T(2)).empty());
+  EXPECT_TRUE(FlushOps(q, T(2)).empty());
   EXPECT_EQ(q.pending_ops(), 1u);
-  EXPECT_FALSE(q.Flush(T(31)).empty());
+  EXPECT_FALSE(FlushOps(q, T(31)).empty());
   EXPECT_TRUE(q.empty());
 }
 
@@ -161,9 +177,9 @@ TEST(OutboundQueue, DeadlineRearmsAfterFlush) {
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
   q.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({701})});
-  (void)q.Flush(T(30));
+  (void)FlushOps(q, T(30));
   EXPECT_EQ(q.NextFlush(), TimePoint::Max());
-  q.Enqueue(T(42), {P("10.0.0.0/8"), std::nullopt});
+  q.Enqueue(T(42), {P("10.0.0.0/8"), kWithdraw});
   EXPECT_EQ(q.NextFlush(), T(60));
 }
 
@@ -179,9 +195,9 @@ TEST(OutboundQueue, OscillationWithinWindowCoalescesToFinalState) {
   q.Enqueue(T(1), {P("10.0.0.0/8"), a1});
   q.Enqueue(T(5), {P("10.0.0.0/8"), a2});
   q.Enqueue(T(9), {P("10.0.0.0/8"), a1});
-  auto ops = q.Flush(T(30));
+  auto ops = FlushOps(q, T(30));
   ASSERT_EQ(ops.size(), 1u);
-  EXPECT_EQ(*ops[0].attributes, a1);
+  EXPECT_EQ(ops[0].attr_id, a1);
 }
 
 // W-A-W within one window nets to a withdrawal (WWDup engine when the
@@ -190,10 +206,10 @@ TEST(OutboundQueue, WithdrawAnnounceWithdrawNetsToWithdraw) {
   PackerConfig cfg;
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), std::nullopt});
+  q.Enqueue(T(1), {P("10.0.0.0/8"), kWithdraw});
   q.Enqueue(T(5), {P("10.0.0.0/8"), Attrs({701})});
-  q.Enqueue(T(9), {P("10.0.0.0/8"), std::nullopt});
-  auto ops = q.Flush(T(30));
+  q.Enqueue(T(9), {P("10.0.0.0/8"), kWithdraw});
+  auto ops = FlushOps(q, T(30));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_TRUE(ops[0].IsWithdraw());
 }
@@ -207,12 +223,12 @@ TEST(OutboundQueue, IndexResetsAcrossFlushWindows) {
   OutboundQueue q(cfg, 1);
   q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({1})});
   q.Enqueue(T(2), {P("11.0.0.0/8"), Attrs({2})});
-  (void)q.Flush(T(30));
+  (void)FlushOps(q, T(30));
   // Second window: reversed enqueue order, plus an interleaved withdraw.
-  q.Enqueue(T(31), {P("11.0.0.0/8"), std::nullopt});
+  q.Enqueue(T(31), {P("11.0.0.0/8"), kWithdraw});
   q.Enqueue(T(32), {P("10.0.0.0/8"), Attrs({3})});
   q.Enqueue(T(33), {P("11.0.0.0/8"), Attrs({4})});
-  auto ops = q.Flush(T(60));
+  auto ops = FlushOps(q, T(60));
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].prefix, P("11.0.0.0/8"));  // new window's first enqueue
   EXPECT_TRUE(ops[0].withdraw_preceded);
@@ -227,15 +243,15 @@ TEST(OutboundQueue, WithdrawPrecededStickyAcrossReenqueues) {
   PackerConfig cfg;
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), std::nullopt});
+  q.Enqueue(T(1), {P("10.0.0.0/8"), kWithdraw});
   q.Enqueue(T(2), {P("10.0.0.0/8"), Attrs({701})});
   q.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({1239})});
-  auto ops = q.Flush(T(30));
+  auto ops = FlushOps(q, T(30));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_TRUE(ops[0].withdraw_preceded);
   // ...but it does not leak into the next window.
   q.Enqueue(T(31), {P("10.0.0.0/8"), Attrs({701})});
-  ops = q.Flush(T(60));
+  ops = FlushOps(q, T(60));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_FALSE(ops[0].withdraw_preceded);
 }
@@ -258,7 +274,7 @@ TEST(OutboundQueue, RandomInterleavingMatchesReferenceModel) {
       op.prefix = Prefix(
           IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(48)), 0), 24);
       if (rng.Below(3) != 0) {
-        op.attributes = Attrs({static_cast<Asn>(701 + rng.Below(4))});
+        op.attr_id = Attrs({static_cast<Asn>(701 + rng.Below(4))});
       }
       q.Enqueue(T(base + 0.1 * i), op);
       auto it = std::find_if(
@@ -273,10 +289,138 @@ TEST(OutboundQueue, RandomInterleavingMatchesReferenceModel) {
         *it = op;
       }
     }
-    auto ops = q.Flush(T(base + 30.0));
+    auto ops = FlushOps(q, T(base + 30.0));
     ASSERT_EQ(ops.size(), reference.size()) << "window " << window;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       EXPECT_EQ(ops[i], reference[i]) << "window " << window << " op " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the id-grouping packer against a deep-equality
+// reference: the packing rules of PackUpdates (withdrawals first, packed
+// densely; announcements grouped by equal attribute sets, groups in order of
+// first appearance, a group closed once its size estimate reaches the cap),
+// restated over PathAttributes values instead of interned ids.
+
+struct DeepOp {
+  Prefix prefix;
+  std::optional<PathAttributes> attributes;  // nullopt == withdrawal
+  obs::CauseTag cause{};
+};
+
+std::vector<UpdateMessage> ReferencePack(const std::vector<DeepOp>& ops,
+                                         std::vector<obs::CauseVec>& causes) {
+  std::vector<UpdateMessage> out;
+  UpdateMessage withdrawals;
+  obs::CauseVec withdrawal_causes;
+  for (const DeepOp& op : ops) {
+    if (op.attributes) continue;
+    withdrawals.withdrawn.push_back(op.prefix);
+    withdrawal_causes.push_back(op.cause);
+    if (EstimateUpdateSize(withdrawals) > kMaxMessageSize - 64) {
+      out.push_back(std::move(withdrawals));
+      causes.push_back(std::move(withdrawal_causes));
+      withdrawals = {};
+      withdrawal_causes = {};
+    }
+  }
+  if (!withdrawals.withdrawn.empty()) {
+    out.push_back(std::move(withdrawals));
+    causes.push_back(std::move(withdrawal_causes));
+  }
+  std::vector<UpdateMessage> groups;
+  std::vector<obs::CauseVec> group_causes;
+  for (const DeepOp& op : ops) {
+    if (!op.attributes) continue;
+    std::size_t g = 0;
+    while (g < groups.size() &&
+           !(groups[g].attributes == *op.attributes &&
+             EstimateUpdateSize(groups[g]) < kMaxMessageSize - 64)) {
+      ++g;
+    }
+    if (g == groups.size()) {
+      groups.emplace_back().attributes = *op.attributes;
+      group_causes.emplace_back();
+    }
+    groups[g].nlri.push_back(op.prefix);
+    group_causes[g].push_back(op.cause);
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    out.push_back(std::move(groups[g]));
+    causes.push_back(std::move(group_causes[g]));
+  }
+  return out;
+}
+
+PathAttributes RandomPackerAttributes(Rng& rng) {
+  PathAttributes a;
+  std::vector<Asn> path;
+  const std::size_t len = 1 + rng.Below(12);  // long paths fill messages
+  for (std::size_t i = 0; i < len; ++i) {
+    path.push_back(static_cast<Asn>(700 + rng.Below(4)));
+  }
+  a.as_path = AsPath::Sequence(std::move(path));
+  a.next_hop = IPv4Address(10, 0, 0, static_cast<std::uint8_t>(rng.Below(2)));
+  if (rng.Bernoulli(0.5)) a.med = static_cast<std::uint32_t>(rng.Below(2));
+  const std::size_t communities = rng.Below(6);
+  for (std::size_t i = 0; i < communities; ++i) {
+    a.communities.push_back(static_cast<Community>(rng.Below(1000)));
+  }
+  std::sort(a.communities.begin(), a.communities.end());
+  a.communities.erase(std::unique(a.communities.begin(), a.communities.end()),
+                      a.communities.end());
+  return a;
+}
+
+TEST(PackUpdates, IdGroupingMatchesDeepEqualityReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    AttrTable table;
+    obs::ProvenanceContext prov;
+    // A small palette, each entry interned from its own copy: equal values
+    // built separately must land in one group, as decoded UPDATEs do.
+    std::vector<PathAttributes> palette;
+    const std::size_t palette_size = 1 + rng.Below(5);
+    for (std::size_t i = 0; i < palette_size; ++i) {
+      palette.push_back(RandomPackerAttributes(rng));
+    }
+    std::vector<RouteOp> ops;
+    std::vector<DeepOp> deep;
+    // Up to 1500 ops, so withdrawals and large groups both split.
+    const std::size_t n = 1 + rng.Below(1500);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Prefix prefix(
+          IPv4Address((10u << 24) |
+                      (static_cast<std::uint32_t>(rng.Below(4096)) << 8)),
+          24);
+      const obs::CauseTag cause =
+          prov.Allocate(obs::CauseKind::kCustomerFlap, TimePoint::Origin());
+      if (rng.Bernoulli(0.4)) {
+        ops.push_back(RouteOp{prefix, kInvalidAttrSetId, false, cause});
+        deep.push_back(DeepOp{prefix, std::nullopt, cause});
+      } else {
+        const PathAttributes copy = palette[rng.Below(palette.size())];
+        ops.push_back(RouteOp{prefix, table.Intern(copy), false, cause});
+        deep.push_back(DeepOp{prefix, copy, cause});
+      }
+    }
+    std::vector<obs::CauseVec> got_causes;
+    const std::vector<UpdateMessage> got = PackUpdates(ops, table, &got_causes);
+    std::vector<obs::CauseVec> want_causes;
+    const std::vector<UpdateMessage> want = ReferencePack(deep, want_causes);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    ASSERT_EQ(got_causes.size(), want_causes.size()) << "seed " << seed;
+    for (std::size_t m = 0; m < got.size(); ++m) {
+      EXPECT_EQ(Encode(Message(got[m])), Encode(Message(want[m])))
+          << "seed " << seed << " message " << m;
+      ASSERT_EQ(got_causes[m].size(), want_causes[m].size())
+          << "seed " << seed << " message " << m;
+      for (std::size_t i = 0; i < got_causes[m].size(); ++i) {
+        EXPECT_TRUE(got_causes[m][i] == want_causes[m][i])
+            << "seed " << seed << " message " << m << " slot " << i;
+      }
     }
   }
 }

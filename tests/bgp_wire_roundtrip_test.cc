@@ -84,8 +84,9 @@ PathAttributes RandomAttributes(Rng& rng) {
 }
 
 // A random batch of route ops with duplicate-free prefixes per op kind —
-// the shape OutboundQueue::Flush hands to PackUpdates.
-std::vector<RouteOp> RandomOps(Rng& rng) {
+// the shape OutboundQueue::Flush hands to PackUpdates — with attribute ids
+// interned into `table`.
+std::vector<RouteOp> RandomOps(Rng& rng, AttrTable& table) {
   std::vector<RouteOp> ops;
   const int n = static_cast<int>(rng.Range(1, 40));
   // A few shared attribute sets so the packer's group-by-attributes path is
@@ -97,9 +98,9 @@ std::vector<RouteOp> RandomOps(Rng& rng) {
     RouteOp op;
     op.prefix = RandomPrefix(rng);
     if (!rng.Bernoulli(0.4)) {  // 60% announcements
-      op.attributes = palette[rng.Below(palette.size())];
+      op.attr_id = table.Intern(palette[rng.Below(palette.size())]);
     }
-    ops.push_back(std::move(op));
+    ops.push_back(op);
   }
   return ops;
 }
@@ -118,8 +119,9 @@ TEST(BgpWireRoundTrip, TenThousandRandomUpdateBatches) {
   for (int c = 0; c < kCases; ++c) {
     const std::uint64_t seed = kBaseSeed + static_cast<std::uint64_t>(c);
     Rng rng(seed);
-    const std::vector<RouteOp> ops = RandomOps(rng);
-    const std::vector<UpdateMessage> packed = PackUpdates(ops);
+    AttrTable table;
+    const std::vector<RouteOp> ops = RandomOps(rng, table);
+    const std::vector<UpdateMessage> packed = PackUpdates(ops, table);
     ASSERT_FALSE(packed.empty()) << "seed=" << seed;
     for (const UpdateMessage& update : packed) {
       ASSERT_NO_FATAL_FAILURE(CheckMessageRoundTrip(Message(update), seed));

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
+#include "core/monitor.h"
+#include "netbase/rng.h"
+
 namespace iri::core {
 namespace {
 
@@ -19,14 +25,23 @@ bgp::PathAttributes Attrs(std::vector<bgp::Asn> path,
   return a;
 }
 
-UpdateEvent Announce(const std::string& prefix, bgp::PathAttributes attrs,
-                     bgp::PeerId peer = 1, double t = 0) {
+// Every event's ids come from this one table, as a monitor's events all
+// come from its own.
+bgp::AttrTable& Table() {
+  static bgp::AttrTable table;
+  return table;
+}
+
+UpdateEvent Announce(const std::string& prefix,
+                     const bgp::PathAttributes& attrs, bgp::PeerId peer = 1,
+                     double t = 0) {
   UpdateEvent ev;
   ev.time = TimePoint::Origin() + Duration::Seconds(t);
   ev.peer = peer;
   ev.peer_asn = 100 + peer;
   ev.prefix = P(prefix);
-  ev.attributes = std::move(attrs);
+  ev.attr_id = Table().Intern(attrs);
+  ev.fwd_id = Table().Forwarding(ev.attr_id);
   return ev;
 }
 
@@ -218,17 +233,181 @@ TEST(ExplodeUpdate, FlattensWithdrawalsFirst) {
   u.nlri = {P("12.0.0.0/8")};
   std::vector<UpdateEvent> events;
   ExplodeUpdate(TimePoint::Origin() + Duration::Seconds(9), 3, 103, u,
-                events);
+                Table(), events);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_TRUE(events[0].is_withdraw);
   EXPECT_TRUE(events[1].is_withdraw);
   EXPECT_FALSE(events[2].is_withdraw);
   EXPECT_EQ(events[2].prefix, P("12.0.0.0/8"));
-  EXPECT_EQ(events[2].attributes, u.attributes);
+  EXPECT_EQ(Table().Get(events[2].attr_id), u.attributes);
   for (const auto& ev : events) {
     EXPECT_EQ(ev.peer, 3u);
     EXPECT_EQ(ev.peer_asn, 103u);
     EXPECT_EQ(ev.time, TimePoint::Origin() + Duration::Seconds(9));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the id-comparing classifier against a deep-equality
+// reference: per-(Prefix, peer) state holding the last announced
+// PathAttributes value (the empty set for fresh state), compared with
+// operator== and ForwardingEquivalent.
+
+class ReferenceClassifier {
+ public:
+  ShardVerdict Classify(const Prefix& prefix, bgp::PeerId peer,
+                        const std::optional<bgp::PathAttributes>& attrs) {
+    auto [it, fresh] = state_.try_emplace(bgp::PrefixPeer{prefix, peer});
+    State& st = it->second;
+    ShardVerdict v;
+    if (!attrs) {
+      if (fresh || !st.announced) {
+        v.category = Category::kWWDup;
+      } else {
+        v.category = Category::kWithdraw;
+        st.announced = false;
+      }
+      return v;
+    }
+    const bool same_forwarding = st.last.ForwardingEquivalent(*attrs);
+    if (fresh) {
+      v.category = Category::kInitial;
+    } else if (st.announced) {
+      v.category = same_forwarding ? Category::kAADup : Category::kAADiff;
+      v.policy_fluctuation = same_forwarding && !(st.last == *attrs);
+    } else {
+      v.category = same_forwarding ? Category::kWADup : Category::kWADiff;
+    }
+    st.announced = true;
+    st.last = *attrs;
+    return v;
+  }
+
+ private:
+  struct State {
+    bool announced = false;
+    bgp::PathAttributes last;
+  };
+  std::map<bgp::PrefixPeer, State> state_;
+};
+
+// Attribute palette: the empty set, a set forwarding-equivalent to it, two
+// forwarding-distinct routes A and B, and policy-only variants of A.
+std::vector<bgp::PathAttributes> DifferentialPalette() {
+  std::vector<bgp::PathAttributes> palette(1);  // [0] the empty set
+  bgp::PathAttributes empty_fwd;  // no NEXT_HOP, empty path, but a MED
+  empty_fwd.med = 3;
+  palette.push_back(empty_fwd);
+  palette.push_back(Attrs({701, 9}));                   // A
+  palette.push_back(Attrs({701, 1239, 9}));             // B
+  palette.push_back(Attrs({701, 9}, 1, 10));            // A, MED 10
+  palette.push_back(Attrs({701, 9}, 1, 20));            // A, MED 20
+  palette.push_back(Attrs({701, 9}, 2));                // A via another hop
+  return palette;
+}
+
+TEST(ClassifierDifferential, IdVerdictsMatchDeepReference) {
+  const std::vector<bgp::PathAttributes> palette = DifferentialPalette();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    bgp::AttrTable table;
+    Classifier classifier;
+    ReferenceClassifier reference;
+    auto check = [&](const Prefix& prefix, bgp::PeerId peer,
+                     const std::optional<bgp::PathAttributes>& attrs,
+                     int step) {
+      UpdateEvent ev;
+      ev.peer = peer;
+      ev.prefix = prefix;
+      ev.is_withdraw = !attrs;
+      if (attrs) {
+        ev.attr_id = table.Intern(*attrs);
+        ev.fwd_id = table.Forwarding(ev.attr_id);
+      }
+      const ShardVerdict got = classifier.ClassifyVerdict(ev);
+      const ShardVerdict want = reference.Classify(prefix, peer, attrs);
+      ASSERT_EQ(got.category, want.category)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(got.policy_fluctuation, want.policy_fluctuation)
+          << "seed " << seed << " step " << step;
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const Prefix prefix(
+          IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(12)), 0), 24);
+      const auto peer = static_cast<bgp::PeerId>(rng.Below(3));
+      switch (rng.Below(6)) {
+        case 0:  // withdrawal (WWDup when already withdrawn or unseen)
+          check(prefix, peer, std::nullopt, step);
+          break;
+        case 1:  // WWDup on a fresh key, then an announcement of the empty
+                 // set or of its forwarding twin
+          check(Prefix(IPv4Address(11, 0, static_cast<std::uint8_t>(
+                                                 rng.Below(200)), 0),
+                       24),
+                peer, std::nullopt, step);
+          check(prefix, peer, std::nullopt, step);
+          check(prefix, peer, palette[rng.Below(2)], step);
+          break;
+        case 2: {  // A<->B oscillation on one route
+          const int flips = 2 + static_cast<int>(rng.Below(4));
+          for (int f = 0; f < flips; ++f) {
+            check(prefix, peer, palette[2 + f % 2], step);
+          }
+          break;
+        }
+        default:
+          check(prefix, peer, palette[rng.Below(palette.size())], step);
+          break;
+      }
+    }
+    // The stream reaches every category.
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
+      EXPECT_GT(classifier.totals()[c], 0u)
+          << "seed " << seed << " never produced " << ToString(Category(c));
+    }
+  }
+}
+
+// The same check end to end through ExchangeMonitor::Ingest, which interns
+// each UPDATE's attribute set once for all its NLRI prefixes.
+TEST(ClassifierDifferential, MonitorVerdictsMatchDeepReference) {
+  const std::vector<bgp::PathAttributes> palette = DifferentialPalette();
+  Rng rng(99);
+  ExchangeMonitor monitor;
+  ReferenceClassifier reference;
+  std::vector<ShardVerdict> got;
+  monitor.AddSink([&got](const ClassifiedEvent& ev) {
+    got.push_back({ev.category, ev.policy_fluctuation});
+  });
+  std::vector<ShardVerdict> want;
+  for (int m = 0; m < 2000; ++m) {
+    bgp::UpdateMessage msg;
+    const auto peer = static_cast<bgp::PeerId>(rng.Below(3));
+    const std::size_t nw = rng.Below(3);
+    for (std::size_t i = 0; i < nw; ++i) {
+      msg.withdrawn.push_back(Prefix(
+          IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(16)), 0), 24));
+    }
+    const std::size_t na = rng.Below(4);
+    if (na > 0) msg.attributes = palette[rng.Below(palette.size())];
+    for (std::size_t i = 0; i < na; ++i) {
+      msg.nlri.push_back(Prefix(
+          IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(16)), 0), 24));
+    }
+    monitor.Ingest(TimePoint::Origin() + Duration::Seconds(m), peer,
+                   100 + peer, msg);
+    for (const Prefix& w : msg.withdrawn) {
+      want.push_back(reference.Classify(w, peer, std::nullopt));
+    }
+    for (const Prefix& p : msg.nlri) {
+      want.push_back(reference.Classify(p, peer, msg.attributes));
+    }
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].category, want[i].category) << "event " << i;
+    ASSERT_EQ(got[i].policy_fluctuation, want[i].policy_fluctuation)
+        << "event " << i;
   }
 }
 

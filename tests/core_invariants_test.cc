@@ -90,7 +90,7 @@ TEST_F(InvariantsTest, DcheckConditionNotEvaluatedWhenCompiledOut) {
 // instability/pathology super-classes must stay disjoint, whatever order
 // announcements and withdrawals arrive in.
 
-core::UpdateEvent RandomEvent(Rng& rng) {
+core::UpdateEvent RandomEvent(Rng& rng, bgp::AttrTable& table) {
   core::UpdateEvent ev;
   ev.time = TimePoint::Origin() +
             Duration::Seconds(static_cast<double>(rng.Below(86400)));
@@ -101,10 +101,13 @@ core::UpdateEvent RandomEvent(Rng& rng) {
   ev.prefix = Prefix(IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(16)), 0), 24);
   ev.is_withdraw = rng.Bernoulli(0.45);
   if (!ev.is_withdraw) {
-    ev.attributes.next_hop = IPv4Address(192, 0, 2, static_cast<std::uint8_t>(rng.Below(3)));
-    ev.attributes.as_path = bgp::AsPath::Sequence(
+    bgp::PathAttributes attrs;
+    attrs.next_hop = IPv4Address(192, 0, 2, static_cast<std::uint8_t>(rng.Below(3)));
+    attrs.as_path = bgp::AsPath::Sequence(
         {static_cast<bgp::Asn>(100 + rng.Below(3)), 65000});
-    if (rng.Bernoulli(0.3)) ev.attributes.med = static_cast<std::uint32_t>(rng.Below(2));
+    if (rng.Bernoulli(0.3)) attrs.med = static_cast<std::uint32_t>(rng.Below(2));
+    ev.attr_id = table.Intern(attrs);
+    ev.fwd_id = table.Forwarding(ev.attr_id);
   }
   return ev;
 }
@@ -113,9 +116,11 @@ TEST_F(InvariantsTest, ClassifierConservesCategoryCountsOverRandomStream) {
   constexpr std::uint64_t kEvents = 20000;
   Rng rng(0xC0FFEE);
   core::Classifier classifier;
+  bgp::AttrTable table;
   std::uint64_t instability = 0, pathology = 0, neither = 0;
   for (std::uint64_t i = 0; i < kEvents; ++i) {
-    const core::ClassifiedEvent ev = classifier.Classify(RandomEvent(rng));
+    const core::ClassifiedEvent ev =
+        classifier.Classify(RandomEvent(rng, table));
     const bool is_instability = core::IsInstability(ev.category);
     const bool is_pathology = core::IsPathology(ev.category);
     ASSERT_FALSE(is_instability && is_pathology)

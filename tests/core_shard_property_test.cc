@@ -28,6 +28,13 @@ Prefix P(const std::string& s) { return *Prefix::Parse(s); }
 // A deterministic adversarial stream: a small prefix pool (so per-route
 // state machines are exercised through many transitions, not just Initial),
 // a few peers, and a few attribute shapes so every taxonomy bin is hit.
+// The table every stream's ids come from, as a monitor's events all come
+// from its own.
+bgp::AttrTable& Table() {
+  static bgp::AttrTable table;
+  return table;
+}
+
 std::vector<UpdateEvent> RandomStream(std::uint64_t seed, std::size_t n,
                                       std::uint32_t num_prefixes = 64,
                                       std::uint32_t num_peers = 3) {
@@ -45,13 +52,16 @@ std::vector<UpdateEvent> RandomStream(std::uint64_t seed, std::size_t n,
                        24);
     ev.is_withdraw = rng.Below(5) < 2;  // withdrawal-heavy, like the paper
     if (!ev.is_withdraw) {
-      ev.attributes.as_path =
+      bgp::PathAttributes attrs;
+      attrs.as_path =
           bgp::AsPath::Sequence({static_cast<bgp::Asn>(701 + rng.Below(3))});
-      ev.attributes.next_hop =
+      attrs.next_hop =
           IPv4Address(192, 0, 2, static_cast<std::uint8_t>(1 + rng.Below(2)));
-      if (rng.Below(4) == 0) ev.attributes.med = 10 * rng.Below(3);
+      if (rng.Below(4) == 0) attrs.med = 10 * rng.Below(3);
+      ev.attr_id = Table().Intern(attrs);
+      ev.fwd_id = Table().Forwarding(ev.attr_id);
     }
-    events.push_back(std::move(ev));
+    events.push_back(ev);
   }
   return events;
 }
@@ -233,7 +243,7 @@ TEST(Rib, VisitBestShardedPartitionsVisitBest) {
                  Prefix(IPv4Address(10, static_cast<std::uint8_t>(i >> 8),
                                     static_cast<std::uint8_t>(i & 0xff), 0),
                         24),
-                 attrs);
+                 rib.attrs().Intern(attrs));
   }
   std::set<Prefix> all;
   rib.VisitBest([&](const Prefix& p, const bgp::Candidate&) { all.insert(p); });

@@ -157,8 +157,8 @@ TEST(Redistribution, AnnouncesAndWithdrawsThroughRouter) {
   EXPECT_TRUE(border.HasLocalRoute(P("204.10.1.0/24")));
   const auto* best = border.rib().Best(P("204.10.1.0/24"));
   ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->attributes.med, 2u);  // IGP metric copied into MED
-  EXPECT_EQ(best->attributes.origin, bgp::Origin::kIncomplete);
+  EXPECT_EQ(border.rib().AttributesOf(*best).med, 2u);  // IGP metric copied into MED
+  EXPECT_EQ(border.rib().AttributesOf(*best).origin, bgp::Origin::kIncomplete);
 
   // Partition: the withdrawal propagates into BGP.
   bb.igp.SetLinkUp(bb.core_east, false);

@@ -93,6 +93,8 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
   cfg.discipline = (GetParam() % 2) ? TimerDiscipline::kUnjittered
                                     : TimerDiscipline::kJittered;
   OutboundQueue queue(cfg, GetParam());
+  AttrTable table;
+  std::vector<RouteOp> flushed;
 
   TimePoint now = TimePoint::Origin();
   for (int round = 0; round < 50; ++round) {
@@ -108,7 +110,7 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
       if (rng.Bernoulli(0.5)) {
         PathAttributes attrs;
         attrs.as_path = AsPath::Sequence({static_cast<Asn>(rng.Below(9) + 1)});
-        op.attributes = std::move(attrs);
+        op.attr_id = table.Intern(attrs);
       }
       queue.Enqueue(now, op);
       enqueued.insert(prefix);
@@ -119,7 +121,7 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
     const TimePoint deadline = queue.NextFlush();
     ASSERT_NE(deadline, TimePoint::Max());
     now = std::max(now, deadline);
-    const auto flushed = queue.Flush(now);
+    queue.Flush(now, flushed);
     std::set<Prefix> seen;
     for (const auto& op : flushed) {
       EXPECT_TRUE(seen.insert(op.prefix).second)
@@ -139,6 +141,7 @@ class PackerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PackerFuzz, PackingIsAPartition) {
   Rng rng(GetParam());
+  AttrTable table;
   std::vector<RouteOp> ops;
   const int n = 1 + static_cast<int>(rng.Below(800));
   std::set<Prefix> used;
@@ -152,12 +155,12 @@ TEST_P(PackerFuzz, PackingIsAPartition) {
       PathAttributes attrs;
       attrs.as_path = AsPath::Sequence({static_cast<Asn>(rng.Below(4) + 1)});
       attrs.next_hop = IPv4Address(10, 0, 0, static_cast<std::uint8_t>(rng.Below(3)));
-      op.attributes = std::move(attrs);
+      op.attr_id = table.Intern(attrs);
     }
-    ops.push_back(std::move(op));
+    ops.push_back(op);
   }
 
-  const auto messages = PackUpdates(ops);
+  const auto messages = PackUpdates(ops, table);
   std::set<Prefix> withdrawn_out, announced_out;
   for (const auto& msg : messages) {
     EXPECT_LE(Encode(msg).size(), kMaxMessageSize);
@@ -182,7 +185,7 @@ TEST_P(PackerFuzz, PackingIsAPartition) {
     for (const auto& msg : messages) {
       for (const auto& p : msg.nlri) {
         if (p == op.prefix) {
-          EXPECT_EQ(msg.attributes, *op.attributes);
+          EXPECT_EQ(msg.attributes, table.Get(op.attr_id));
           found = true;
         }
       }

@@ -26,17 +26,24 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
   // Reference: prefix -> peer -> attributes.
   std::map<Prefix, std::map<PeerId, PathAttributes>> model;
 
+  struct RefBest {
+    PeerId peer;
+    PathAttributes attributes;
+  };
   auto reference_best =
-      [&model](const Prefix& prefix) -> std::optional<Candidate> {
+      [&model](const Prefix& prefix) -> std::optional<RefBest> {
     auto it = model.find(prefix);
     if (it == model.end() || it->second.empty()) return std::nullopt;
     std::vector<Candidate> candidates;
+    std::vector<const PathAttributes*> attrs_of;  // parallel to candidates
     for (const auto& [peer, attrs] : it->second) {
       candidates.push_back(
           {peer, IPv4Address(10, 0, 0, static_cast<std::uint8_t>(peer + 1)),
-           attrs});
+           kInvalidAttrSetId, DecisionFields::Of(attrs)});
+      attrs_of.push_back(&attrs);
     }
-    return candidates[static_cast<std::size_t>(SelectBest(candidates))];
+    const auto best = static_cast<std::size_t>(SelectBest(candidates));
+    return RefBest{candidates[best].peer, *attrs_of[best]};
   };
 
   auto random_prefix = [&rng] {
@@ -112,7 +119,7 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
         ASSERT_NE(got, nullptr) << p.ToString();
         ASSERT_TRUE(want.has_value());
         EXPECT_EQ(got->peer, want->peer) << p.ToString();
-        EXPECT_EQ(got->attributes, want->attributes);
+        EXPECT_EQ(rib.AttributesOf(*got), want->attributes);
       }
       EXPECT_EQ(rib.NumPrefixes(), model.size());
       EXPECT_EQ(rib.NumRoutes(), model_routes);
@@ -155,6 +162,51 @@ TEST_P(RibCountInvariant, CountsAlwaysConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RibCountInvariant, ::testing::Values(7, 8, 9));
+
+// Invariant: every candidate names an id of the Rib's own attribute table
+// and caches exactly that set's decision fields, across replacements that
+// change only a decision field (LOCAL_PREF, MED, ORIGIN), replacements that
+// change none, withdrawals and session clears.
+class RibAttrIdAudit : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RibAttrIdAudit, CandidatesMatchTheAttributeTable) {
+  Rng rng(GetParam());
+  Rib rib;
+  constexpr int kPeers = 4;
+  for (PeerId p = 0; p < kPeers; ++p) {
+    rib.AddPeer(p, IPv4Address(1, 1, 1, static_cast<std::uint8_t>(p + 1)));
+  }
+  for (int step = 0; step < 1500; ++step) {
+    const auto peer = static_cast<PeerId>(rng.Below(kPeers));
+    const Prefix prefix(
+        IPv4Address((172u << 24) |
+                    (static_cast<std::uint32_t>(rng.Below(8)) << 8)),
+        24);
+    const std::uint64_t op = rng.Below(10);
+    if (op < 7) {
+      PathAttributes attrs;
+      attrs.as_path = AsPath::Sequence({static_cast<Asn>(100 + rng.Below(3))});
+      if (rng.Bernoulli(0.5)) {
+        attrs.local_pref = static_cast<std::uint32_t>(90 + 10 * rng.Below(3));
+      }
+      if (rng.Bernoulli(0.5)) attrs.med = static_cast<std::uint32_t>(rng.Below(3));
+      attrs.origin = static_cast<Origin>(rng.Below(3));
+      const RibChange change =
+          rib.Announce(peer, prefix, rib.attrs().Intern(attrs));
+      ASSERT_NE(change.new_best, nullptr);
+      EXPECT_EQ(change.new_best->decision,
+                DecisionFields::Of(rib.AttributesOf(*change.new_best)));
+    } else if (op < 9) {
+      rib.Withdraw(peer, prefix);
+    } else {
+      rib.ClearPeer(peer);
+    }
+    ASSERT_TRUE(rib.AuditInvariants()) << "step " << step;
+  }
+  EXPECT_GT(rib.attrs().size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RibAttrIdAudit, ::testing::Values(3, 4, 5));
 
 }  // namespace
 }  // namespace iri::bgp

@@ -171,7 +171,7 @@ TEST(RouterDynamics, ShortestPathRingConverges) {
   for (Router* r : {&a, &b, &c}) {
     const auto* best = r->rib().Best(Route24(0).prefix);
     ASSERT_NE(best, nullptr);
-    EXPECT_EQ(best->attributes.as_path.ToString(), "400");
+    EXPECT_EQ(r->rib().AttributesOf(*best).as_path.ToString(), "400");
   }
 }
 

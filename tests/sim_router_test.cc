@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/event.h"
+#include "netbase/rng.h"
 
 namespace iri::sim {
 namespace {
@@ -91,10 +92,10 @@ TEST(Router, RoutePropagatesWithPrependAndNextHop) {
 
   const auto* best = b.rib().Best(P("192.42.113.0/24"));
   ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->attributes.as_path.ToString(), "100");
-  EXPECT_EQ(best->attributes.next_hop, a.config().interface_addr);
+  EXPECT_EQ(b.rib().AttributesOf(*best).as_path.ToString(), "100");
+  EXPECT_EQ(b.rib().AttributesOf(*best).next_hop, a.config().interface_addr);
   // eBGP: LOCAL_PREF must not leak.
-  EXPECT_FALSE(best->attributes.local_pref.has_value());
+  EXPECT_FALSE(b.rib().AttributesOf(*best).local_pref.has_value());
 }
 
 TEST(Router, DownstreamAsPathPreserved) {
@@ -107,7 +108,7 @@ TEST(Router, DownstreamAsPathPreserved) {
   net.Settle();
   const auto* best = b.rib().Best(P("192.42.113.0/24"));
   ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->attributes.as_path.ToString(), "100 64512");
+  EXPECT_EQ(b.rib().AttributesOf(*best).as_path.ToString(), "100 64512");
 }
 
 TEST(Router, WithdrawalPropagates) {
@@ -136,8 +137,8 @@ TEST(Router, TransitThroughMiddleRouter) {
   net.Settle();
   const auto* best = c.rib().Best(P("192.42.113.0/24"));
   ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->attributes.as_path.ToString(), "200 100");
-  EXPECT_EQ(best->attributes.next_hop, b.config().interface_addr);
+  EXPECT_EQ(c.rib().AttributesOf(*best).as_path.ToString(), "200 100");
+  EXPECT_EQ(c.rib().AttributesOf(*best).next_hop, b.config().interface_addr);
 }
 
 TEST(Router, SplitHorizonDoesNotEchoRoute) {
@@ -169,7 +170,7 @@ TEST(Router, RingTopologyConvergesWithoutLoops) {
   // Everyone converges; C prefers the direct path via A.
   const auto* c_best = c.rib().Best(P("192.42.113.0/24"));
   ASSERT_NE(c_best, nullptr);
-  EXPECT_EQ(c_best->attributes.as_path.ToString(), "100");
+  EXPECT_EQ(c.rib().AttributesOf(*c_best).as_path.ToString(), "100");
   // The ring must quiesce: no persistent oscillation.
   const auto executed = net.sched.executed();
   net.Settle(Duration::Minutes(5));
@@ -231,14 +232,16 @@ TEST(Router, MultihomedFailover) {
   b.Originate(LocalRoute("192.42.113.0/24", {64512}));
   net.Settle();
   ASSERT_EQ(c.rib().CandidatesFor(P("192.42.113.0/24")).size(), 2u);
-  EXPECT_EQ(c.rib().Best(P("192.42.113.0/24"))->attributes.as_path.ToString(),
+  EXPECT_EQ(c.rib()
+                .AttributesOf(*c.rib().Best(P("192.42.113.0/24")))
+                .as_path.ToString(),
             "100");
 
   a.WithdrawLocal(P("192.42.113.0/24"));
   net.Settle();
   const auto* best = c.rib().Best(P("192.42.113.0/24"));
   ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->attributes.as_path.ToString(), "200 64512");
+  EXPECT_EQ(c.rib().AttributesOf(*best).as_path.ToString(), "200 64512");
 }
 
 // --- the paper's §4.2 pathology: stateless vs stateful ---
@@ -411,8 +414,8 @@ TEST(Router, TransparentModeKeepsPathAndNextHop) {
   const auto* best = b.rib().Best(P("192.42.113.0/24"));
   ASSERT_NE(best, nullptr);
   // The route server adds no AS hop and keeps A's next hop.
-  EXPECT_EQ(best->attributes.as_path.ToString(), "100");
-  EXPECT_EQ(best->attributes.next_hop, a.config().interface_addr);
+  EXPECT_EQ(b.rib().AttributesOf(*best).as_path.ToString(), "100");
+  EXPECT_EQ(b.rib().AttributesOf(*best).next_hop, a.config().interface_addr);
 }
 
 TEST(Router, NoReexportCollectsButStaysSilent) {
@@ -504,6 +507,98 @@ TEST(Router, UpdateTapSeesInboundUpdates) {
   net.Settle();
   ASSERT_FALSE(tap_asns.empty());
   EXPECT_EQ(tap_asns[0], 100u);
+}
+
+// Differential check of the export memo: for every (policy, router mode)
+// pair, ExportMemo::Export must return the id a fresh ExportAttributes
+// returns, and that id must name exactly the set a deep rewrite written here
+// produces. The memo caches under the identity and under a policy that
+// reads only attributes, and must not under a policy that reads the prefix.
+TEST(ExportMemo, MatchesFreshExportAndDeepReference) {
+  bgp::Policy identity = bgp::Policy::AcceptAll();
+  // Attribute-only rules, like the scenario's provider export policy.
+  bgp::Policy by_attributes = bgp::Policy::DenyAll();
+  {
+    bgp::PolicyRule deny_tagged;
+    deny_tagged.match.has_community = 13;
+    deny_tagged.action.deny = true;
+    by_attributes.Add(deny_tagged);
+    bgp::PolicyRule prepend_via_701;
+    prepend_via_701.match.neighbor_as = 701;
+    prepend_via_701.action.prepend_count = 2;
+    prepend_via_701.action.prepend_asn = 65000;
+    prepend_via_701.action.set_med = 7;
+    by_attributes.Add(prepend_via_701);
+    bgp::PolicyRule allow_own;
+    allow_own.match.has_community = 42;
+    by_attributes.Add(allow_own);
+  }
+  // Prefix-dependent rules: a memo keyed only by input id would give one
+  // prefix's answer to another.
+  bgp::Policy by_prefix = bgp::Policy::AcceptAll();
+  {
+    bgp::PolicyRule deny_long;
+    deny_long.match.covered_by = P("10.0.0.0/8");
+    deny_long.match.min_length = 25;
+    deny_long.action.deny = true;
+    by_prefix.Add(deny_long);
+    bgp::PolicyRule med_for_block;
+    med_for_block.match.covered_by = P("10.1.0.0/16");
+    med_for_block.action.set_med = 7;
+    med_for_block.action.add_communities = {42};
+    by_prefix.Add(med_for_block);
+  }
+  EXPECT_FALSE(identity.ReadsPrefix());
+  EXPECT_FALSE(by_attributes.ReadsPrefix());
+  EXPECT_TRUE(by_prefix.ReadsPrefix());
+  const bgp::Policy* policies[] = {&identity, &by_attributes, &by_prefix};
+
+  for (const bool transparent : {false, true}) {
+    for (const bgp::Policy* policy : policies) {
+      RouterConfig config;
+      config.asn = 100;
+      config.interface_addr = IPv4Address(10, 1, 0, 100);
+      config.transparent = transparent;
+      bgp::AttrTable table;
+      ExportMemo memo;
+      Rng rng(transparent ? 5 : 6);
+      for (int i = 0; i < 3000; ++i) {
+        bgp::PathAttributes in;
+        in.as_path = bgp::AsPath::Sequence(
+            {static_cast<bgp::Asn>(700 + rng.Below(3)), 9});
+        in.next_hop = IPv4Address(10, 0, 0, static_cast<std::uint8_t>(rng.Below(2)));
+        if (rng.Bernoulli(0.5)) in.local_pref = 1000;
+        if (rng.Bernoulli(0.3)) in.med = static_cast<std::uint32_t>(rng.Below(3));
+        if (rng.Bernoulli(0.5)) in.communities.push_back(42);
+        if (rng.Bernoulli(0.2)) in.communities.push_back(13);
+        const bgp::AttrSetId in_id = table.Intern(in);
+        const Prefix prefix(
+            IPv4Address(10, static_cast<std::uint8_t>(rng.Below(3)),
+                        static_cast<std::uint8_t>(rng.Below(4)), 0),
+            static_cast<std::uint8_t>(rng.Bernoulli(0.8) ? 24 : 26));
+
+        const bgp::AttrSetId memo_id =
+            memo.Export(table, in_id, prefix, *policy, config);
+        const bgp::AttrSetId fresh_id =
+            ExportAttributes(table, in_id, prefix, *policy, config);
+        ASSERT_EQ(memo_id, fresh_id)
+            << "step " << i << " transparent " << transparent;
+
+        bgp::Route want{prefix, in};
+        if (!policy->ApplyInPlace(want)) {
+          EXPECT_EQ(memo_id, bgp::kInvalidAttrSetId) << "step " << i;
+          continue;
+        }
+        if (!transparent) {
+          want.attributes.as_path.Prepend(config.asn);
+          want.attributes.next_hop = config.interface_addr;
+        }
+        want.attributes.local_pref.reset();
+        ASSERT_NE(memo_id, bgp::kInvalidAttrSetId) << "step " << i;
+        EXPECT_EQ(table.Get(memo_id), want.attributes) << "step " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -58,8 +58,10 @@ def load_metrics(path: str) -> dict[str, tuple[float, bool]]:
 def load_info(path: str) -> dict[str, float]:
     """Returns {name: value} for informational (never-regressing) fields.
 
-    bench_parallel_scaling carries per-run drain/merge-wait telemetry and a
-    per-shard load breakdown ("shard_load": [{shard, events, depth_peak}]).
+    bench_parallel_scaling carries per-run drain telemetry (drain_calls and
+    drain_wall_ns_sum, the classify fan-out's wall time summed over every
+    exchange's drains) and a per-shard load breakdown
+    ("shard_load": [{shard, events, depth_peak}]).
     Those are wall-clock- or partitioning-shaped, so they are reported as
     deltas for the reader but can never fail the comparison.
     """
@@ -68,7 +70,7 @@ def load_info(path: str) -> dict[str, float]:
     info: dict[str, float] = {}
     for run in doc.get("runs", []):
         key = f"threads:{run['threads']}"
-        for field in ("drain_calls", "merge_wait_ns"):
+        for field in ("drain_calls", "drain_wall_ns_sum"):
             if field in run:
                 info[f"{field}/{key}"] = float(run[field])
     for load in doc.get("shard_load", []):
