@@ -2,16 +2,13 @@
 // cross-exchange campaign, serial vs. N worker threads, emitted as
 // BENCH_parallel.json so CI can track the perf trajectory run over run.
 //
-// --shards / --shard-threads engage the intra-exchange prefix-space
-// sharding of DESIGN.md §13 for every timed run, and the bench reports the
-// sharding layer's own diagnostics alongside the thread sweep: per-shard
-// event counts and peak pending-queue depth (monitor.shard.<k>.*) plus
-// drain_wall_ns_sum: profile.monitor.drain.wall_ns, the wall time spent
-// inside the sharded classify fan-out (thread spawn included), summed over
-// the five exchanges' drains — with exchanges running concurrently it can
-// exceed the run's wall time, so it is a load figure, not a wait. Those
-// instruments are kWallClock, so the runs here enable profile_wall_clock;
-// they never appear in a digest.
+// Alongside the thread sweep the bench reports drain_wall_ns_sum:
+// profile.monitor.drain.wall_ns, the wall time each monitor spends
+// classifying and analysing its UPDATEs' events, summed over the five
+// exchanges — with exchanges running concurrently it can exceed the run's
+// wall time, so it is a load figure, not a wait. That instrument is
+// kWallClock, so the runs here enable profile_wall_clock; it never appears
+// in a digest.
 //
 // The runner's determinism guarantee is asserted inline: every thread count
 // must produce the identical merged digest, or the speedup numbers are
@@ -39,11 +36,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(elapsed).count();
 }
 
-// Value of `counter <name> <n>` / `gauge <name> <n>` in a SnapshotText dump;
-// 0 when absent (a shard that never saw an event registers nothing).
+// Value of `counter <name> <n>` in a SnapshotText dump; 0 when absent.
 std::uint64_t SnapshotValue(const std::string& snapshot,
-                            const std::string& kind, const std::string& name) {
-  const std::string key = kind + " " + name + " ";
+                            const std::string& name) {
+  const std::string key = "counter " + name + " ";
   const auto pos = snapshot.find(key);
   if (pos == std::string::npos) return 0;
   return std::strtoull(snapshot.c_str() + pos + key.size(), nullptr, 10);
@@ -58,18 +54,10 @@ int main(int argc, char** argv) {
                                    /*providers=*/12);
   std::string out_path = "BENCH_parallel.json";
   int max_threads = 4;
-  int shards = 4;
-  int shard_threads = 2;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       max_threads = std::atoi(argv[i] + 10);
-    }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-    }
-    if (std::strncmp(argv[i], "--shard-threads=", 16) == 0) {
-      shard_threads = std::atoi(argv[i] + 16);
     }
   }
   bench::PrintHeader("Parallel multi-exchange scaling (5 collectors)", flags);
@@ -77,11 +65,9 @@ int main(int argc, char** argv) {
   workload::MultiExchangeConfig base;
   base.scenario = flags.ToScenarioConfig();
   base.scenario.num_exchanges = 5;
-  base.scenario.shards = shards;
-  base.scenario.shard_threads = shard_threads;
-  // Per-shard depth and drain-wall instruments are kWallClock; profiling is
-  // on for every run in the sweep, so the speedup ratio compares
-  // like-for-like instrumented runs.
+  // The drain-wall instrument is kWallClock; profiling is on for every run
+  // in the sweep, so the speedup ratio compares like-for-like instrumented
+  // runs.
   base.scenario.profile_wall_clock = true;
 
   std::vector<int> thread_counts{1};
@@ -97,14 +83,6 @@ int main(int argc, char** argv) {
   };
   std::vector<Run> runs;
   std::string reference_digest;
-  // Per-shard load from the serial run (summed across the five exchanges:
-  // merged counters add, and the depth gauges are registered kSum, so the
-  // merged peak is the sum of per-exchange peaks).
-  struct ShardLoad {
-    std::uint64_t events;
-    std::uint64_t depth_peak;
-  };
-  std::vector<ShardLoad> shard_loads;
 
   for (int threads : thread_counts) {
     workload::MultiExchangeConfig cfg = base;
@@ -127,22 +105,12 @@ int main(int argc, char** argv) {
 
     const std::string wall =
         result.metrics.SnapshotText(/*include_wall_clock=*/true);
-    if (shard_loads.empty()) {
-      for (int s = 0; s < shards; ++s) {
-        const std::string tag = "monitor.shard." + std::to_string(s);
-        shard_loads.push_back(
-            {SnapshotValue(wall, "counter", tag + ".events"),
-             SnapshotValue(wall, "gauge", tag + ".depth_peak")});
-      }
-    }
 
     std::uint64_t sim_events = 0;
     for (const auto& ex : result.exchanges) sim_events += ex.tasks_executed;
     runs.push_back({threads, seconds, result.total_events, sim_events,
-                    SnapshotValue(wall, "counter",
-                                  "profile.monitor.drain.calls"),
-                    SnapshotValue(wall, "counter",
-                                  "profile.monitor.drain.wall_ns")});
+                    SnapshotValue(wall, "profile.monitor.drain.calls"),
+                    SnapshotValue(wall, "profile.monitor.drain.wall_ns")});
     std::printf("%d thread(s): %8.2fs  %10.0f updates/sec  (%llu updates, "
                 "drain wall %.3fs summed over %llu drains)\n",
                 threads, seconds,
@@ -150,15 +118,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.total_events),
                 static_cast<double>(runs.back().drain_wall_ns) / 1e9,
                 static_cast<unsigned long long>(runs.back().drain_calls));
-  }
-
-  std::printf("per-shard load (serial run, %d shards, summed over "
-              "exchanges):\n",
-              shards);
-  for (int s = 0; s < shards; ++s) {
-    std::printf("  shard %d: %10llu events, peak pending depth %llu\n", s,
-                static_cast<unsigned long long>(shard_loads[s].events),
-                static_cast<unsigned long long>(shard_loads[s].depth_peak));
   }
 
   const double serial_rate =
@@ -177,8 +136,6 @@ int main(int argc, char** argv) {
       .Field("days", flags.days, 3)
       .Field("providers", flags.providers)
       .Field("seed", flags.seed)
-      .Field("shards", shards)
-      .Field("shard_threads", shard_threads)
       .Field("default_parallelism", sim::DefaultParallelism());
   json.BeginArray("runs");
   for (const Run& r : runs) {
@@ -191,15 +148,6 @@ int main(int argc, char** argv) {
         .Field("sim_events", r.sim_events)
         .Field("drain_calls", r.drain_calls)
         .Field("drain_wall_ns_sum", r.drain_wall_ns)
-        .EndObject();
-  }
-  json.EndArray();
-  json.BeginArray("shard_load");
-  for (int s = 0; s < shards; ++s) {
-    json.BeginObject(nullptr, /*compact=*/true)
-        .Field("shard", s)
-        .Field("events", shard_loads[s].events)
-        .Field("depth_peak", shard_loads[s].depth_peak)
         .EndObject();
   }
   json.EndArray();

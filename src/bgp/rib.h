@@ -18,7 +18,6 @@
 #include "bgp/route.h"
 #include "netbase/probe_map.h"
 #include "netbase/radix_trie.h"
-#include "netbase/shard.h"
 #include "obs/profile.h"
 
 namespace iri::bgp {
@@ -135,19 +134,6 @@ class Rib {
   void VisitPathCounts(Fn&& fn) const {
     table_.Visit([&fn](const Prefix& p, const Entry& e) {
       if (!e.candidates.empty()) fn(p, e.candidates.size());
-    });
-  }
-
-  // VisitBest restricted to the prefixes `map` assigns to `shard`, still in
-  // address order. Running this for shards 0..N-1 visits exactly the
-  // prefixes VisitBest does, each once — the shard-coverage property the
-  // shard-merge test suite pins.
-  template <typename Fn>
-  void VisitBestSharded(const ShardMap& map, int shard, Fn&& fn) const {
-    table_.Visit([&map, shard, &fn](const Prefix& p, const Entry& e) {
-      if (e.best >= 0 && map.ShardOf(p) == shard) {
-        fn(p, e.candidates[static_cast<std::size_t>(e.best)]);
-      }
     });
   }
 

@@ -1,10 +1,8 @@
 #include "core/classifier.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "core/invariants.h"
-#include "sim/parallel.h"
 
 namespace iri::core {
 
@@ -32,12 +30,12 @@ const char* ToString(Category c) {
 }
 
 ClassifiedEvent Classifier::Classify(const UpdateEvent& ev) {
-  const ShardVerdict v = ClassifyVerdict(ev);
+  const Verdict v = ClassifyVerdict(ev);
   return ClassifiedEvent{ev, v.category, v.policy_fluctuation};
 }
 
-ShardVerdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
-  ShardVerdict out;
+Verdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
+  Verdict out;
   auto [st_ptr, fresh] = state_.TryEmplace(ev.Key());
   RouteState& st = *st_ptr;
 
@@ -92,96 +90,6 @@ ShardVerdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
                              std::uint64_t{0}) == events_,
              "category counts must conserve total events");
   return out;
-}
-
-// ------------------------------------------------------- ShardedClassifier
-
-ShardedClassifier::ShardedClassifier(int num_shards) : map_(1) {
-  Configure(num_shards);
-}
-
-void ShardedClassifier::Configure(int num_shards) {
-  IRI_ASSERT(total_events() == 0,
-             "ShardedClassifier reconfigured after events were classified");
-  if (num_shards < 1) num_shards = 1;
-  IRI_ASSERT(num_shards <= 255, "shard count must fit the per-event tag");
-  map_ = ShardMap(num_shards);
-  shards_.clear();
-  shards_.reserve(static_cast<std::size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Classifier>());
-  }
-  last_batch_counts_.assign(static_cast<std::size_t>(num_shards), 0);
-}
-
-void ShardedClassifier::ClassifyInto(const UpdateEvent& ev,
-                                     ClassifiedEvent& out) {
-  out = shards_[static_cast<std::size_t>(map_.ShardOf(ev.prefix))]->Classify(
-      ev);
-}
-
-void ShardedClassifier::ClassifyBatch(std::span<const UpdateEvent> events,
-                                      std::span<ShardVerdict> verdicts,
-                                      int threads) {
-  IRI_ASSERT(events.size() == verdicts.size(),
-             "verdict buffer must match the batch");
-  const std::size_t n = events.size();
-  std::fill(last_batch_counts_.begin(), last_batch_counts_.end(), 0);
-  if (map_.num_shards() == 1) {
-    Classifier& c = *shards_[0];
-    for (std::size_t i = 0; i < n; ++i) {
-      verdicts[i] = c.ClassifyVerdict(events[i]);
-    }
-    last_batch_counts_[0] = n;
-    return;
-  }
-  // One pass tags every event with its owning shard, so the per-shard
-  // sweeps below compare a byte instead of re-hashing the prefix.
-  if (shard_of_.size() < n) shard_of_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int s = map_.ShardOf(events[i].prefix);
-    shard_of_[i] = static_cast<std::uint8_t>(s);
-    ++last_batch_counts_[static_cast<std::size_t>(s)];
-  }
-  // Each worker owns one shard: it reads the shared batch, mutates only its
-  // own Classifier, and writes only the verdict slots of its own events.
-  sim::ParallelFor(map_.num_shards(), threads, [&](int s) {
-    Classifier& c = *shards_[static_cast<std::size_t>(s)];
-    const auto tag = static_cast<std::uint8_t>(s);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (shard_of_[i] == tag) verdicts[i] = c.ClassifyVerdict(events[i]);
-    }
-  });
-}
-
-const std::array<std::uint64_t, kNumCategories>& ShardedClassifier::totals()
-    const {
-  totals_cache_.fill(0);
-  for (const auto& shard : shards_) {
-    const auto& t = shard->totals();
-    for (std::size_t c = 0; c < kNumCategories; ++c) totals_cache_[c] += t[c];
-  }
-  return totals_cache_;
-}
-
-std::uint64_t ShardedClassifier::total_events() const {
-  std::uint64_t sum = 0;
-  for (const auto& shard : shards_) sum += shard->total_events();
-  return sum;
-}
-
-std::size_t ShardedClassifier::TrackedRoutes() const {
-  std::size_t sum = 0;
-  for (const auto& shard : shards_) sum += shard->TrackedRoutes();
-  return sum;
-}
-
-void ShardedClassifier::MergeProvenanceInto(obs::ShardProvenance& out) const {
-  for (const auto& shard : shards_) out.Merge(shard->provenance());
-}
-
-void ShardedClassifier::Reset() {
-  for (const auto& shard : shards_) shard->Reset();
 }
 
 }  // namespace iri::core

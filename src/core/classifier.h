@@ -25,15 +25,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "bgp/intern.h"
 #include "core/event.h"
 #include "netbase/probe_map.h"
-#include "netbase/shard.h"
 #include "obs/provenance.h"
 
 namespace iri::core {
@@ -72,10 +67,8 @@ struct ClassifiedEvent {
 };
 
 // The event-free half of a classification: what Classify decides before it
-// copies the event. The sharded batch pipeline classifies a whole batch
-// into an array of these (2 bytes each), then re-joins verdicts with their
-// events in arrival order.
-struct ShardVerdict {
+// copies the event. The monitor joins it with the event it already holds.
+struct Verdict {
   Category category = Category::kInitial;
   bool policy_fluctuation = false;
 };
@@ -94,8 +87,7 @@ class Classifier {
   ClassifiedEvent Classify(const UpdateEvent& ev);
 
   // Verdict-only variant: identical state/total updates, no event copy.
-  // This is what each shard runs over its slice of a pending batch.
-  ShardVerdict ClassifyVerdict(const UpdateEvent& ev);
+  Verdict ClassifyVerdict(const UpdateEvent& ev);
 
   // Number of (Prefix, peer) routes with live state.
   std::size_t TrackedRoutes() const { return state_.size(); }
@@ -151,76 +143,6 @@ class Classifier {
   std::uint64_t events_ = 0;
   static_assert(kNumCategories <= obs::ShardProvenance::kMaxClasses);
   obs::ShardProvenance prov_;
-};
-
-// N Classifiers behind a stable prefix->shard map (netbase/shard.h).
-//
-// Correctness argument (DESIGN.md §13): every (Prefix, peer) key maps to
-// exactly one shard, so that key's per-route state machine sees exactly the
-// event stream it would have seen unsharded, in arrival order. Category
-// verdicts are pure functions of per-key state and the event value (the
-// attribute ids all come from the one monitor table and are only compared
-// for equality), so each event's verdict is identical at any shard count.
-// Aggregates (totals, tracked routes, event counts) are sums over disjoint
-// key sets, always accumulated in fixed shard order 0..N-1 — byte-identical
-// output at any (threads x shards) combination, pinned by the golden matrix
-// in tests/golden_run_test.cc and the shard-merge property suite.
-//
-// ClassifyBatch fans a pending batch over the shards via sim::ParallelFor
-// (the repo's only threading primitive). Each worker touches only its own
-// shard's Classifier and its own events' verdict slots, so the partitions
-// are disjoint by construction (the CI TSan leg runs the golden matrix to
-// prove it).
-class ShardedClassifier {
- public:
-  explicit ShardedClassifier(int num_shards = 1);
-
-  int num_shards() const { return map_.num_shards(); }
-  const ShardMap& map() const { return map_; }
-
-  // Reconfigures the shard count. Only legal while no events have been
-  // classified (the monitor configures sharding at scenario build time).
-  void Configure(int num_shards);
-
-  // Serial single-event path (offline replay, tests): routes `ev` to its
-  // owning shard. Identical verdicts to the batch path.
-  void ClassifyInto(const UpdateEvent& ev, ClassifiedEvent& out);
-
-  // Classifies events[i] -> verdicts[i] for the whole batch, fanning the
-  // shards across `threads` workers (1 = inline serial). Within a shard,
-  // events are processed in batch (= arrival) order.
-  void ClassifyBatch(std::span<const UpdateEvent> events,
-                     std::span<ShardVerdict> verdicts, int threads);
-
-  // Per-shard event counts of the most recent ClassifyBatch call — the
-  // bench's per-shard queue-depth signal. Index == shard.
-  const std::vector<std::uint64_t>& last_batch_shard_counts() const {
-    return last_batch_counts_;
-  }
-
-  // Aggregates, summed in fixed shard order.
-  const std::array<std::uint64_t, kNumCategories>& totals() const;
-  std::uint64_t total_events() const;
-  std::size_t TrackedRoutes() const;
-
-  // Sums the per-shard attribution aggregates into `out` in fixed shard
-  // order 0..N-1 (ShardProvenance::Merge is an iri_det aggregation sink —
-  // same contract as totals()).
-  void MergeProvenanceInto(obs::ShardProvenance& out) const;
-
-  // Shard access for tests and the memory report.
-  const Classifier& shard(int i) const {
-    return *shards_[static_cast<std::size_t>(i)];
-  }
-
-  void Reset();
-
- private:
-  ShardMap map_;
-  std::vector<std::unique_ptr<Classifier>> shards_;
-  std::vector<std::uint8_t> shard_of_;  // per-batch scratch: event -> shard
-  std::vector<std::uint64_t> last_batch_counts_;
-  mutable std::array<std::uint64_t, kNumCategories> totals_cache_{};
 };
 
 }  // namespace iri::core

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "core/invariants.h"
-
 namespace iri::core {
 
 void ExchangeMonitor::Attach(sim::Router& route_server) {
@@ -17,23 +15,12 @@ void ExchangeMonitor::Attach(sim::Router& route_server) {
       });
 }
 
-void ExchangeMonitor::ConfigureSharding(int shards, int shard_threads,
-                                        std::size_t batch_cap) {
-  IRI_ASSERT(pending_.empty() && events_seen_ == 0,
-             "sharding must be configured before ingestion starts");
-  classifier_.Configure(shards);
-  shard_threads_ = shard_threads < 1 ? 1 : shard_threads;
-  batch_cap_ = batch_cap;
-}
-
 void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
   if (registry == nullptr) {
     messages_metric_ = events_metric_ = mrt_records_metric_ = nullptr;
     category_metrics_.fill(nullptr);
     ingest_site_ = obs::ProfileSite{};
     drain_site_ = obs::ProfileSite{};
-    shard_events_metrics_.clear();
-    shard_depth_metrics_.clear();
     return;
   }
   messages_metric_ = &registry->GetCounter("monitor.messages");
@@ -45,10 +32,9 @@ void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
   }
   ingest_site_ = obs::MakeProfileSite(*registry, "monitor.ingest");
   // Hand-rolled kWallClock site (MakeProfileSite would register calls/items
-  // as deterministic): drain cadence depends on the batching configuration
-  // — offline replay drains per message, live scenarios on cap and tick —
-  // so even the counts must stay out of deterministic snapshots or the
-  // replay-differential contract (identical monitor.* snapshots) breaks.
+  // as deterministic): its counts are deterministic, but registering them so
+  // would add lines to the deterministic snapshots the golden digests hash.
+  // perfbench reads it as monitor.drain_s.
   drain_site_.calls = &registry->GetCounter("profile.monitor.drain.calls",
                                             obs::Stability::kWallClock);
   drain_site_.items = &registry->GetCounter("profile.monitor.drain.items",
@@ -58,20 +44,6 @@ void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
           ? &registry->GetCounter("profile.monitor.drain.wall_ns",
                                   obs::Stability::kWallClock)
           : nullptr;
-  // Per-shard depth instruments are kWallClock by design: shard-count-
-  // dependent names must never reach a digest-feeding snapshot (golden
-  // digests are pinned byte-identical across the (threads x shards)
-  // matrix). The scaling bench reads them with include_wall_clock=true.
-  shard_events_metrics_.clear();
-  shard_depth_metrics_.clear();
-  for (int s = 0; s < classifier_.num_shards(); ++s) {
-    const std::string tag = std::to_string(s);
-    shard_events_metrics_.push_back(&registry->GetCounter(
-        "monitor.shard." + tag + ".events", obs::Stability::kWallClock));
-    shard_depth_metrics_.push_back(&registry->GetGauge(
-        "monitor.shard." + tag + ".depth_peak", obs::Stability::kWallClock,
-        obs::GaugeMerge::kMax));
-  }
 }
 
 void ExchangeMonitor::AttachTimeSeries(obs::SeriesFlusher* series,
@@ -114,9 +86,8 @@ void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
     }
     if (mrt_records_metric_ != nullptr) mrt_records_metric_->Add(1);
   }
-  // Stage 1: explode into the pending batch (interning the message's
-  // attribute set once) and feed every category-independent consumer at tap
-  // time.
+  // Explode (interning the message's attribute set once) and feed every
+  // category-independent consumer.
   const std::size_t n =
       ExplodeUpdate(now, peer, peer_asn, update, attrs_, pending_, causes);
   timer.AddItems(n);
@@ -128,33 +99,14 @@ void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
       health_->ObservePeerEvent(now, peer);
     }
   }
-  if (batch_cap_ == 0 || pending_.size() >= batch_cap_) Drain();
+  Drain();
 }
 
 void ExchangeMonitor::Drain() {
   if (pending_.empty()) return;
-  const std::size_t n = pending_.size();
-  if (verdicts_.size() < n) verdicts_.resize(n);
-  {
-    // Stage 2: sharded classification. The timer's wall time is the scaling
-    // bench's drain_wall_ns_sum (the fork-join, thread spawn included);
-    // count/items stay deterministic and shard-independent.
-    obs::ScopedTimer timer(&drain_site_, n);
-    classifier_.ClassifyBatch({pending_.data(), n}, {verdicts_.data(), n},
-                              shard_threads_);
-  }
-  if (!shard_events_metrics_.empty()) {
-    const auto& counts = classifier_.last_batch_shard_counts();
-    for (std::size_t s = 0; s < counts.size(); ++s) {
-      shard_events_metrics_[s]->Add(counts[s]);
-      shard_depth_metrics_[s]->RaiseTo(static_cast<std::int64_t>(counts[s]));
-    }
-  }
-  // Stage 3: serial analysis walk in arrival order — the only stage that
-  // observes categories, so every output byte is produced in a fixed order
-  // regardless of how stage 2 was scheduled.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ShardVerdict v = verdicts_[i];
+  obs::ScopedTimer timer(&drain_site_, pending_.size());
+  for (const UpdateEvent& ev : pending_) {
+    const Verdict v = classifier_.ClassifyVerdict(ev);
     ++events_seen_;
     if (events_metric_ != nullptr) {
       events_metric_->Add(1);
@@ -166,8 +118,7 @@ void ExchangeMonitor::Drain() {
       if (v.category == Category::kAADup) aadup_series_->Add(1);
     }
     if (!sinks_.empty()) {
-      const ClassifiedEvent classified{pending_[i], v.category,
-                                       v.policy_fluctuation};
+      const ClassifiedEvent classified{ev, v.category, v.policy_fluctuation};
       for (const Sink& sink : sinks_) sink(classified);
     }
   }
@@ -185,7 +136,6 @@ std::uint64_t ExchangeMonitor::Replay(mrt::Reader& reader) {
       ++updates;
     }
   }
-  Drain();
   return updates;
 }
 

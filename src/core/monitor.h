@@ -7,26 +7,12 @@
 // servers ... [and] use several tools to decode and analyze the BGP packet
 // logs".
 //
-// Ingestion is a three-stage pipeline (DESIGN.md §13):
-//
-//   stage 1 (codec, at tap time): MRT logging (zero-copy from the received
-//     wire bytes), message counters, the events-per-message histogram and
-//     the health monitor's per-event peer feed — everything that does not
-//     depend on the event's category. The message's attribute set is
-//     interned once into the monitor's AttrTable and the exploded events,
-//     which carry its ids, are appended to a pending batch.
-//   stage 2 (classify, at drain time): the pending batch fans out over the
-//     prefix-sharded classifier (ShardedClassifier), each shard processing
-//     its own events in arrival order.
-//   stage 3 (analysis, at drain time): a serial walk over the batch in
-//     arrival order re-joins verdicts with events and feeds the category
-//     counters, series instruments and sinks — byte-identical output at any
-//     (threads x shards) combination.
-//
-// Unconfigured monitors (unit tests, offline replay) drain at the end of
-// every Ingest call, which makes the pipeline observationally identical to
-// the historical one-stage path. Scenario-driven monitors drain on a batch
-// cap and at every observation boundary (series tick, midnight, run end).
+// Each Ingest call explodes the UPDATE into per-prefix events (interning
+// its attribute set once into the monitor's AttrTable), then classifies and
+// analyses those events in arrival order before it returns: one serial
+// Classifier per monitor, the paper's per-(Prefix, peer) state machine at
+// one collector. Parallelism lives one level up, one exchange per worker
+// (workload/multi_exchange_runner.h, DESIGN.md §8).
 #pragma once
 
 #include <array>
@@ -61,17 +47,9 @@ class ExchangeMonitor {
   // Mirrors every tapped UPDATE message into an MRT log. Not owned.
   void SetMrtWriter(mrt::Writer* writer) { mrt_ = writer; }
 
-  // Partitions the classifier by prefix space into `shards` shards and
-  // switches ingestion to batched draining: events accumulate until
-  // `batch_cap` are pending (or Drain() is called) and are then classified
-  // with up to `shard_threads` workers. Digests are byte-identical at any
-  // (shards, shard_threads, batch_cap) combination; only throughput moves.
-  // Must be called before any event is ingested.
-  void ConfigureSharding(int shards, int shard_threads,
-                         std::size_t batch_cap = kDefaultBatchCap);
-
-  // Classifies everything pending and feeds the analysis stage. Safe to
-  // call at any time; the scenario drains at every observation boundary.
+  // Classifies and analyses the events of the UPDATE being ingested. Ingest
+  // calls it before returning, so nothing is ever pending between calls and
+  // an external call is a no-op.
   void Drain();
 
   // Attaches the monitor.* instruments (message/event counters, one counter
@@ -80,8 +58,7 @@ class ExchangeMonitor {
   // live run and its MRT replay produce identical "monitor."-prefixed
   // snapshots — the replay-differential test's contract. MRT record
   // accounting deliberately lives under "mrt.records" (outside the prefix):
-  // replay has no writer. Call after ConfigureSharding: the per-shard
-  // depth instruments are sized by the configured shard count.
+  // replay has no writer.
   void AttachMetrics(obs::Registry* registry);
 
   // Attaches the streaming telemetry feeds: windowed series instruments
@@ -110,47 +87,34 @@ class ExchangeMonitor {
               const obs::CauseVec& causes = {});
 
   // Replays an MRT log through the monitor (offline analysis path).
-  // Returns the number of UPDATE messages ingested. Drains on return.
+  // Returns the number of UPDATE messages ingested.
   std::uint64_t Replay(mrt::Reader& reader);
 
-  const ShardedClassifier& classifier() const { return classifier_; }
+  const Classifier& classifier() const { return classifier_; }
   std::uint64_t events_seen() const { return events_seen_; }
   std::uint64_t messages_seen() const { return messages_seen_; }
-  std::size_t pending_events() const { return pending_.size(); }
-
-  static constexpr std::size_t kDefaultBatchCap = 4096;
 
  private:
-  ShardedClassifier classifier_;
+  Classifier classifier_;
   // Every event's attr_id/fwd_id comes from this table: each UPDATE's set
-  // is interned once at stage 1, and the classifier only compares the ids.
+  // is interned once at Ingest, and the classifier only compares the ids.
   bgp::AttrTable attrs_;
   std::vector<Sink> sinks_;
   mrt::Writer* mrt_ = nullptr;
   bgp::Asn local_asn_ = 0;
   std::uint64_t events_seen_ = 0;
   std::uint64_t messages_seen_ = 0;
-  // Pending batch (stage 1 -> stage 2 hand-off); cleared, capacity kept,
-  // by every Drain.
+  // The events of the UPDATE being ingested; cleared, capacity kept, by
+  // every Drain.
   std::vector<UpdateEvent> pending_;
-  std::vector<ShardVerdict> verdicts_;  // stage-2 output, batch-indexed
-  int shard_threads_ = 1;
-  std::size_t batch_cap_ = 0;  // 0 = drain at the end of every Ingest
   obs::Counter* messages_metric_ = nullptr;
   obs::Counter* events_metric_ = nullptr;
   obs::Counter* mrt_records_metric_ = nullptr;
   std::array<obs::Counter*, kNumCategories> category_metrics_{};
   obs::ProfileSite ingest_site_;
-  // Times the stage-2 fan-out/join (summed into the scaling bench's
-  // drain_wall_ns_sum); its deterministic count/items mirror drains and
-  // drained events, shard-count independent.
+  // Times classification plus analysis of each UPDATE's events (nested in
+  // monitor.ingest; the scaling bench's drain_wall_ns_sum).
   obs::ProfileSite drain_site_;
-  // Per-shard depth instruments (events per shard, peak batch slice).
-  // Registered kWallClock: their values are deterministic, but they exist
-  // per shard — snapshots must stay byte-identical across shard counts, so
-  // they are excluded from digest-feeding snapshots by stability class.
-  std::vector<obs::Counter*> shard_events_metrics_;
-  std::vector<obs::Gauge*> shard_depth_metrics_;
   obs::WindowedCounter* updates_series_ = nullptr;
   obs::WindowedCounter* wwdup_series_ = nullptr;
   obs::WindowedCounter* aadup_series_ = nullptr;

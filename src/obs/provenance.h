@@ -12,10 +12,9 @@
 // sequence in allocation order — a pure function of (seed, config) because
 // every allocation happens on the partition's single scheduler thread. All
 // aggregation state is indexed by id or by fixed enum order; merges follow
-// the fixed-order contract (per-exchange, then per-shard:
-// ShardProvenance::Merge is an iri_det aggregation sink like
-// Shard*::totals), so digests are byte-identical across the
-// (threads × shards × shard_threads) matrix.
+// the fixed-order contract (exchanges in exchange order:
+// ShardProvenance::Merge is an iri_det aggregation sink), so digests are
+// byte-identical at any exchange thread count.
 //
 // Compiles out cleanly: -DIRI_PROVENANCE=OFF collapses CauseTag/CauseVec to
 // empty stand-ins (zero bytes via [[no_unique_address]], no-op calls), so
@@ -181,11 +180,11 @@ class CauseScope {
   CauseTag saved_;
 };
 
-// Per-shard attribution aggregate, fed by the classifier at verdict time.
-// The class axis is caller-defined (the classifier's taxonomy bins); obs
-// stays below core in the layer order, so the category arrives as an index.
-// Merge follows the fixed-order contract: shards 0..N-1 within an exchange,
-// exchanges 0..K-1 across partitions (an iri_det aggregation sink).
+// One classifier's attribution aggregate, fed at verdict time. The class
+// axis is caller-defined (the classifier's taxonomy bins); obs stays below
+// core in the layer order, so the category arrives as an index. Merge
+// follows the fixed-order contract: exchanges 0..K-1 across partitions (an
+// iri_det aggregation sink).
 class ShardProvenance {
  public:
   static constexpr std::size_t kMaxClasses = 8;
@@ -206,8 +205,7 @@ class ShardProvenance {
   void Record(std::size_t cls, const CauseTag& tag, TimePoint now,
               bool first_touch);
 
-  // Fixed-order aggregation: callers sum shards 0..N-1, then exchanges in
-  // exchange order.
+  // Fixed-order aggregation: callers sum exchanges in exchange order.
   void Merge(const ShardProvenance& other);
 
   std::uint64_t attributed() const;
@@ -238,7 +236,7 @@ class ShardProvenance {
 #endif
 };
 
-// One exchange partition's complete attribution output: the merged per-shard
+// One exchange partition's complete attribution output: the classifier's
 // observations joined with the partition's cause table. Per-exchange because
 // cause ids are partition-local (the full CauseId identity is
 // (exchange, kind, sequence)); report code renders them side by side.

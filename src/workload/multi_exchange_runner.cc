@@ -142,8 +142,8 @@ MultiExchangeResult MultiExchangeRunner::Run() {
       run.series_records = scenario.series().records();
     }
     if constexpr (obs::kProvenanceEnabled) {
-      scenario.monitor().classifier().MergeProvenanceInto(
-          run.attribution.observed);
+      run.attribution.observed.Merge(
+          scenario.monitor().classifier().provenance());
       run.attribution.causes = scenario.provenance().infos();
     }
   });

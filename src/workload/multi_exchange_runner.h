@@ -3,7 +3,7 @@
 // The paper's dataset comes from five independent exchange points (Mae-East,
 // Sprint NAP, AADS, PacBell NAP, Mae-West) whose collectors never talk to
 // each other — they only meet again in post-hoc analysis. That independence
-// is an execution boundary: a num_exchanges=K scenario shards into K
+// is an execution boundary: a num_exchanges=K scenario splits into K
 // single-exchange partitions, each with its own sim::Scheduler, its own
 // decorrelated RNG stream (ExchangeSubSeed), and private MRT/stats sinks.
 // Partitions run on a small worker pool (sim::ParallelFor, sized by
@@ -66,7 +66,7 @@ struct ExchangeRun {
   // name-ordered within each flush, flushes in sim-time order.
   std::string series;
   std::uint64_t series_records = 0;
-  // The exchange's causal attribution: the classifier's merged provenance
+  // The exchange's causal attribution: the classifier's provenance
   // matrix plus the cause table minted by this partition's scenario. Cause
   // ids are partition-local (dense, allocation-ordered), so attribution is
   // reported per exchange rather than renumbered into a global space.

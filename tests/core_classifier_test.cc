@@ -255,11 +255,11 @@ TEST(ExplodeUpdate, FlattensWithdrawalsFirst) {
 
 class ReferenceClassifier {
  public:
-  ShardVerdict Classify(const Prefix& prefix, bgp::PeerId peer,
-                        const std::optional<bgp::PathAttributes>& attrs) {
+  Verdict Classify(const Prefix& prefix, bgp::PeerId peer,
+                   const std::optional<bgp::PathAttributes>& attrs) {
     auto [it, fresh] = state_.try_emplace(bgp::PrefixPeer{prefix, peer});
     State& st = it->second;
-    ShardVerdict v;
+    Verdict v;
     if (!attrs) {
       if (fresh || !st.announced) {
         v.category = Category::kWWDup;
@@ -324,8 +324,8 @@ TEST(ClassifierDifferential, IdVerdictsMatchDeepReference) {
         ev.attr_id = table.Intern(*attrs);
         ev.fwd_id = table.Forwarding(ev.attr_id);
       }
-      const ShardVerdict got = classifier.ClassifyVerdict(ev);
-      const ShardVerdict want = reference.Classify(prefix, peer, attrs);
+      const Verdict got = classifier.ClassifyVerdict(ev);
+      const Verdict want = reference.Classify(prefix, peer, attrs);
       ASSERT_EQ(got.category, want.category)
           << "seed " << seed << " step " << step;
       ASSERT_EQ(got.policy_fluctuation, want.policy_fluctuation)
@@ -375,11 +375,11 @@ TEST(ClassifierDifferential, MonitorVerdictsMatchDeepReference) {
   Rng rng(99);
   ExchangeMonitor monitor;
   ReferenceClassifier reference;
-  std::vector<ShardVerdict> got;
+  std::vector<Verdict> got;
   monitor.AddSink([&got](const ClassifiedEvent& ev) {
     got.push_back({ev.category, ev.policy_fluctuation});
   });
-  std::vector<ShardVerdict> want;
+  std::vector<Verdict> want;
   for (int m = 0; m < 2000; ++m) {
     bgp::UpdateMessage msg;
     const auto peer = static_cast<bgp::PeerId>(rng.Below(3));

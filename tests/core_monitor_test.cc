@@ -60,6 +60,44 @@ TEST(ExchangeMonitor, MixedUpdateExplodesInWireOrder) {
   EXPECT_EQ(withdraw_flags, (std::vector<bool>{true, true, false}));
 }
 
+// Ingest classifies and analyses every event of the UPDATE before it
+// returns: callers may read the sinks, counters and classifier at any
+// observation boundary without draining first.
+TEST(ExchangeMonitor, IngestDeliversEveryEventBeforeReturning) {
+  ExchangeMonitor monitor;
+  std::vector<Prefix> delivered;
+  monitor.AddSink([&delivered](const ClassifiedEvent& ev) {
+    delivered.push_back(ev.event.prefix);
+  });
+  bgp::UpdateMessage u = Announce("11.0.0.0/8", {9});
+  u.nlri.push_back(P("13.0.0.0/8"));
+  u.nlri.push_back(P("14.1.0.0/16"));
+  u.withdrawn = {P("10.0.0.0/8"), P("12.0.0.0/8")};
+  monitor.Ingest(T(0), 2, 1239, u);
+
+  const std::vector<Prefix> wire_order = {P("10.0.0.0/8"), P("12.0.0.0/8"),
+                                          P("11.0.0.0/8"), P("13.0.0.0/8"),
+                                          P("14.1.0.0/16")};
+  EXPECT_EQ(delivered, wire_order);
+  EXPECT_EQ(monitor.events_seen(), wire_order.size());
+  EXPECT_EQ(monitor.classifier().total_events(), wire_order.size());
+
+  monitor.Drain();
+  EXPECT_EQ(delivered, wire_order) << "Drain after Ingest delivered events";
+  EXPECT_EQ(monitor.events_seen(), wire_order.size());
+  EXPECT_EQ(monitor.classifier().total_events(), wire_order.size());
+}
+
+TEST(ExchangeMonitor, DrainOnEmptyPendingIsANoOp) {
+  ExchangeMonitor monitor;
+  int delivered = 0;
+  monitor.AddSink([&delivered](const ClassifiedEvent&) { ++delivered; });
+  monitor.Drain();
+  EXPECT_EQ(monitor.events_seen(), 0u);
+  EXPECT_EQ(monitor.classifier().total_events(), 0u);
+  EXPECT_EQ(delivered, 0);
+}
+
 TEST(ExchangeMonitor, MrtMirrorAndReplayAgree) {
   mrt::Writer writer;
 

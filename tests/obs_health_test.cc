@@ -95,12 +95,16 @@ TEST(HealthMonitor, StormEntersWithHysteresisAndEmitsExactTraces) {
   EXPECT_EQ(registry.GetCounter("health.storm.starts").value(), 1u);
   EXPECT_EQ(registry.GetGauge("health.storm.active").value(), 0);
   EXPECT_EQ(registry.GetGauge("health.storm.peak_window").value(), 80);
+#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
   EXPECT_EQ(
       tracer.buffer(),
       "{\"t_ns\":40000000000,\"ev\":\"storm_start\",\"window\":60,"
       "\"baseline_x100\":200}\n"
       "{\"t_ns\":60000000000,\"ev\":\"storm_end\",\"peak_window\":80,"
       "\"duration_ns\":20000000000}\n");
+#else
+  EXPECT_TRUE(tracer.buffer().empty());
+#endif
 }
 
 TEST(HealthMonitor, SingleSpikeDoesNotStartAStorm) {
@@ -173,10 +177,14 @@ TEST(HealthMonitor, SessionizerEmitsBurstsOverTheMinimumOnly) {
 
   EXPECT_EQ(registry.GetCounter("health.flap.bursts").value(), 1u);
   EXPECT_EQ(registry.GetGauge("health.flap.peak_events").value(), 3);
+#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
   EXPECT_EQ(
       tracer.buffer(),
       "{\"t_ns\":210000000000,\"ev\":\"flap_burst\",\"peer\":5,\"events\":3,"
       "\"start_ns\":1000000000,\"duration_ns\":2000000000}\n");
+#else
+  EXPECT_TRUE(tracer.buffer().empty());
+#endif
 }
 
 TEST(HealthMonitor, FinalizeClosesAnOpenStorm) {
@@ -193,7 +201,11 @@ TEST(HealthMonitor, FinalizeClosesAnOpenStorm) {
   hm.Finalize(T(30));
   EXPECT_FALSE(hm.storm_active());
   EXPECT_EQ(registry.GetGauge("health.storm.active").value(), 0);
+#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
   EXPECT_NE(tracer.buffer().find("\"ev\":\"storm_end\""), std::string::npos);
+#else
+  EXPECT_TRUE(tracer.buffer().empty());
+#endif
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //      least 95% of classified pathological updates (AADup + WWDup) carry a
 //      non-null root cause;
 //   2. cause-id stability — the attribution JSON (ids, kinds, matrix) is
-//      byte-identical across the (threads x shards x shard_threads) knobs;
+//      byte-identical at any exchange thread count;
 //   3. the compile-out / disable paths the digests must not see:
 //      series_flush_interval = Duration() omits the timeseries digest
 //      section entirely, IRI_TRACE=OFF leaves trace buffers empty, and
@@ -94,19 +94,16 @@ TEST(Provenance, PathologicalDayAttributesAtLeast95Percent) {
 
 TEST(Provenance, AttributionIsIdenticalAcrossParallelismKnobs) {
   if (!obs::kProvenanceEnabled) GTEST_SKIP() << "IRI_PROVENANCE=OFF";
-  const auto run_json = [](int threads, int shards, int shard_threads) {
+  const auto run_json = [](int threads) {
     MultiExchangeConfig cfg = PathologicalDay();
     cfg.scenario.duration = Duration::Hours(1);
     cfg.threads = threads;
-    cfg.scenario.shards = shards;
-    cfg.scenario.shard_threads = shard_threads;
     MultiExchangeRunner runner(std::move(cfg));
     return core::AttributionJson(Attributions(runner.Run()));
   };
-  const std::string serial = run_json(1, 1, 1);
-  EXPECT_EQ(serial, run_json(2, 1, 1)) << "exchange threads moved a cause";
-  EXPECT_EQ(serial, run_json(1, 4, 2)) << "classifier sharding moved a cause";
-  EXPECT_EQ(serial, run_json(4, 2, 2)) << "combined knobs moved a cause";
+  const std::string serial = run_json(1);
+  EXPECT_EQ(serial, run_json(2)) << "2 exchange threads moved a cause";
+  EXPECT_EQ(serial, run_json(4)) << "4 exchange threads moved a cause";
 }
 
 TEST(Provenance, ProvenanceGaugesTrackCompileSetting) {
@@ -189,8 +186,7 @@ TEST(Provenance, OfflineReplayIsFullyUnattributed) {
   mrt::Reader reader(result.exchanges[0].mrt);
   core::ExchangeMonitor offline;
   offline.Replay(reader);
-  obs::ShardProvenance prov;
-  offline.classifier().MergeProvenanceInto(prov);
+  const obs::ShardProvenance& prov = offline.classifier().provenance();
   EXPECT_EQ(prov.attributed(), 0u);
   EXPECT_EQ(prov.unattributed(), result.exchanges[0].events);
 }

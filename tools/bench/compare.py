@@ -59,11 +59,9 @@ def load_info(path: str) -> dict[str, float]:
     """Returns {name: value} for informational (never-regressing) fields.
 
     bench_parallel_scaling carries per-run drain telemetry (drain_calls and
-    drain_wall_ns_sum, the classify fan-out's wall time summed over every
-    exchange's drains) and a per-shard load breakdown
-    ("shard_load": [{shard, events, depth_peak}]).
-    Those are wall-clock- or partitioning-shaped, so they are reported as
-    deltas for the reader but can never fail the comparison.
+    drain_wall_ns_sum, the monitors' classify-and-analyse wall time summed
+    over every exchange). Those are wall-clock-shaped, so they are reported
+    as deltas for the reader but can never fail the comparison.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -73,11 +71,6 @@ def load_info(path: str) -> dict[str, float]:
         for field in ("drain_calls", "drain_wall_ns_sum"):
             if field in run:
                 info[f"{field}/{key}"] = float(run[field])
-    for load in doc.get("shard_load", []):
-        key = f"shard:{load['shard']}"
-        for field in ("events", "depth_peak"):
-            if field in load:
-                info[f"shard_load.{field}/{key}"] = float(load[field])
     return info
 
 
