@@ -1,6 +1,6 @@
 // The Routing Arbiter workflow end to end, now at every exchange point at
 // once: run the multi-exchange campaign on the parallel partitioned runner,
-// log every BGP message to one merged MRT file (per-exchange segments in
+// log every BGP message to one MRT file (per-exchange streams written in
 // fixed exchange order), then replay each segment offline through a fresh
 // monitor and verify the two analyses agree — the paper's §2 methodology
 // (live collection + offline decode) in one program.
@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/monitor.h"
@@ -58,28 +60,44 @@ int main(int argc, char** argv) {
   std::printf("collecting %.1f simulated hours at %d exchange(s)...\n", hours,
               cfg.scenario.num_exchanges);
   workload::MultiExchangeRunner runner(std::move(cfg));
+  // The runner keeps only the series CRCs; collect each exchange's JSONL
+  // text through its flusher's sink. One slot per exchange, written only by
+  // the worker that owns it, so any thread count is safe.
+  std::vector<std::string> series(
+      static_cast<std::size_t>(runner.config().scenario.num_exchanges));
+  runner.SetPartitionSetup([&series](int e, workload::ExchangeScenario& s) {
+    std::string& text = series[static_cast<std::size_t>(e)];
+    s.series().SetSink([&text](std::string_view flush) { text += flush; });
+  });
   // Non-const: the health summary below reads instruments through the
   // registry's get-or-create accessors.
   workload::MultiExchangeResult result = runner.Run();
 
-  // One merged file, per-exchange segments concatenated in exchange order.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Writes `segments` to `file_path` back to back, in order.
+  auto write_segments = [](const std::string& file_path,
+                           const auto& segments) {
+    std::FILE* f = std::fopen(file_path.c_str(), "wb");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
+      std::fprintf(stderr, "cannot write %s\n", file_path.c_str());
+      return false;
     }
-    if (!result.merged_mrt.empty() &&
-        std::fwrite(result.merged_mrt.data(), 1, result.merged_mrt.size(),
-                    f) != result.merged_mrt.size()) {
-      std::fprintf(stderr, "short write to %s\n", path.c_str());
-      std::fclose(f);
-      return 1;
+    bool ok = true;
+    for (const auto& segment : segments) {
+      ok = ok && (segment.empty() ||
+                  std::fwrite(segment.data(), 1, segment.size(), f) ==
+                      segment.size());
     }
-    std::fclose(f);
-  }
-  std::printf("wrote %zu MRT bytes (%llu messages, CRC32 0x%08X) to %s\n",
-              result.merged_mrt.size(),
+    ok = std::fclose(f) == 0 && ok;
+    if (!ok) std::fprintf(stderr, "short write to %s\n", file_path.c_str());
+    return ok;
+  };
+
+  // One file, per-exchange streams in exchange order.
+  std::vector<std::span<const std::uint8_t>> streams;
+  for (const auto& ex : result.exchanges) streams.emplace_back(ex.mrt);
+  if (!write_segments(path, streams)) return 1;
+  std::printf("wrote %llu MRT bytes (%llu messages, CRC32 0x%08X) to %s\n",
+              static_cast<unsigned long long>(result.MrtBytes()),
               static_cast<unsigned long long>(result.total_messages),
               result.MrtCrc32(), path.c_str());
 
@@ -102,29 +120,16 @@ int main(int argc, char** argv) {
               result.metrics.SnapshotText().c_str());
 
   // --- streaming telemetry: the operator-facing series + health view ---
-  // Per-exchange JSONL segments concatenated in exchange order, same
-  // determinism contract as the MRT bytes. Try:
+  // Per-exchange JSONL segments written in exchange order, same determinism
+  // contract as the MRT bytes. Try:
   //   jq -r 'select(.series=="monitor.wwdup") | [.t_ns,.window] | @tsv'
   const std::string series_path = path + ".series.jsonl";
-  {
-    std::FILE* f = std::fopen(series_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", series_path.c_str());
-      return 1;
-    }
-    if (!result.merged_series.empty() &&
-        std::fwrite(result.merged_series.data(), 1,
-                    result.merged_series.size(),
-                    f) != result.merged_series.size()) {
-      std::fprintf(stderr, "short write to %s\n", series_path.c_str());
-      std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
-  }
+  if (!write_segments(series_path, series)) return 1;
+  std::size_t series_bytes = 0;
+  for (const std::string& text : series) series_bytes += text.size();
   std::printf("wrote %llu series records (%zu bytes) to %s\n",
               static_cast<unsigned long long>(result.total_series_records),
-              result.merged_series.size(), series_path.c_str());
+              series_bytes, series_path.c_str());
   std::printf(
       "instability health: %llu storm(s), %llu flap burst(s) (peak %lld "
       "events), periodicity score 30s=%lldppm 60s=%lldppm, %llu alert(s)\n",

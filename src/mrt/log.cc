@@ -77,14 +77,15 @@ void Writer::LogPayload(TimePoint now, std::uint32_t peer_id,
 }
 
 void Writer::Flush() {
-  if (file_ != nullptr) std::fflush(file_);
+  if (file_ != nullptr && std::fflush(file_) != 0) ok_ = false;
 }
 
-void Writer::Close() {
+bool Writer::Close() {
   if (file_ != nullptr) {
-    std::fclose(file_);
+    if (std::fclose(file_) != 0) ok_ = false;
     file_ = nullptr;
   }
+  return ok_;
 }
 
 Reader::Reader(const std::string& path) {

@@ -27,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/message.h"
@@ -91,11 +92,17 @@ class Writer {
                   std::uint16_t local_asn,
                   std::span<const std::uint8_t> payload);
 
-  // In-memory contents (empty for file-backed writers once flushed).
+  // In-memory contents (always empty for file-backed writers).
   const std::vector<std::uint8_t>& buffer() const { return buffer_; }
+  // Moves the in-memory contents out, leaving the buffer empty.
+  std::vector<std::uint8_t> TakeBuffer() {
+    return std::exchange(buffer_, {});
+  }
 
+  // A failed fflush/fclose (a write-back error, e.g. a full disk) clears
+  // ok(), like a failed fwrite. Close() returns ok() after closing.
   void Flush();
-  void Close();
+  bool Close();
 
  private:
   std::vector<std::uint8_t> buffer_;

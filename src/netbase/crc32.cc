@@ -33,6 +33,23 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeTables() {
 
 constexpr auto kTables = MakeTables();
 
+// A 32x32 GF(2) matrix as 32 column vectors: column i is the image of bit i.
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+
+std::uint32_t Gf2Times(const Gf2Matrix& mat, std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; vec != 0; ++i, vec >>= 1) {
+    if (vec & 1) sum ^= mat[i];
+  }
+  return sum;
+}
+
+Gf2Matrix Gf2Square(const Gf2Matrix& mat) {
+  Gf2Matrix sq{};
+  for (std::size_t i = 0; i < 32; ++i) sq[i] = Gf2Times(mat, mat[i]);
+  return sq;
+}
+
 }  // namespace
 
 std::uint32_t Crc32Update(std::uint32_t crc,
@@ -64,6 +81,24 @@ std::uint32_t Crc32Update(std::uint32_t crc,
 
 std::uint32_t Crc32(std::span<const std::uint8_t> data) {
   return Crc32Update(0, data);
+}
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  // Appending one zero bit to a message maps its (unconditioned) CRC
+  // through a linear operator: shift right, folding in the polynomial on a
+  // carry. Three squarings make it the one-zero-byte operator; each further
+  // squaring doubles the byte count, so the set bits of len_b pick which
+  // powers to apply to crc_a. The pre/post conditioning cancels in the XOR.
+  Gf2Matrix op{};
+  op[0] = 0xEDB88320u;
+  for (std::size_t i = 1; i < 32; ++i) op[i] = 1u << (i - 1);
+  for (int i = 0; i < 3; ++i) op = Gf2Square(op);
+  for (; len_b != 0; len_b >>= 1) {
+    if (len_b & 1) crc_a = Gf2Times(op, crc_a);
+    if (len_b > 1) op = Gf2Square(op);
+  }
+  return crc_a ^ crc_b;
 }
 
 }  // namespace iri

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "netbase/crc32.h"
+
 namespace iri::obs {
 
 namespace {
@@ -94,44 +96,45 @@ WindowedHistogram& SeriesFlusher::GetHistogram(
 
 void SeriesFlusher::Flush(TimePoint now) {
   for (auto& [name, inst] : instruments_) {
-    buffer_ += "{\"t_ns\":";
-    AppendI64(buffer_, now.nanos());
-    buffer_ += ",\"series\":\"";
-    buffer_ += name;  // series names are code constants; no escaping needed
-    buffer_ += '"';
+    scratch_ += "{\"t_ns\":";
+    AppendI64(scratch_, now.nanos());
+    scratch_ += ",\"series\":\"";
+    scratch_ += name;  // series names are code constants; no escaping needed
+    scratch_ += '"';
     if (inst.counter != nullptr) {
       WindowedCounter& c = *inst.counter;
       const std::uint64_t window = c.window();
       c.CloseWindow(ewma_alpha_);
-      buffer_ += ",\"window\":";
-      AppendU64(buffer_, window);
-      buffer_ += ",\"total\":";
-      AppendU64(buffer_, c.total());
-      buffer_ += ",\"ewma\":";
-      AppendF64(buffer_, c.ewma());
+      scratch_ += ",\"window\":";
+      AppendU64(scratch_, window);
+      scratch_ += ",\"total\":";
+      AppendU64(scratch_, c.total());
+      scratch_ += ",\"ewma\":";
+      AppendF64(scratch_, c.ewma());
     } else {
       WindowedHistogram& h = *inst.histogram;
-      buffer_ += ",\"count\":";
-      AppendU64(buffer_, h.count());
-      buffer_ += ",\"sum\":";
-      AppendI64(buffer_, h.sum());
-      buffer_ += ",\"buckets\":[";
+      scratch_ += ",\"count\":";
+      AppendU64(scratch_, h.count());
+      scratch_ += ",\"sum\":";
+      AppendI64(scratch_, h.sum());
+      scratch_ += ",\"buckets\":[";
       for (std::size_t i = 0; i < h.buckets().size(); ++i) {
-        if (i != 0) buffer_ += ',';
-        AppendU64(buffer_, h.buckets()[i]);
+        if (i != 0) scratch_ += ',';
+        AppendU64(scratch_, h.buckets()[i]);
       }
-      buffer_ += ']';
+      scratch_ += ']';
       h.CloseWindow();
     }
-    buffer_ += "}\n";
+    scratch_ += "}\n";
     ++records_;
   }
+  crc_ = Crc32Update(crc_, {reinterpret_cast<const std::uint8_t*>(
+                                scratch_.data()),
+                            scratch_.size()});
+  bytes_ += scratch_.size();
+  if (sink_) sink_(scratch_);
+  scratch_.clear();
   ++flushes_;
-}
-
-void SeriesFlusher::Clear() {
-  buffer_.clear();
-  records_ = 0;
 }
 
 }  // namespace iri::obs

@@ -12,11 +12,12 @@
 //     (seed, config);
 //   * every flush drains instruments in name order (std::map), one record
 //     per instrument, stamped with simulated time;
-//   * the flusher is single-partition state (one per ExchangeScenario); the
-//     multi-exchange runner concatenates per-partition record buffers in
-//     fixed exchange order, so merged bytes are identical at any worker
-//     thread count (locked by tests/golden_run_test.cc via the digest's
-//     timeseries section).
+//   * the flusher is single-partition state (one per ExchangeScenario). It
+//     keeps no text: each tick's records stream to an optional sink and fold
+//     into a running CRC-32 and byte count. The multi-exchange runner joins
+//     the per-partition CRCs in fixed exchange order (Crc32Combine), so the
+//     digest's timeseries section is the CRC of the concatenated text at any
+//     worker thread count (locked by tests/golden_run_test.cc).
 //
 // EWMA values are doubles formatted with a fixed "%.6f"; the arithmetic is
 // a fixed sequence of IEEE-754 operations per partition, so the formatted
@@ -24,10 +25,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/invariants.h"
@@ -103,18 +107,21 @@ class WindowedHistogram {
   std::int64_t current_sum_ = 0;
 };
 
-// Name-keyed set of windowed instruments plus the JSONL record buffer a
-// periodic sim-time event drains them into. One record per instrument per
-// flush:
+// Name-keyed set of windowed instruments that a periodic sim-time event
+// drains into JSONL records. One record per instrument per flush:
 //
 //   {"t_ns":<ns>,"series":"<name>","window":<n>,"total":<n>,"ewma":<x.xxxxxx>}
 //   {"t_ns":<ns>,"series":"<name>","count":<n>,"sum":<n>,"buckets":[...]}
 //
 // Ownership discipline matches Registry/Tracer: single-partition, never
-// shared across workers, per-partition buffers concatenated in fixed
+// shared across workers; the runner folds per-partition CRCs in fixed
 // exchange order after the join.
 class SeriesFlusher {
  public:
+  // Receives one flush's records (complete "\n"-terminated lines). The view
+  // is only valid during the call.
+  using Sink = std::function<void(std::string_view)>;
+
   SeriesFlusher() = default;
   SeriesFlusher(const SeriesFlusher&) = delete;
   SeriesFlusher& operator=(const SeriesFlusher&) = delete;
@@ -131,16 +138,19 @@ class SeriesFlusher {
                                   std::span<const std::int64_t> upper_edges,
                                   int window_ticks);
 
-  // Appends one record per instrument, in name order, stamped `now`, then
-  // closes every window. Driven by the scenario's periodic flush event.
+  // Where each flush's text goes; without a sink it is only counted.
+  void SetSink(Sink sink) { sink_ = std::move(sink); }
+
+  // Formats one record per instrument, in name order, stamped `now`, folds
+  // the text into crc32()/bytes() and hands it to the sink, then closes
+  // every window. Driven by the scenario's periodic flush event.
   void Flush(TimePoint now);
 
-  // The buffered JSONL text (complete lines, "\n"-terminated).
-  const std::string& buffer() const { return buffer_; }
   std::uint64_t records() const { return records_; }
   std::uint64_t flushes() const { return flushes_; }
-
-  void Clear();
+  // CRC-32 and length of every record emitted so far, concatenated.
+  std::uint32_t crc32() const { return crc_; }
+  std::uint64_t bytes() const { return bytes_; }
 
  private:
   struct Instrument {
@@ -150,7 +160,10 @@ class SeriesFlusher {
 
   // Ordered map: flush iteration order == name order, by construction.
   std::map<std::string, Instrument> instruments_;
-  std::string buffer_;
+  Sink sink_;
+  std::string scratch_;  // one flush's text, reused across ticks
+  std::uint32_t crc_ = 0;
+  std::uint64_t bytes_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t flushes_ = 0;
   double ewma_alpha_ = 0.3;

@@ -51,16 +51,6 @@ void AppendI64(std::string& out, std::int64_t v) {
 
 }  // namespace
 
-void Tracer::Merge(const Tracer& other) {
-  buffer_ += other.buffer_;
-  events_ += other.events_;
-}
-
-void Tracer::Clear() {
-  buffer_.clear();
-  events_ = 0;
-}
-
 TraceEvent::TraceEvent(Tracer* tracer, TimePoint now, std::string_view type)
     : tracer_(tracer) {
   if (tracer_ == nullptr) return;

@@ -12,8 +12,8 @@
 // Timestamps are simulated time only, so a trace is a pure function of
 // (seed, config): diffing two runs' traces is a meaningful regression test,
 // not noise. Traces buffer in memory per partition (one Tracer per
-// ExchangeScenario, private to its worker) and concatenate in fixed exchange
-// order via Merge(), like the metrics registries.
+// ExchangeScenario, private to its worker); the multi-exchange runner moves
+// each partition's buffer into its ExchangeRun when asked to capture it.
 //
 // Emission sites go through the IRI_TRACE macro, which compiles to nothing
 // when the IRI_TRACE CMake option is OFF — the acceptance bar is <= 2%
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "netbase/time.h"
 
@@ -32,8 +33,7 @@ namespace iri::obs {
 class TraceEvent;
 
 // An in-memory JSONL buffer. Single-partition state, same ownership
-// discipline as obs::Registry: never shared across workers, merged on the
-// calling thread after the join.
+// discipline as obs::Registry: never shared across workers.
 class Tracer {
  public:
   Tracer() = default;
@@ -46,11 +46,9 @@ class Tracer {
   const std::string& buffer() const { return buffer_; }
   std::uint64_t events() const { return events_; }
 
-  // Appends `other`'s buffer verbatim. Callers merge partitions in fixed
-  // exchange order so the combined trace is thread-count independent.
-  void Merge(const Tracer& other);
-
-  void Clear();
+  // Moves the buffered text out, leaving the buffer empty (the event count
+  // is kept).
+  std::string TakeBuffer() { return std::exchange(buffer_, {}); }
 
  private:
   friend class TraceEvent;

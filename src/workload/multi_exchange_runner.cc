@@ -14,7 +14,15 @@
 namespace iri::workload {
 
 std::uint32_t MultiExchangeResult::MrtCrc32() const {
-  return Crc32(merged_mrt);
+  std::uint32_t crc = 0;
+  for (const ExchangeRun& run : exchanges) crc = Crc32Update(crc, run.mrt);
+  return crc;
+}
+
+std::uint64_t MultiExchangeResult::MrtBytes() const {
+  std::uint64_t bytes = 0;
+  for (const ExchangeRun& run : exchanges) bytes += run.mrt.size();
+  return bytes;
 }
 
 std::string MultiExchangeResult::Digest(
@@ -30,7 +38,7 @@ std::string MultiExchangeResult::Digest(
   add("exchanges", exchanges.size());
   std::snprintf(line, sizeof(line), "mrt_crc32=0x%08X\n", MrtCrc32());
   out += line;
-  add("mrt_bytes", merged_mrt.size());
+  add("mrt_bytes", MrtBytes());
   add("messages", total_messages);
   add("events", total_events);
   for (std::size_t c = 0; c < core::kNumCategories; ++c) {
@@ -49,19 +57,24 @@ std::string MultiExchangeResult::Digest(
   out += metrics.SnapshotText();
   out += "metrics.end\n";
   // Series telemetry summary: the full JSONL is too large to commit, so the
-  // digest pins its record count, byte count and CRC — one flipped byte in
-  // any flush record (ordering, formatting, values) fails the comparison.
-  // A run with telemetry disabled (series_flush_interval zero, or capture
-  // off) omits the section entirely, so its digest is byte-identical to a
-  // build that never had the subsystem.
-  if (total_series_records != 0 || !merged_series.empty()) {
+  // digest pins the record count, byte count and CRC of the per-exchange
+  // texts concatenated in exchange order — one flipped byte in any flush
+  // record (ordering, formatting, values) fails the comparison. The CRC is
+  // combined from each exchange's running CRC; the text is never joined.
+  // A run with telemetry disabled (series_flush_interval zero) omits the
+  // section entirely, so its digest is byte-identical to a build that never
+  // had the subsystem.
+  std::uint32_t series_crc = 0;
+  std::uint64_t series_bytes = 0;
+  for (const ExchangeRun& run : exchanges) {
+    series_crc = Crc32Combine(series_crc, run.series_crc32, run.series_bytes);
+    series_bytes += run.series_bytes;
+  }
+  if (total_series_records != 0 || series_bytes != 0) {
     out += "timeseries.begin\n";
     add("records", total_series_records);
-    add("bytes", merged_series.size());
-    std::snprintf(line, sizeof(line), "crc32=0x%08X\n",
-                  Crc32({reinterpret_cast<const std::uint8_t*>(
-                             merged_series.data()),
-                         merged_series.size()}));
+    add("bytes", series_bytes);
+    std::snprintf(line, sizeof(line), "crc32=0x%08X\n", series_crc);
     out += line;
     out += "timeseries.end\n";
   }
@@ -131,16 +144,15 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     run.messages = scenario.monitor().messages_seen();
     run.events = scenario.monitor().events_seen();
     run.tasks_executed = scenario.scheduler().executed();
-    run.mrt = writer.buffer();
+    run.mrt = writer.TakeBuffer();
     // Copy the partition's registry out before the scenario (and the cached
     // instrument pointers inside it) is destroyed. Runs on the worker that
     // owns this exchange, touching only this partition's slot.
     run.metrics.Merge(scenario.metrics());
-    if (config_.capture_trace) run.trace = scenario.trace().buffer();
-    if (config_.capture_series) {
-      run.series = scenario.series().buffer();
-      run.series_records = scenario.series().records();
-    }
+    if (config_.capture_trace) run.trace = scenario.trace().TakeBuffer();
+    run.series_records = scenario.series().records();
+    run.series_crc32 = scenario.series().crc32();
+    run.series_bytes = scenario.series().bytes();
     if constexpr (obs::kProvenanceEnabled) {
       run.attribution.observed.Merge(
           scenario.monitor().classifier().provenance());
@@ -152,11 +164,6 @@ MultiExchangeResult MultiExchangeRunner::Run() {
   // worker has joined — output bytes cannot depend on interleaving.
   MultiExchangeResult result;
   result.exchanges = std::move(runs);
-  std::size_t mrt_bytes = 0;
-  for (const ExchangeRun& run : result.exchanges) {
-    mrt_bytes += run.mrt.size();
-  }
-  result.merged_mrt.reserve(mrt_bytes);
   for (const ExchangeRun& run : result.exchanges) {
     IRI_ASSERT(run.events == run.counts.Total(),
                "per-exchange sink and monitor must agree on event count");
@@ -164,11 +171,7 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     for (std::size_t c = 0; c < core::kNumCategories; ++c) {
       result.combined_classifier_totals[c] += run.classifier_totals[c];
     }
-    result.merged_mrt.insert(result.merged_mrt.end(), run.mrt.begin(),
-                             run.mrt.end());
     result.metrics.Merge(run.metrics);
-    result.merged_trace += run.trace;
-    result.merged_series += run.series;
     result.total_series_records += run.series_records;
     result.total_messages += run.messages;
     result.total_events += run.events;

@@ -11,6 +11,13 @@
 // outputs are merged in fixed exchange order, so the result is bit-for-bit
 // independent of thread count and interleaving. tests/golden_run_test.cc
 // locks that claim against committed digests at 1, 2 and 4 threads.
+//
+// The runner keeps one copy of captured output: each exchange's MRT stream
+// (and trace, if asked for) is moved out of its partition into its
+// ExchangeRun and never concatenated. The digest's whole-campaign CRCs are
+// folded from the per-exchange ones (Crc32Update over the streams,
+// Crc32Combine over the series CRCs), so they equal the CRCs of the
+// concatenations without building them.
 #pragma once
 
 #include <array>
@@ -32,18 +39,13 @@ struct MultiExchangeConfig {
   // Worker threads; <= 0 means sim::DefaultParallelism() (the
   // IRI_PARALLEL_EXCHANGES environment variable or hardware concurrency).
   int threads = 0;
-  // Capture each partition's MRT byte stream in memory (the merged stream
-  // is what the golden digests checksum). Disable for pure-stats runs.
+  // Capture each partition's MRT byte stream in memory (the streams are
+  // what the golden digests checksum). Disable for pure-stats runs.
   bool capture_mrt = true;
-  // Copy each partition's structured trace buffer (obs/trace.h) into its
-  // ExchangeRun and the merged result. Off by default: traces are bulky and
-  // only diagnostics want them.
+  // Move each partition's structured trace buffer (obs/trace.h) into its
+  // ExchangeRun. Off by default: traces are bulky and only diagnostics want
+  // them.
   bool capture_trace = false;
-  // Copy each partition's series JSONL buffer (obs/timeseries.h) into its
-  // ExchangeRun and the merged result. On by default: the series records are
-  // bounded (one line per instrument per flush) and the digest pins them.
-  // A scenario.series_flush_interval of zero still disables the whole path.
-  bool capture_series = true;
 };
 
 // Everything one exchange partition produced.
@@ -62,10 +64,12 @@ struct ExchangeRun {
   // independent.
   obs::Registry metrics;
   std::string trace;  // JSONL trace buffer (empty unless capture_trace)
-  // This exchange's series JSONL records (empty unless capture_series):
-  // name-ordered within each flush, flushes in sim-time order.
-  std::string series;
+  // This exchange's series telemetry (obs/timeseries.h): record count, and
+  // the CRC-32 and length of its JSONL text. The text itself is not kept;
+  // install a SeriesFlusher sink through SetPartitionSetup to collect it.
   std::uint64_t series_records = 0;
+  std::uint32_t series_crc32 = 0;
+  std::uint64_t series_bytes = 0;
   // The exchange's causal attribution: the classifier's provenance
   // matrix plus the cause table minted by this partition's scenario. Cause
   // ids are partition-local (dense, allocation-ordered), so attribution is
@@ -79,32 +83,25 @@ struct MultiExchangeResult {
   std::vector<ExchangeRun> exchanges;  // index == exchange id
   core::CategoryCounts combined;
   std::array<std::uint64_t, core::kNumCategories> combined_classifier_totals{};
-  // Per-exchange MRT streams concatenated in exchange order. Replay segment
-  // by segment (exchanges reuse collector-local peer ids, so one classifier
-  // must not be fed two collectors' streams).
-  std::vector<std::uint8_t> merged_mrt;
   // Per-exchange registries merged on the calling thread in exchange order
   // (the CategoryCounts::Merge pattern): counters and histograms sum, gauges
   // add — so a merged peak gauge is the sum of per-exchange peaks, not a
   // global peak. Snapshot bytes are identical at any worker count.
   obs::Registry metrics;
-  // Per-exchange JSONL traces concatenated in exchange order (empty unless
-  // capture_trace). Exchanges reuse collector-local names, so consumers
-  // should replay segment by segment like merged_mrt.
-  std::string merged_trace;
-  // Per-exchange series JSONL concatenated in exchange order (empty unless
-  // capture_series). Within a segment the records are already sorted by
-  // (t_ns, series name); consumers joining across exchanges should group by
-  // segment, like merged_mrt.
-  std::string merged_series;
   std::uint64_t total_series_records = 0;
   std::uint64_t total_messages = 0;
   std::uint64_t total_events = 0;
 
+  // CRC-32 and length of the per-exchange MRT streams taken in exchange
+  // order, as one log file would hold them. Replay the streams one by one,
+  // though: exchanges reuse collector-local peer ids, so one classifier
+  // must not be fed two collectors' streams.
   std::uint32_t MrtCrc32() const;
+  std::uint64_t MrtBytes() const;
 
-  // Canonical digest text (MRT CRC-32 + classifier bin counts) used by the
-  // golden-run regression suite; any byte of drift fails the comparison.
+  // Canonical digest text (MRT CRC-32 + classifier bin counts, metrics,
+  // series and provenance summaries) used by the golden-run regression
+  // suite; any byte of drift fails the comparison.
   std::string Digest(const std::string& scenario_name) const;
 };
 

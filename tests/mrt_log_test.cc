@@ -130,6 +130,27 @@ TEST(MrtLog, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(MrtLog, WriteBackFailureClearsOkOnClose) {
+  // /dev/full accepts open and buffered fwrite, then fails the write-back
+  // with ENOSPC: only the flush inside fclose can report the loss.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Writer writer("/dev/full");
+  ASSERT_TRUE(writer.ok());
+  writer.LogMessage(TimePoint::Origin(), 1, 701, 7, SampleUpdate(1));
+  EXPECT_EQ(writer.records_written(), 1u);
+  EXPECT_FALSE(writer.Close());
+  EXPECT_FALSE(writer.ok());
+}
+
+TEST(MrtLog, TakeBufferMovesTheStreamOut) {
+  Writer writer;
+  writer.LogMessage(TimePoint::Origin(), 1, 701, 7, SampleUpdate(1));
+  const std::vector<std::uint8_t> copy = writer.buffer();
+  const std::vector<std::uint8_t> taken = writer.TakeBuffer();
+  EXPECT_EQ(taken, copy);
+  EXPECT_TRUE(writer.buffer().empty());
+}
+
 TEST(MrtLog, MissingFileReportsError) {
   Reader reader("/tmp/does_not_exist_iri.log");
   EXPECT_FALSE(reader.ok());

@@ -99,6 +99,46 @@ TEST(Crc32, StreamingMatchesOneShot) {
   EXPECT_EQ(streamed, oneshot);
 }
 
+std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> data(n);
+  Rng rng(seed);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Below(256));
+  return data;
+}
+
+TEST(Crc32Combine, EverySplitPointMatchesOneShot) {
+  const std::vector<std::uint8_t> data = RandomBytes(1024, 11);
+  const std::span<const std::uint8_t> all(data);
+  const std::uint32_t oneshot = Crc32(all);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+    const auto a = all.first(cut);
+    const auto b = all.subspan(cut);
+    ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), oneshot)
+        << "split at " << cut;
+  }
+}
+
+TEST(Crc32Combine, EmptySecondPartReturnsFirstCrc) {
+  const std::vector<std::uint8_t> data = RandomBytes(1024, 11);
+  const std::uint32_t crc = Crc32(data);
+  EXPECT_EQ(Crc32Combine(crc, Crc32({}), 0), crc);
+  EXPECT_EQ(Crc32Combine(0x12345678u, 0, 0), 0x12345678u);
+}
+
+TEST(Crc32Combine, FoldsUnequalSegmentsLeftToRight) {
+  const std::vector<std::uint8_t> data = RandomBytes(1024, 11);
+  const std::span<const std::uint8_t> all(data);
+  std::uint32_t folded = 0;  // Crc32 of the empty prefix
+  std::size_t pos = 0;
+  for (std::size_t len : {1u, 300u, 0u, 77u, 646u}) {
+    const auto segment = all.subspan(pos, len);
+    folded = Crc32Combine(folded, Crc32(segment), segment.size());
+    pos += len;
+  }
+  ASSERT_EQ(pos, all.size());
+  EXPECT_EQ(folded, Crc32(all));
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   std::vector<std::uint8_t> data(64, 0x5A);
   const std::uint32_t before = Crc32(data);

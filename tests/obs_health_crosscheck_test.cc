@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/spectrum.h"
@@ -69,13 +70,16 @@ RunResult RunScenario(bool jittered) {
   cfg.internal_reset_episode_rate = 48;
   cfg.force_all_jittered = jittered;
   workload::ExchangeScenario scenario(cfg);
+  std::string series;
+  scenario.series().SetSink(
+      [&series](std::string_view flush) { series += flush; });
   scenario.Run();
   RunResult r;
   const obs::HealthMonitor* health = scenario.health();
   r.ppm_a = health->periodicity_ppm_a();
   r.ppm_b = health->periodicity_ppm_b();
   r.threshold_ppm = cfg.health.periodicity_threshold * 1e6;
-  r.windows = UpdateWindows(scenario.series().buffer());
+  r.windows = UpdateWindows(series);
   return r;
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
+
+#include "netbase/crc32.h"
 
 namespace iri::obs {
 namespace {
@@ -79,6 +83,12 @@ TEST(WindowedHistogram, SlidesOutWindowsBeyondTheRetention) {
 
 TEST(SeriesFlusher, EmitsExactJsonlBytesInNameOrder) {
   SeriesFlusher flusher;
+  std::string text;
+  int sink_calls = 0;
+  flusher.SetSink([&](std::string_view flush) {
+    text += flush;
+    ++sink_calls;
+  });
   flusher.SetEwmaAlpha(0.5);
   // Registered out of name order on purpose: flush order must sort.
   WindowedCounter& wwdup = flusher.GetCounter("monitor.wwdup");
@@ -97,8 +107,9 @@ TEST(SeriesFlusher, EmitsExactJsonlBytesInNameOrder) {
 
   EXPECT_EQ(flusher.records(), 6u);
   EXPECT_EQ(flusher.flushes(), 2u);
+  EXPECT_EQ(sink_calls, 2) << "one sink call per flush";
   EXPECT_EQ(
-      flusher.buffer(),
+      text,
       "{\"t_ns\":10000000000,\"series\":\"monitor.events_per_msg\","
       "\"count\":2,\"sum\":11,\"buckets\":[1,0,1]}\n"
       "{\"t_ns\":10000000000,\"series\":\"monitor.updates\",\"window\":4,"
@@ -111,6 +122,11 @@ TEST(SeriesFlusher, EmitsExactJsonlBytesInNameOrder) {
       "\"total\":6,\"ewma\":3.000000}\n"
       "{\"t_ns\":20000000000,\"series\":\"monitor.wwdup\",\"window\":0,"
       "\"total\":1,\"ewma\":0.500000}\n");
+  // The running checksum covers exactly the text the sink received.
+  EXPECT_EQ(flusher.bytes(), text.size());
+  EXPECT_EQ(flusher.crc32(),
+            Crc32({reinterpret_cast<const std::uint8_t*>(text.data()),
+                   text.size()}));
 }
 
 TEST(SeriesFlusher, GetReturnsTheSameInstrumentForTheSameName) {
@@ -120,14 +136,20 @@ TEST(SeriesFlusher, GetReturnsTheSameInstrumentForTheSameName) {
   EXPECT_EQ(&a, &b);
 }
 
-TEST(SeriesFlusher, ClearDropsBufferAndRecordCount) {
-  SeriesFlusher flusher;
-  flusher.GetCounter("x").Add(1);
-  flusher.Flush(T(1));
-  EXPECT_FALSE(flusher.buffer().empty());
-  flusher.Clear();
-  EXPECT_TRUE(flusher.buffer().empty());
-  EXPECT_EQ(flusher.records(), 0u);
+TEST(SeriesFlusher, ChecksumsWithoutASink) {
+  SeriesFlusher with_sink;
+  SeriesFlusher without_sink;
+  std::string text;
+  with_sink.SetSink([&text](std::string_view flush) { text += flush; });
+  for (SeriesFlusher* f : {&with_sink, &without_sink}) {
+    f->GetCounter("x").Add(1);
+    f->Flush(T(1));
+    f->Flush(T(2));
+  }
+  EXPECT_FALSE(text.empty());
+  EXPECT_EQ(without_sink.records(), with_sink.records());
+  EXPECT_EQ(without_sink.bytes(), text.size());
+  EXPECT_EQ(without_sink.crc32(), with_sink.crc32());
 }
 
 }  // namespace

@@ -48,19 +48,15 @@ TEST(TraceEvent, NullTracerIsANoOp) {
   SUCCEED();
 }
 
-TEST(Tracer, MergeConcatenatesVerbatimAndClearResets) {
+TEST(Tracer, TakeBufferMovesTextOut) {
   Tracer a;
-  Tracer b;
   { TraceEvent(&a, T(1), "one"); }
-  { TraceEvent(&b, T(2), "two"); }
-  a.Merge(b);
-  EXPECT_EQ(a.events(), 2u);
-  EXPECT_EQ(a.buffer(),
+  { TraceEvent(&a, T(2), "two"); }
+  EXPECT_EQ(a.TakeBuffer(),
             "{\"t_ns\":1000000000,\"ev\":\"one\"}\n"
             "{\"t_ns\":2000000000,\"ev\":\"two\"}\n");
-  a.Clear();
-  EXPECT_EQ(a.events(), 0u);
   EXPECT_TRUE(a.buffer().empty());
+  EXPECT_EQ(a.events(), 2u);
 }
 
 TEST(TraceMacro, RespectsCompileSwitch) {

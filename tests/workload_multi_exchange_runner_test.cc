@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "mrt/log.h"
+#include "netbase/crc32.h"
 #include "workload/scenario.h"
 
 namespace iri::workload {
@@ -55,9 +60,8 @@ TEST(MultiExchangeRunner, ThreadCountDoesNotChangeAnyByte) {
     cfg.threads = threads;
     MultiExchangeResult parallel = MultiExchangeRunner(std::move(cfg)).Run();
     ASSERT_EQ(parallel.exchanges.size(), serial.exchanges.size());
-    EXPECT_EQ(parallel.merged_mrt, serial.merged_mrt)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.MrtCrc32(), serial.MrtCrc32());
+    EXPECT_EQ(parallel.MrtCrc32(), serial.MrtCrc32()) << "threads=" << threads;
+    EXPECT_EQ(parallel.MrtBytes(), serial.MrtBytes());
     EXPECT_EQ(parallel.combined_classifier_totals,
               serial.combined_classifier_totals);
     EXPECT_EQ(parallel.Digest("t"), serial.Digest("t"));
@@ -73,8 +77,8 @@ TEST(MultiExchangeRunner, ThreadCountDoesNotChangeAnyByte) {
 TEST(MultiExchangeRunner, MergePreservesFixedExchangeOrder) {
   const MultiExchangeResult result = MultiExchangeRunner(SmallConfig(3)).Run();
   ASSERT_EQ(result.exchanges.size(), 3u);
-  // The merged stream is the per-exchange streams concatenated in index
-  // order — verify by re-assembling it by hand.
+  // The result's MRT CRC and length are those of the per-exchange streams
+  // concatenated in index order — verify by re-assembling them by hand.
   std::vector<std::uint8_t> reassembled;
   std::uint64_t events = 0;
   for (std::size_t e = 0; e < 3; ++e) {
@@ -85,7 +89,8 @@ TEST(MultiExchangeRunner, MergePreservesFixedExchangeOrder) {
                        result.exchanges[e].mrt.end());
     events += result.exchanges[e].events;
   }
-  EXPECT_EQ(result.merged_mrt, reassembled);
+  EXPECT_EQ(result.MrtCrc32(), Crc32(reassembled));
+  EXPECT_EQ(result.MrtBytes(), reassembled.size());
   EXPECT_EQ(result.total_events, events);
   EXPECT_EQ(result.combined.Total(), events);
 }
@@ -120,6 +125,51 @@ TEST(MultiExchangeRunner, PartitionSetupSeesEveryExchangeOnce) {
   }
 }
 
+// The digest's timeseries section computed from the text itself: record
+// count, byte count and CRC-32 of the per-exchange texts concatenated in
+// exchange order. The runner derives it from per-exchange running CRCs.
+std::string TimeseriesLines(std::uint64_t records, const std::string& text) {
+  char crc[32];
+  std::snprintf(crc, sizeof(crc), "crc32=0x%08X\n",
+                Crc32({reinterpret_cast<const std::uint8_t*>(text.data()),
+                       text.size()}));
+  return "timeseries.begin\nrecords=" + std::to_string(records) +
+         "\nbytes=" + std::to_string(text.size()) + "\n" + crc +
+         "timeseries.end\n";
+}
+
+TEST(MultiExchangeRunner, SeriesDigestEqualsTheConcatenatedSinkText) {
+  for (int threads : {1, 4}) {
+    MultiExchangeConfig cfg = SmallConfig(3);
+    cfg.threads = threads;
+    MultiExchangeRunner runner(std::move(cfg));
+    std::vector<std::string> texts(3);
+    std::vector<std::uint64_t> lines(3, 0);
+    runner.SetPartitionSetup([&](int e, ExchangeScenario& scenario) {
+      const auto slot = static_cast<std::size_t>(e);
+      scenario.series().SetSink([&, slot](std::string_view flush) {
+        texts[slot] += flush;
+        lines[slot] += static_cast<std::uint64_t>(
+            std::count(flush.begin(), flush.end(), '\n'));
+      });
+    });
+    const MultiExchangeResult result = runner.Run();
+    std::string joined;
+    std::uint64_t records = 0;
+    for (std::size_t e = 0; e < texts.size(); ++e) {
+      EXPECT_EQ(result.exchanges[e].series_records, lines[e])
+          << "exchange " << e << " threads=" << threads;
+      joined += texts[e];
+      records += lines[e];
+    }
+    ASSERT_GT(records, 0u);
+    EXPECT_EQ(result.total_series_records, records);
+    EXPECT_NE(result.Digest("t").find(TimeseriesLines(records, joined)),
+              std::string::npos)
+        << "threads=" << threads;
+  }
+}
+
 TEST(MultiExchangeRunner, MrtSegmentsReplayToTheSameClassification) {
   // The offline path: each exchange's MRT segment replayed through a fresh
   // monitor must reproduce that exchange's live classifier bins exactly.
@@ -141,8 +191,9 @@ TEST(MultiExchangeRunner, CaptureMrtOffLeavesStreamEmptyButStatsIntact) {
   without.capture_mrt = false;
   const MultiExchangeResult a = MultiExchangeRunner(std::move(with)).Run();
   const MultiExchangeResult b = MultiExchangeRunner(std::move(without)).Run();
-  EXPECT_TRUE(b.merged_mrt.empty());
-  EXPECT_GT(a.merged_mrt.size(), 0u);
+  EXPECT_EQ(b.MrtBytes(), 0u);
+  for (const ExchangeRun& run : b.exchanges) EXPECT_TRUE(run.mrt.empty());
+  EXPECT_GT(a.MrtBytes(), 0u);
   EXPECT_EQ(a.combined_classifier_totals, b.combined_classifier_totals)
       << "MRT capture must not perturb the simulation";
 }

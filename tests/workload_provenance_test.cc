@@ -138,21 +138,17 @@ TEST(Provenance, DisabledSeriesOmitsTimeseriesDigestSection) {
   cfg.scenario.duration = Duration::Minutes(30);
   cfg.scenario.series_flush_interval = Duration();  // disables telemetry
 
-  MultiExchangeConfig no_capture = cfg;
-  no_capture.capture_series = false;
-
-  MultiExchangeRunner with_capture_runner(std::move(cfg));
-  MultiExchangeRunner no_capture_runner(std::move(no_capture));
-  const std::string with_capture =
-      with_capture_runner.Run().Digest("series_off");
-  const std::string without_capture =
-      no_capture_runner.Run().Digest("series_off");
+  MultiExchangeRunner runner(std::move(cfg));
+  const MultiExchangeResult result = runner.Run();
 
   // A disabled flush interval produces zero records, so the digest must not
-  // carry an empty timeseries section — and must be byte-identical to a run
-  // where the capture plumbing was never wired at all.
-  EXPECT_EQ(with_capture.find("timeseries.begin"), std::string::npos);
-  EXPECT_EQ(with_capture, without_capture);
+  // carry an empty timeseries section.
+  for (const auto& run : result.exchanges) {
+    EXPECT_EQ(run.series_records, 0u);
+    EXPECT_EQ(run.series_bytes, 0u);
+  }
+  EXPECT_EQ(result.Digest("series_off").find("timeseries.begin"),
+            std::string::npos);
 }
 
 TEST(Provenance, TraceBuffersFollowTraceCompileSetting) {
@@ -161,15 +157,19 @@ TEST(Provenance, TraceBuffersFollowTraceCompileSetting) {
   cfg.capture_trace = true;
   MultiExchangeRunner runner(std::move(cfg));
   const MultiExchangeResult result = runner.Run();
+  for (const auto& run : result.exchanges) {
 #if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
-  if (obs::kProvenanceEnabled) {
-    EXPECT_NE(result.merged_trace.find("cause_injected"), std::string::npos)
-        << "cause allocations must emit trace events when both layers are on";
-  }
+    if (obs::kProvenanceEnabled) {
+      EXPECT_NE(run.trace.find("cause_injected"), std::string::npos)
+          << "exchange " << run.exchange
+          << ": cause allocations must emit trace events when both layers "
+             "are on";
+    }
 #else
-  EXPECT_TRUE(result.merged_trace.empty())
-      << "IRI_TRACE=OFF must compile every emission site to nothing";
+    EXPECT_TRUE(run.trace.empty())
+        << "IRI_TRACE=OFF must compile every emission site to nothing";
 #endif
+  }
 }
 
 TEST(Provenance, OfflineReplayIsFullyUnattributed) {

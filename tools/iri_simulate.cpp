@@ -88,7 +88,10 @@ int main(int argc, char** argv) {
                cfg.duration.ToHours() / 24.0, scale_den,
                cfg.topology.num_providers);
   scenario.Run();
-  writer.Close();
+  if (!writer.Close()) {
+    std::fprintf(stderr, "iri_simulate: write to %s failed\n", out);
+    return 1;
+  }
 
   std::fprintf(stderr,
                "wrote %llu records (%llu prefix events: %llu announcements, "
