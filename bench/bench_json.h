@@ -12,9 +12,24 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iri::bench {
+
+// Writes `text` to `path`, replacing it. Every step is checked: a full disk
+// or a failed close reports "write to <path> failed" and returns false.
+inline bool WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "write to %s failed\n", path.c_str());
+  return ok;
+}
 
 class JsonWriter {
  public:
@@ -83,15 +98,7 @@ class JsonWriter {
   const std::string& str() const { return out_; }
 
   bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fputs(out_.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
+    return WriteTextFile(path, out_ + '\n');
   }
 
  private:

@@ -141,13 +141,7 @@ int main(int argc, char** argv) {
     std::fputs(core::FormatAttributionReport(attrs).c_str(), stdout);
     if (!attribution_path.empty()) {
       const std::string body = core::AttributionJson(attrs);
-      std::FILE* f = std::fopen(attribution_path.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", attribution_path.c_str());
-        return 1;
-      }
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fclose(f);
+      if (!bench::WriteTextFile(attribution_path, body)) return 1;
       std::printf("wrote %s\n", attribution_path.c_str());
     }
   }

@@ -145,8 +145,8 @@ void BM_ScenarioSimulatedHour(benchmark::State& state) {
     cfg.topology.scale = 1.0 / 128;
     cfg.topology.num_providers = 8;
     cfg.duration = Duration::Hours(1);
-    // The headline number keeps streaming telemetry off: with IRI_TRACE=OFF
-    // this is the configuration the <=2% regression gate compares.
+    // The headline number keeps streaming telemetry off, so it times the
+    // simulator and classifier alone.
     cfg.series_flush_interval = Duration();
     workload::ExchangeScenario scenario(cfg);
     scenario.Run();

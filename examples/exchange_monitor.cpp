@@ -9,8 +9,8 @@
 //       [--attribution[=report.json]]
 //
 // --attribution prints the causal-attribution report (which injected fault
-// produced each pathology class, at what hop depth, with what blast radius)
-// and, with =PATH, also writes the machine-readable JSON.
+// produced each pathology class, with what blast radius) and, with =PATH,
+// also writes the machine-readable JSON.
 //
 // Worker threads come from IRI_PARALLEL_EXCHANGES (default: hardware
 // concurrency); the output is bit-identical at any thread count.
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
                       segment.size());
     }
     ok = std::fclose(f) == 0 && ok;
-    if (!ok) std::fprintf(stderr, "short write to %s\n", file_path.c_str());
+    if (!ok) std::fprintf(stderr, "write to %s failed\n", file_path.c_str());
     return ok;
   };
 
@@ -153,13 +153,8 @@ int main(int argc, char** argv) {
     std::printf("\n%s", core::FormatAttributionReport(attrs).c_str());
     if (!attribution_path.empty()) {
       const std::string body = core::AttributionJson(attrs);
-      std::FILE* f = std::fopen(attribution_path.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", attribution_path.c_str());
-        return 1;
-      }
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fclose(f);
+      const std::vector<std::string_view> segments{body};
+      if (!write_segments(attribution_path, segments)) return 1;
       std::printf("wrote %s\n", attribution_path.c_str());
     }
   }

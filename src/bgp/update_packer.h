@@ -45,8 +45,7 @@ struct RouteOp {
   // queue slot under latest-wins coalescing (the surviving op's cause wins,
   // like its attribute id) and is excluded from equality — two ops that would
   // put the same bytes on the wire compare equal whatever their ancestry.
-  // Zero bytes when provenance is compiled out.
-  [[no_unique_address]] obs::CauseTag cause{};
+  obs::CauseTag cause{};
 
   bool IsWithdraw() const { return attr_id == kInvalidAttrSetId; }
 

@@ -75,7 +75,6 @@ Verdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
              "classifier produced an out-of-range category");
   ++totals_[static_cast<std::size_t>(out.category)];
   ++events_;
-#if defined(IRI_PROVENANCE_ENABLED) && IRI_PROVENANCE_ENABLED
   // Attribution: record the verdict against the event's root cause. A cause
   // "touches" this route the first time one of its descendants reaches it
   // (blast radius counts routes, not events).
@@ -83,7 +82,6 @@ Verdict Classifier::ClassifyVerdict(const UpdateEvent& ev) {
   prov_.Record(static_cast<std::size_t>(out.category), ev.cause, ev.time,
                first_touch);
   st.last_cause_id = ev.cause.id;
-#endif
   // Conservation: the seven bins partition the event stream exactly. A
   // drift here would silently reshape Figure 2.
   IRI_DCHECK(std::accumulate(totals_.begin(), totals_.end(),

@@ -109,10 +109,10 @@ class Classifier {
     prov_ = obs::ShardProvenance{};
   }
 
-  // Attribution aggregate: pathology class x root cause kind x hop depth,
-  // fed at verdict time from each event's provenance tag. Empty when
-  // provenance is compiled out. Category indices fit ShardProvenance's
-  // class axis (kNumCategories <= kMaxClasses, checked below).
+  // Attribution aggregate: pathology class x root cause kind, fed at
+  // verdict time from each event's provenance tag. Category indices fit
+  // ShardProvenance's class axis (kNumCategories <= kMaxClasses, checked
+  // below).
   const obs::ShardProvenance& provenance() const { return prov_; }
 
  private:
@@ -131,11 +131,9 @@ class Classifier {
     // exactly that.
     bgp::AttrSetId last_attr_id = bgp::kEmptyAttrSetId;
     bgp::ForwardingId last_fwd_id = 0;
-#if defined(IRI_PROVENANCE_ENABLED) && IRI_PROVENANCE_ENABLED
     // Last cause id seen on this route — blast-radius dedup: a cause's
     // `prefixes` counts (prefix, peer) routes it newly reached, not events.
     std::uint32_t last_cause_id = 0;
-#endif
   };
 
   ProbeMap<bgp::PrefixPeer, RouteState> state_;

@@ -32,8 +32,8 @@ struct UpdateEvent {
   bgp::AttrSetId attr_id = bgp::kEmptyAttrSetId;
   bgp::ForwardingId fwd_id = 0;
   // Provenance sideband: the injected root cause this event descends from
-  // (null for MRT replay and untagged senders; zero bytes when compiled out).
-  [[no_unique_address]] obs::CauseTag cause{};
+  // (null for MRT replay and untagged senders).
+  obs::CauseTag cause{};
 
   bgp::PrefixPeer Key() const { return {prefix, peer}; }
 };

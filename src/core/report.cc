@@ -144,25 +144,22 @@ std::string FormatAttributionReport(
   char line[160];
   std::snprintf(line, sizeof(line),
                 "exchanges: %zu  causes injected: %zu\n"
-                "events attributed: %llu / %llu (%.2f%%)  depth peak: %u\n\n",
+                "events attributed: %llu / %llu (%.2f%%)\n\n",
                 exchanges.size(), total_causes,
                 static_cast<unsigned long long>(attributed),
                 static_cast<unsigned long long>(total),
                 total == 0 ? 0.0
                            : 100.0 * static_cast<double>(attributed) /
-                                 static_cast<double>(total),
-                static_cast<unsigned>(combined.depth_peak()));
+                                 static_cast<double>(total));
   out += line;
 
-  // Class x cause-kind matrix (events summed over depth). Only kinds that
-  // appear anywhere get a column; classes render in taxonomy order.
+  // Class x cause-kind matrix. Only kinds that appear anywhere get a
+  // column; classes render in taxonomy order.
   std::vector<std::size_t> kinds;
   for (std::size_t k = 1; k < obs::kNumCauseKinds; ++k) {
     std::uint64_t col = 0;
     for (std::size_t c = 0; c < kNumCategories; ++c) {
-      for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
-        col += combined.MatrixAt(c, k, d);
-      }
+      col += combined.MatrixAt(c, k);
     }
     if (col != 0) kinds.push_back(k);
   }
@@ -176,36 +173,13 @@ std::string FormatAttributionReport(
     if (combined.ClassTotal(c) == 0) continue;
     std::vector<std::string> row{ToString(static_cast<Category>(c))};
     for (std::size_t k : kinds) {
-      std::uint64_t cell = 0;
-      for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
-        cell += combined.MatrixAt(c, k, d);
-      }
-      row.push_back(std::to_string(cell));
+      row.push_back(std::to_string(combined.MatrixAt(c, k)));
     }
     row.push_back(
         std::to_string(combined.ClassTotal(c) - combined.ClassAttributed(c)));
     rows.push_back(std::move(row));
   }
   out += FormatTable(header, rows);
-
-  // Hop-depth histogram: how far pathological updates travel from their
-  // injection point before being observed.
-  out += "\nhop depth (re-propagations from the injected fault):\n";
-  std::uint64_t depth_max = 0;
-  for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
-    depth_max = std::max(depth_max, combined.DepthBucketTotal(d));
-  }
-  for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
-    const std::uint64_t n = combined.DepthBucketTotal(d);
-    if (n == 0) continue;
-    std::snprintf(line, sizeof(line), "  %s%zu  %10llu  %s\n",
-                  d + 1 == obs::ShardProvenance::kDepthBuckets ? ">=" : "",
-                  d, static_cast<unsigned long long>(n),
-                  AsciiBar(static_cast<double>(n),
-                           static_cast<double>(depth_max), 40)
-                      .c_str());
-    out += line;
-  }
 
   // Top causes by blast radius.
   const std::vector<CauseRow> top = TopCauses(exchanges, 10);
@@ -225,12 +199,11 @@ std::string FormatAttributionReport(
                                 std::to_string(r.id),
                             obs::ToString(r.kind), Seconds(r.injected) + "s",
                             std::to_string(r.stats.updates),
-                            std::to_string(r.stats.prefixes),
-                            std::to_string(r.stats.max_depth), span});
+                            std::to_string(r.stats.prefixes), span});
     }
-    out += FormatTable({"cause", "kind", "injected", "updates", "routes",
-                        "depth", "active"},
-                       cause_rows);
+    out += FormatTable(
+        {"cause", "kind", "injected", "updates", "routes", "active"},
+        cause_rows);
   }
   return out;
 }
@@ -248,24 +221,20 @@ std::string AttributionJson(
   std::snprintf(line, sizeof(line),
                 "  \"exchanges\": %zu,\n  \"causes\": %zu,\n"
                 "  \"attributed\": %llu,\n  \"unattributed\": %llu,\n"
-                "  \"coverage\": %.6f,\n  \"depth_peak\": %u,\n",
+                "  \"coverage\": %.6f,\n",
                 exchanges.size(), total_causes,
                 static_cast<unsigned long long>(attributed),
                 static_cast<unsigned long long>(combined.unattributed()),
                 total == 0 ? 1.0
                            : static_cast<double>(attributed) /
-                                 static_cast<double>(total),
-                static_cast<unsigned>(combined.depth_peak()));
+                                 static_cast<double>(total));
   out += line;
 
   out += "  \"matrix\": [\n";
   bool first_cell = true;
   for (std::size_t c = 0; c < kNumCategories; ++c) {
     for (std::size_t k = 0; k < obs::kNumCauseKinds; ++k) {
-      std::uint64_t cell = 0;
-      for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
-        cell += combined.MatrixAt(c, k, d);
-      }
+      const std::uint64_t cell = combined.MatrixAt(c, k);
       if (cell == 0) continue;
       std::snprintf(line, sizeof(line),
                     "%s    {\"category\": \"%s\", \"cause\": \"%s\", "
@@ -277,26 +246,18 @@ std::string AttributionJson(
       first_cell = false;
     }
   }
-  out += "\n  ],\n  \"depth_histogram\": [";
-  for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
-    std::snprintf(line, sizeof(line), "%s%llu", d == 0 ? "" : ", ",
-                  static_cast<unsigned long long>(combined.DepthBucketTotal(d)));
-    out += line;
-  }
-  out += "],\n  \"top_causes\": [\n";
+  out += "\n  ],\n  \"top_causes\": [\n";
   const std::vector<CauseRow> top = TopCauses(exchanges, 25);
   for (std::size_t i = 0; i < top.size(); ++i) {
     const CauseRow& r = top[i];
     std::snprintf(
         line, sizeof(line),
         "%s    {\"exchange\": %zu, \"id\": %u, \"kind\": \"%s\", "
-        "\"injected_s\": %.3f, \"updates\": %llu, \"routes\": %llu, "
-        "\"max_depth\": %u}",
+        "\"injected_s\": %.3f, \"updates\": %llu, \"routes\": %llu}",
         i == 0 ? "" : ",\n", r.exchange, r.id, obs::ToString(r.kind),
         static_cast<double>(r.injected.nanos()) / 1e9,
         static_cast<unsigned long long>(r.stats.updates),
-        static_cast<unsigned long long>(r.stats.prefixes),
-        static_cast<unsigned>(r.stats.max_depth));
+        static_cast<unsigned long long>(r.stats.prefixes));
     out += line;
   }
   out += "\n  ]\n}\n";

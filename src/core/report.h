@@ -15,10 +15,9 @@ namespace iri::core {
 std::string FormatCategoryReport(const CategoryCounts& counts);
 
 // Formats the causal attribution report: per-exchange and combined
-// pathology-class x root-cause-kind matrix, the hop-depth histogram, and the
-// top causes by blast radius. All iteration is in fixed order (exchange,
-// class, enum, id), so the text is deterministic. Empty-ish output when
-// provenance is compiled out.
+// pathology-class x root-cause-kind matrix and the top causes by blast
+// radius. All iteration is in fixed order (exchange, class, enum, id), so
+// the text is deterministic.
 std::string FormatAttributionReport(
     std::span<const obs::ExchangeAttribution> exchanges);
 

@@ -2,9 +2,8 @@
 //
 // This is the routing-table workhorse: Loc-RIBs, Adj-RIBs and the topology
 // allocator all store routes in one of these. It supports exact-match
-// insert/lookup/erase, longest-prefix match on addresses, covered-subtree
-// traversal (needed by CIDR aggregation: "is any component of this supernet
-// still reachable?"), and ordered visitation.
+// insert/lookup/erase, longest-prefix match on addresses, and ordered
+// visitation.
 //
 // A unibit trie (one level per bit, max depth 32) is chosen over a
 // path-compressed Patricia tree deliberately: at the paper's table sizes
@@ -77,33 +76,11 @@ class RadixTrie {
     return best;
   }
 
-  // Visits every stored (prefix, value) pair covered by `root` (including
-  // `root` itself), in address order. `fn` is called as fn(Prefix, const T&).
-  template <typename Fn>
-  void VisitCovered(const Prefix& root, Fn&& fn) const {
-    const Node* node = root_.get();
-    for (std::uint8_t i = 0; i < root.length() && node; ++i) {
-      node = node->child[root.Bit(i)].get();
-    }
-    if (node) VisitRec(node, root, fn);
-  }
-
-  // Visits the whole table in address order.
+  // Visits the whole table in address order. `fn` is called as
+  // fn(Prefix, const T&).
   template <typename Fn>
   void Visit(Fn&& fn) const {
     VisitRec(root_.get(), Prefix(), fn);
-  }
-
-  // True if any stored prefix (other than an exact match at `p` itself) is
-  // covered by `p`. Aggregation uses this to decide whether a supernet still
-  // has live components.
-  bool HasCoveredDescendant(const Prefix& p) const {
-    const Node* node = root_.get();
-    for (std::uint8_t i = 0; i < p.length() && node; ++i) {
-      node = node->child[p.Bit(i)].get();
-    }
-    if (!node) return false;
-    return SubtreeHasValueBelow(node);
   }
 
   std::size_t size() const { return size_; }
@@ -156,14 +133,6 @@ class RadixTrie {
     if (here.length() == 32) return;
     if (node->child[0]) VisitRec(node->child[0].get(), here.LowerHalf(), fn);
     if (node->child[1]) VisitRec(node->child[1].get(), here.UpperHalf(), fn);
-  }
-
-  static bool SubtreeHasValueBelow(const Node* node) {
-    for (int b = 0; b < 2; ++b) {
-      const Node* c = node->child[b].get();
-      if (c && (c->value || SubtreeHasValueBelow(c))) return true;
-    }
-    return false;
   }
 
   std::unique_ptr<Node> root_;

@@ -15,11 +15,11 @@
 //     with inter-event gaps under a threshold, the paper's "fine-grained
 //     instability" grouped the way RIPE-style collectors sessionize flaps.
 //
-// Every detector emits IRI_TRACE alert events (compiled out with the trace
-// layer) and health.* instruments in the partition's registry, so alerts
-// merge across exchanges in fixed order exactly like every other metric —
-// byte-identical at any worker-thread count. Detectors never touch RNG,
-// routers or the scheduler: observing health cannot perturb the run.
+// Every detector emits IRI_TRACE alert events and health.* instruments in
+// the partition's registry, so alerts merge across exchanges in fixed order
+// exactly like every other metric — byte-identical at any worker-thread
+// count. Detectors never touch RNG, routers or the scheduler: observing
+// health cannot perturb the run.
 //
 // Lives in obs (not core): it consumes only tick-sampled counts and peer
 // ids, so the obs -> {obs, netbase} layer boundary stays closed

@@ -14,11 +14,6 @@
 // not noise. Traces buffer in memory per partition (one Tracer per
 // ExchangeScenario, private to its worker); the multi-exchange runner moves
 // each partition's buffer into its ExchangeRun when asked to capture it.
-//
-// Emission sites go through the IRI_TRACE macro, which compiles to nothing
-// when the IRI_TRACE CMake option is OFF — the acceptance bar is <= 2%
-// micro_perf cost in that configuration, so arguments must not be evaluated
-// when compiled out.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +75,6 @@ class TraceEvent {
 // IRI_TRACE(tracer, now, type)                      — bare event
 // IRI_TRACE(tracer, now, type, .Str("k", v).U64(...)) — event with fields
 //
-// `tracer` is an obs::Tracer* (null disables the site at runtime); the whole
-// statement, arguments included, compiles out when the IRI_TRACE CMake
-// option is OFF (no IRI_TRACE_ENABLED definition).
-#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
+// `tracer` is an obs::Tracer*; a null tracer disables the site at runtime.
 #define IRI_TRACE(tracer, now, type, ...) \
   ::iri::obs::TraceEvent((tracer), (now), (type)) __VA_ARGS__
-#else
-#define IRI_TRACE(tracer, now, type, ...) ((void)0)
-#endif

@@ -99,7 +99,7 @@ class Link {
   std::string name_;
   obs::Tracer* tracer_ = nullptr;
   obs::ProvenanceContext* prov_ = nullptr;
-  [[no_unique_address]] obs::CauseTag transition_cause_;
+  obs::CauseTag transition_cause_;
   obs::Counter* fails_ = nullptr;
   obs::Counter* restores_ = nullptr;
   obs::Counter* messages_metric_ = nullptr;

@@ -99,8 +99,7 @@ void Router::AttachObservability(obs::Registry* registry,
 
 void Router::Originate(const bgp::Route& route) {
   if (crashed_) return;
-  // Injection entry point: ops emitted for this change carry the ambient
-  // cause (depth 0 — this is the router where the fault was injected).
+  // Injection entry point: ops emitted for this change carry the ambient cause.
   const obs::CauseTag cause = AmbientCause();
   // Local routes win the decision against any learned path. The scratch
   // member keeps its buffer capacity across the scenario's hundreds of
@@ -479,23 +478,19 @@ bool Router::DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
 void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
                            const obs::CauseVec& causes) {
   Peer& p = peers_[from];
-  // Prefixes whose best route changed, paired with the (depth-bumped) cause
-  // of the wire event that changed them. The tag is zero bytes when
-  // provenance is compiled out, so this is the old vector<Prefix>.
+  // Prefixes whose best route changed, paired with the cause of the wire
+  // event that changed them.
   struct ChangedEntry {
     Prefix prefix;
-    [[no_unique_address]] obs::CauseTag cause{};
+    obs::CauseTag cause{};
   };
   std::vector<ChangedEntry> changed;
 
   // The sideband is aligned with wire event order: withdrawn, then NLRI.
-  // Re-propagating a received event moves it one hop further from its root.
   std::size_t ev = 0;
   const auto next_cause = [&causes, &ev]() -> obs::CauseTag {
-    const obs::CauseTag tag =
-        ev < causes.size() ? causes[ev] : obs::CauseTag{};
-    ++ev;
-    return tag.Bumped();
+    const std::size_t i = ev++;
+    return i < causes.size() ? causes[i] : obs::CauseTag{};
   };
 
   for (const Prefix& w : update.withdrawn) {
@@ -639,20 +634,17 @@ void Router::FlushPeer(bgp::PeerId id) {
   if (final_ops_.empty()) return;
 
   // The packer reorders ops (attribute grouping), so it builds the per-
-  // message cause sideband itself; skip the work entirely when compiled out.
+  // message cause sideband itself.
   std::vector<obs::CauseVec> msg_causes;
-  std::vector<bgp::UpdateMessage> msgs = bgp::PackUpdates(
-      final_ops_, rib_.attrs(),
-      obs::kProvenanceEnabled ? &msg_causes : nullptr);
+  std::vector<bgp::UpdateMessage> msgs =
+      bgp::PackUpdates(final_ops_, rib_.attrs(), &msg_causes);
   for (std::size_t m = 0; m < msgs.size(); ++m) {
     const bgp::UpdateMessage& msg = msgs[m];
     // Marshaling cost per outbound prefix.
     ChargeCpu(config_.cost_per_prefix *
               (0.25 * static_cast<double>(msg.withdrawn.size() + msg.nlri.size())));
     if (crashed_) return;
-    SendMessage(id, msg, /*priority=*/false,
-                m < msg_causes.size() ? std::move(msg_causes[m])
-                                      : obs::CauseVec{});
+    SendMessage(id, msg, /*priority=*/false, std::move(msg_causes[m]));
   }
 }
 

@@ -135,7 +135,7 @@ class Router : public LinkEndpoint {
   // message's received wire bytes (valid only for the duration of the call),
   // so the monitor's MRT logger can write them without re-encoding. `causes`
   // is the message's provenance sideband (withdrawn-then-NLRI order; empty
-  // for untagged senders or when provenance is compiled out).
+  // for untagged senders).
   using UpdateTap = std::function<void(TimePoint now, bgp::PeerId peer,
                                        bgp::Asn peer_asn,
                                        const bgp::UpdateMessage& update,
@@ -263,7 +263,7 @@ class Router : public LinkEndpoint {
   bool DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
                       bgp::AttrSetId attrs);
   // Re-exports the new state of `prefix` to every eligible peer, stamping
-  // emitted ops with `cause` (already depth-bumped for re-propagation).
+  // emitted ops with `cause`.
   void PropagateChange(const Prefix& prefix, obs::CauseTag cause);
   // Stateless pathology: spray a withdrawal at every established peer,
   // bypassing export policy and Adj-RIB-Out.

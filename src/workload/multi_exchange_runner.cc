@@ -78,7 +78,6 @@ std::string MultiExchangeResult::Digest(
     out += line;
     out += "timeseries.end\n";
   }
-#if defined(IRI_PROVENANCE_ENABLED) && IRI_PROVENANCE_ENABLED
   // Causal attribution rollup, merged in exchange order (the fixed-order
   // contract: ShardProvenance::Merge is an iri_det aggregation sink). The
   // matrix lines iterate (category, kind) in enum order and skip zero cells,
@@ -94,14 +93,9 @@ std::string MultiExchangeResult::Digest(
     add("causes", causes);
     add("attributed", rollup.attributed());
     add("unattributed", rollup.unattributed());
-    add("depth_peak", rollup.depth_peak());
     for (std::size_t c = 0; c < core::kNumCategories; ++c) {
       for (std::size_t kind = 0; kind < obs::kNumCauseKinds; ++kind) {
-        std::uint64_t cell = 0;
-        for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets;
-             ++d) {
-          cell += rollup.MatrixAt(c, kind, d);
-        }
+        const std::uint64_t cell = rollup.MatrixAt(c, kind);
         if (cell == 0) continue;
         std::snprintf(line, sizeof(line), "attr.%s.%s=%llu\n",
                       core::ToString(static_cast<core::Category>(c)),
@@ -112,7 +106,6 @@ std::string MultiExchangeResult::Digest(
     }
     out += "provenance.end\n";
   }
-#endif
   return out;
 }
 
@@ -153,11 +146,9 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     run.series_records = scenario.series().records();
     run.series_crc32 = scenario.series().crc32();
     run.series_bytes = scenario.series().bytes();
-    if constexpr (obs::kProvenanceEnabled) {
-      run.attribution.observed.Merge(
-          scenario.monitor().classifier().provenance());
-      run.attribution.causes = scenario.provenance().infos();
-    }
+    run.attribution.observed.Merge(
+        scenario.monitor().classifier().provenance());
+    run.attribution.causes = scenario.provenance().infos();
   });
 
   // The merge happens on the calling thread, in exchange order, after every

@@ -74,7 +74,6 @@ struct ExchangeRun {
   // matrix plus the cause table minted by this partition's scenario. Cause
   // ids are partition-local (dense, allocation-ordered), so attribution is
   // reported per exchange rather than renumbered into a global space.
-  // Empty when IRI_PROVENANCE=OFF.
   obs::ExchangeAttribution attribution;
 };
 

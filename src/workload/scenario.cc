@@ -596,24 +596,16 @@ void ExchangeScenario::ScheduleDaily(std::function<void(int day)> fn) {
 
 void ExchangeScenario::RunUntil(TimePoint t) {
   sched_.RunUntil(t);
-  if constexpr (obs::kProvenanceEnabled) {
-    // Registered only when compiled in, so an IRI_PROVENANCE=OFF build's
-    // snapshot is byte-identical to a never-enabled one.
-    obs::ShardProvenance combined;
-    for (auto& monitor : monitors_) {
-      combined.Merge(monitor->classifier().provenance());
-    }
-    metrics_.GetGauge("provenance.causes")
-        .Set(static_cast<std::int64_t>(prov_.Count()));
-    metrics_.GetGauge("provenance.events_attributed")
-        .Set(static_cast<std::int64_t>(combined.attributed()));
-    metrics_.GetGauge("provenance.events_unattributed")
-        .Set(static_cast<std::int64_t>(combined.unattributed()));
-    metrics_
-        .GetGauge("provenance.depth_peak", obs::Stability::kDeterministic,
-                  obs::GaugeMerge::kMax)
-        .Set(static_cast<std::int64_t>(combined.depth_peak()));
+  obs::ShardProvenance combined;
+  for (auto& monitor : monitors_) {
+    combined.Merge(monitor->classifier().provenance());
   }
+  metrics_.GetGauge("provenance.causes")
+      .Set(static_cast<std::int64_t>(prov_.Count()));
+  metrics_.GetGauge("provenance.events_attributed")
+      .Set(static_cast<std::int64_t>(combined.attributed()));
+  metrics_.GetGauge("provenance.events_unattributed")
+      .Set(static_cast<std::int64_t>(combined.unattributed()));
 }
 
 double ExchangeScenario::TableShare(int provider) const {

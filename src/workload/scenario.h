@@ -232,9 +232,8 @@ class ExchangeScenario {
     double episode_down_frac = 1.0;
     double episode_up_frac = 1.0;
     // The cause allocated at episode start; every beat re-scopes it so the
-    // whole episode's updates attribute to one root. Zero bytes when
-    // provenance is compiled out.
-    [[no_unique_address]] obs::CauseTag episode_cause;
+    // whole episode's updates attribute to one root.
+    obs::CauseTag episode_cause;
   };
 
   void Build();
@@ -327,7 +326,7 @@ class ExchangeScenario {
   std::vector<int> upgrade_temporaries_;  // customers dual-announced ad hoc
   // The upgrade incident's cause: allocated at incident start, re-scoped by
   // every bounce and by the cleanup at incident end.
-  [[no_unique_address]] obs::CauseTag upgrade_cause_;
+  obs::CauseTag upgrade_cause_;
   std::vector<int> patho_table_;   // customer indices the patho ISP carries
   int patho_provider_ = -1;
   double saturday_boost_ = 1.0;    // active spike multiplier

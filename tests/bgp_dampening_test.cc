@@ -170,7 +170,6 @@ TEST_P(DampeningDecay, MonotoneDecay) {
 INSTANTIATE_TEST_SUITE_P(HalfLives, DampeningDecay,
                          ::testing::Values(5, 15, 30, 60));
 
-#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
 TEST(DampeningTrace, SuppressAndReleaseEmitExactJsonlBytes) {
   Dampener d;
   obs::Tracer tracer;
@@ -196,7 +195,6 @@ TEST(DampeningTrace, NoTracerMeansNoEmission) {
   EXPECT_EQ(d.OnWithdraw(kRoute, T(0)), DampVerdict::kSuppressed);
   SUCCEED();  // null tracer: the sites are runtime no-ops
 }
-#endif
 
 }  // namespace
 }  // namespace iri::bgp

@@ -24,7 +24,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/provenance.h"
 #include "workload/multi_exchange_runner.h"
 
 #ifndef IRI_GOLDEN_DIR
@@ -120,31 +119,6 @@ std::string GoldenPath(const GoldenCase& c) {
   return std::string(IRI_GOLDEN_DIR) + "/" + c.name + ".digest";
 }
 
-// Committed goldens are blessed with IRI_PROVENANCE=ON (the default). An
-// OFF build must produce the same bytes minus the provenance digest section
-// and the provenance.* gauges — nothing else may move — so strip exactly
-// those from the committed text before comparing. Under ON this is the
-// identity, keeping the committed bytes authoritative.
-std::string StripProvenance(std::string digest) {
-  if (obs::kProvenanceEnabled) return digest;
-  const auto begin = digest.find("provenance.begin\n");
-  if (begin != std::string::npos) {
-    const std::string end_key = "provenance.end\n";
-    const auto end = digest.find(end_key, begin);
-    if (end != std::string::npos) {
-      digest.erase(begin, end + end_key.size() - begin);
-    }
-  }
-  const std::string gauge_key = "gauge provenance.";
-  std::size_t pos = 0;
-  while ((pos = digest.find(gauge_key, pos)) != std::string::npos) {
-    const auto eol = digest.find('\n', pos);
-    digest.erase(pos,
-                 eol == std::string::npos ? std::string::npos : eol + 1 - pos);
-  }
-  return digest;
-}
-
 class GoldenRun : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenRun, MatchesCommittedDigestAtEveryThreadCount) {
@@ -187,9 +161,6 @@ TEST_P(GoldenRun, MatchesCommittedDigestAtEveryThreadCount) {
 
   const std::string path = GoldenPath(c);
   if (g_regen) {
-    ASSERT_TRUE(obs::kProvenanceEnabled)
-        << "re-bless goldens from an IRI_PROVENANCE=ON build (the default); "
-        << "an OFF build would commit digests missing the provenance bytes";
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << serial;
@@ -203,7 +174,7 @@ TEST_P(GoldenRun, MatchesCommittedDigestAtEveryThreadCount) {
       << " — run ./golden_run_test --regen and commit the result";
   std::stringstream committed;
   committed << in.rdbuf();
-  EXPECT_EQ(StripProvenance(committed.str()), serial)
+  EXPECT_EQ(committed.str(), serial)
       << c.name << ": output drifted from the committed golden digest. If "
       << "the behaviour change is intentional, re-bless with --regen.";
 }

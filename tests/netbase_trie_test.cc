@@ -80,37 +80,15 @@ TEST(RadixTrie, VisitInAddressOrder) {
   EXPECT_EQ(order[2], P("192.0.0.0/8"));
 }
 
-TEST(RadixTrie, VisitCoveredSubtree) {
-  RadixTrie<int> trie;
-  trie.Insert(P("10.0.0.0/8"), 0);
-  trie.Insert(P("10.1.0.0/16"), 1);
-  trie.Insert(P("10.1.2.0/24"), 2);
-  trie.Insert(P("10.2.0.0/16"), 3);
-  trie.Insert(P("11.0.0.0/8"), 4);
-
-  std::vector<int> seen;
-  trie.VisitCovered(P("10.1.0.0/16"),
-                    [&seen](const Prefix&, const int& v) { seen.push_back(v); });
-  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
-}
-
-TEST(RadixTrie, HasCoveredDescendant) {
-  RadixTrie<int> trie;
-  trie.Insert(P("10.1.2.0/24"), 1);
-  EXPECT_TRUE(trie.HasCoveredDescendant(P("10.0.0.0/8")));
-  EXPECT_TRUE(trie.HasCoveredDescendant(P("10.1.0.0/16")));
-  // Exact match does not count as a descendant.
-  EXPECT_FALSE(trie.HasCoveredDescendant(P("10.1.2.0/24")));
-  EXPECT_FALSE(trie.HasCoveredDescendant(P("11.0.0.0/8")));
-}
-
 TEST(RadixTrie, ErasePrunesBranches) {
   RadixTrie<int> trie;
   trie.Insert(P("10.1.2.0/24"), 1);
   trie.Erase(P("10.1.2.0/24"));
   // After pruning, nothing under 10/8 remains.
-  EXPECT_FALSE(trie.HasCoveredDescendant(P("10.0.0.0/8")));
   EXPECT_TRUE(trie.empty());
+  int visited = 0;
+  trie.Visit([&visited](const Prefix&, const int&) { ++visited; });
+  EXPECT_EQ(visited, 0);
 }
 
 TEST(RadixTrie, EraseKeepsAncestorsAndDescendants) {

@@ -1,9 +1,6 @@
 // Unit coverage for the causal-provenance layer (obs/provenance.h): cause
-// allocation, ambient scoping, depth bumping, the attribution matrix, and
-// the fixed-order merge contract. The ON-only sections touch CauseTag's
-// data members, which the IRI_PROVENANCE=OFF stand-in deliberately lacks,
-// so they are preprocessor-guarded; the OFF build instead proves the
-// stand-ins swallow every call at zero cost.
+// allocation, ambient scoping, the attribution matrix, and the fixed-order
+// merge contract.
 #include "obs/provenance.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +10,6 @@
 namespace iri::obs {
 namespace {
 
-#if defined(IRI_PROVENANCE_ENABLED) && IRI_PROVENANCE_ENABLED
-
 TEST(ProvenanceContext, AllocatesDenseIdsInOrder) {
   ProvenanceContext ctx;
   const CauseTag a = ctx.Allocate(CauseKind::kCustomerFlap, TimePoint::Origin());
@@ -23,7 +18,6 @@ TEST(ProvenanceContext, AllocatesDenseIdsInOrder) {
   EXPECT_EQ(a.id, 1u);
   EXPECT_EQ(b.id, 2u);
   EXPECT_EQ(a.Kind(), CauseKind::kCustomerFlap);
-  EXPECT_EQ(a.Depth(), 0u);
   ASSERT_EQ(ctx.Count(), 2u);
   EXPECT_EQ(ctx.infos()[0].kind, CauseKind::kCustomerFlap);
   EXPECT_EQ(ctx.infos()[1].kind, CauseKind::kMaintenance);
@@ -48,19 +42,9 @@ TEST(ProvenanceContext, CauseScopeSetsAndRestoresAmbientCause) {
   EXPECT_TRUE(ctx.Current().IsNull());
 }
 
-TEST(CauseTag, BumpedSaturatesDepth) {
-  CauseTag tag{1, static_cast<std::uint8_t>(CauseKind::kUpgrade), 0};
-  tag = tag.Bumped();
-  EXPECT_EQ(tag.Depth(), 1u);
-  tag.depth = 255;
-  EXPECT_EQ(tag.Bumped().Depth(), 255u) << "depth must saturate, not wrap";
-  EXPECT_EQ(tag.Bumped().id, tag.id) << "bumping must preserve identity";
-}
-
 TEST(ShardProvenance, RecordsMatrixCellsAndBlastRadius) {
   ShardProvenance prov;
-  const CauseTag cause{3, static_cast<std::uint8_t>(CauseKind::kMaintenance),
-                       2};
+  const CauseTag cause{3, static_cast<std::uint8_t>(CauseKind::kMaintenance)};
   const TimePoint t0 = TimePoint::Origin() + Duration::Seconds(10);
   const TimePoint t1 = TimePoint::Origin() + Duration::Seconds(40);
   prov.Record(/*cls=*/1, cause, t0, /*first_touch=*/true);
@@ -69,39 +53,25 @@ TEST(ShardProvenance, RecordsMatrixCellsAndBlastRadius) {
 
   EXPECT_EQ(prov.attributed(), 2u);
   EXPECT_EQ(prov.unattributed(), 1u);
-  EXPECT_EQ(prov.depth_peak(), 2u);
-  EXPECT_EQ(prov.MatrixAt(1, static_cast<std::size_t>(CauseKind::kMaintenance),
-                          2),
+  EXPECT_EQ(prov.MatrixAt(1, static_cast<std::size_t>(CauseKind::kMaintenance)),
             2u);
   EXPECT_EQ(prov.ClassTotal(1), 2u);
   EXPECT_EQ(prov.ClassAttributed(1), 2u);
   EXPECT_EQ(prov.ClassTotal(2), 1u);
   EXPECT_EQ(prov.ClassAttributed(2), 0u);
-  EXPECT_EQ(prov.DepthBucketTotal(2), 2u);
 
   ASSERT_EQ(prov.cause_stats().size(), 3u) << "stats are id-indexed (id-1)";
   const auto& s = prov.cause_stats()[2];
   EXPECT_EQ(s.updates, 2u);
   EXPECT_EQ(s.prefixes, 1u) << "only first touches count toward blast radius";
-  EXPECT_EQ(s.max_depth, 2u);
   EXPECT_EQ(s.first_seen, t0);
   EXPECT_EQ(s.last_seen, t1);
-}
-
-TEST(ShardProvenance, DepthBucketsOverflowIntoLast) {
-  ShardProvenance prov;
-  const CauseTag deep{1, static_cast<std::uint8_t>(CauseKind::kPathChange),
-                      42};
-  prov.Record(0, deep, TimePoint::Origin(), true);
-  EXPECT_EQ(prov.DepthBucketTotal(ShardProvenance::kDepthBuckets - 1), 1u);
-  EXPECT_EQ(prov.depth_peak(), 42u) << "peak keeps the unbucketed depth";
 }
 
 TEST(ShardProvenance, MergeSumsMatrixAndCombinesStats) {
   const TimePoint t0 = TimePoint::Origin();
   const TimePoint t1 = TimePoint::Origin() + Duration::Minutes(1);
-  const CauseTag cause{1, static_cast<std::uint8_t>(CauseKind::kOscillation),
-                       1};
+  const CauseTag cause{1, static_cast<std::uint8_t>(CauseKind::kOscillation)};
   ShardProvenance a, b;
   a.Record(0, cause, t0, true);
   b.Record(0, cause, t1, true);
@@ -113,7 +83,7 @@ TEST(ShardProvenance, MergeSumsMatrixAndCombinesStats) {
   EXPECT_EQ(merged.attributed(), 2u);
   EXPECT_EQ(merged.unattributed(), 1u);
   EXPECT_EQ(
-      merged.MatrixAt(0, static_cast<std::size_t>(CauseKind::kOscillation), 1),
+      merged.MatrixAt(0, static_cast<std::size_t>(CauseKind::kOscillation)),
       2u);
   ASSERT_EQ(merged.cause_stats().size(), 1u);
   EXPECT_EQ(merged.cause_stats()[0].updates, 2u);
@@ -123,38 +93,6 @@ TEST(ShardProvenance, MergeSumsMatrixAndCombinesStats) {
   EXPECT_TRUE(ShardProvenance{}.Empty());
   EXPECT_FALSE(merged.Empty());
 }
-
-#else  // IRI_PROVENANCE compiled out
-
-TEST(ProvenanceContext, OffBuildAllocatesNothing) {
-  ProvenanceContext ctx;
-  const CauseTag a = ctx.Allocate(CauseKind::kCustomerFlap, TimePoint::Origin());
-  EXPECT_TRUE(a.IsNull());
-  EXPECT_EQ(a.Kind(), CauseKind::kNone);
-  EXPECT_EQ(ctx.Count(), 0u);
-  EXPECT_TRUE(ctx.Current().IsNull());
-  {
-    CauseScope scope(&ctx, CauseKind::kCsuEpisode, TimePoint::Origin());
-    EXPECT_TRUE(ctx.Current().IsNull()) << "OFF scopes must install nothing";
-  }
-  EXPECT_TRUE(ctx.Current().IsNull());
-}
-
-TEST(ShardProvenance, OffBuildIsZeroCost) {
-  // The OFF stand-ins must take no space in the structs that embed them via
-  // [[no_unique_address]] and swallow every call without effect.
-  ShardProvenance prov;
-  prov.Record(0, CauseTag{}, TimePoint::Origin(), true);
-  EXPECT_EQ(prov.attributed(), 0u);
-  EXPECT_EQ(prov.unattributed(), 0u);
-  EXPECT_TRUE(prov.Empty());
-  CauseVec vec;
-  vec.push_back(CauseTag{});
-  EXPECT_TRUE(vec.empty()) << "OFF-mode CauseVec must stay empty";
-  EXPECT_EQ(CauseTag{}.Bumped().Depth(), 0u);
-}
-
-#endif  // IRI_PROVENANCE_ENABLED
 
 TEST(CauseKindNames, EveryKindHasAStableName) {
   for (std::size_t k = 0; k < kNumCauseKinds; ++k) {

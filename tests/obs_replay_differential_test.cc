@@ -36,12 +36,10 @@ TEST(ReplayDifferential, OfflineReplayReproducesLiveMonitorState) {
 
   const auto& live_monitor = scenario.monitor();
   ASSERT_GT(live_monitor.messages_seen(), 0u) << "scenario produced no taps";
-#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
   // The same run also exercises the structured trace layer: session
   // establishment alone must have emitted fsm events.
   EXPECT_GT(scenario.trace().events(), 0u);
   EXPECT_NE(scenario.trace().buffer().find("\"ev\":\"fsm\""), std::string::npos);
-#endif
   const std::string live_snapshot =
       scenario.metrics().SnapshotText(false, "monitor.");
   ASSERT_NE(live_snapshot.find("counter monitor.messages "), std::string::npos);

@@ -399,6 +399,88 @@ TEST(Router, SprayWithdrawalsNoOpWhenStateful) {
   EXPECT_EQ(b_tap.withdrawn, 0u);
 }
 
+// Cause tags are a sideband: wiring one ProvenanceContext through every
+// router and link must not move a byte on the wire. The same chain runs
+// twice, fully tagged and with no context at all (the null-context path
+// unit tests and offline replay use), driven through every injection entry
+// point; C must receive the same UPDATEs at the same times either way.
+TEST(Router, CauseTagsNeverChangeTheWire) {
+  struct Received {
+    TimePoint time;
+    bgp::PeerId peer = 0;
+    std::vector<std::uint8_t> wire;
+    bool operator==(const Received&) const = default;
+  };
+  struct Capture {
+    std::vector<Received> updates;
+    obs::CauseVec causes;  // every sideband tag, in arrival order
+  };
+  const auto run = [](bool tagged) {
+    Capture cap;
+    Net net;
+    obs::ProvenanceContext ctx;
+    obs::ProvenanceContext* prov = tagged ? &ctx : nullptr;
+    Router& a = net.AddRouter("A", 100, Stateless());
+    Router& b = net.AddRouter("B", 200);
+    Router& c = net.AddRouter("C", 300);
+    net.Connect(a, b);
+    net.Connect(b, c);
+    for (auto& router : net.routers) router->SetProvenance(prov);
+    for (auto& link : net.links) link->SetProvenance(prov);
+    c.SetUpdateTap([&cap](TimePoint now, bgp::PeerId peer, bgp::Asn,
+                          const bgp::UpdateMessage&,
+                          std::span<const std::uint8_t> wire,
+                          const obs::CauseVec& causes) {
+      cap.updates.push_back({now, peer, {wire.begin(), wire.end()}});
+      cap.causes.insert(cap.causes.end(), causes.begin(), causes.end());
+    });
+    net.Start();
+
+    // Three prefixes sharing one attribute set, each under its own cause,
+    // inside one flush window: the packer must still send one UPDATE.
+    const std::vector<Prefix> prefixes = {P("192.42.113.0/24"),
+                                          P("192.42.114.0/24"),
+                                          P("192.42.115.0/24")};
+    const obs::CauseKind kinds[] = {obs::CauseKind::kCustomerFlap,
+                                    obs::CauseKind::kMultihoming,
+                                    obs::CauseKind::kFailover};
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
+      obs::CauseScope scope(prov, kinds[i], net.sched.Now());
+      a.Originate(LocalRoute(prefixes[i].ToString()));
+    }
+    net.Settle();
+    {
+      obs::CauseScope scope(prov, obs::CauseKind::kCustomerFlap,
+                            net.sched.Now());
+      a.WithdrawLocal(prefixes[2]);
+    }
+    net.Settle();
+    {
+      obs::CauseScope scope(prov, obs::CauseKind::kInternalReset,
+                            net.sched.Now());
+      a.InternalReset();
+    }
+    net.Settle();
+    {
+      obs::CauseScope scope(prov, obs::CauseKind::kPathoSpray,
+                            net.sched.Now());
+      a.SprayWithdrawals(prefixes);
+    }
+    net.Settle(Duration::Seconds(30));
+    return cap;
+  };
+
+  const Capture tagged = run(true);
+  const Capture untagged = run(false);
+  ASSERT_FALSE(tagged.updates.empty());
+  EXPECT_EQ(tagged.updates, untagged.updates)
+      << "cause tags changed what C received on the wire";
+  ASSERT_FALSE(tagged.causes.empty());
+  EXPECT_EQ(tagged.causes.size(), untagged.causes.size());
+  for (const obs::CauseTag& tag : tagged.causes) EXPECT_FALSE(tag.IsNull());
+  for (const obs::CauseTag& tag : untagged.causes) EXPECT_TRUE(tag.IsNull());
+}
+
 TEST(Router, TransparentModeKeepsPathAndNextHop) {
   Net net;
   RouterConfig rs_cfg;
