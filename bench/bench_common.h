@@ -1,5 +1,5 @@
 // Shared plumbing for the reproduction benches: flag parsing, scenario
-// header printing, and full-scale extrapolation.
+// header printing, full-scale extrapolation and checked file output.
 //
 // Every bench accepts:
 //   --scale=N      universe is 1/N of the paper's 42k prefixes
@@ -8,17 +8,46 @@
 //   --seed=S
 // and prints the paper-comparable rows for its table/figure. Absolute
 // magnitudes are reported both raw and extrapolated to paper scale
-// (multiplied by N); shapes are scale-invariant.
+// (multiplied by N); shapes are scale-invariant. A --scale, --days or
+// --providers value out of range ends the bench with exit code 2.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
+#include "topology/universe.h"
 #include "workload/scenario.h"
 
 namespace iri::bench {
+
+// A --days or --scale value: the whole text must be a finite number above
+// zero. Anything else ends the bench with exit code 2 and a one-line reason.
+inline double PositiveNumber(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    std::fprintf(stderr, "%s=%s: expected a positive number\n", flag, text);
+    std::exit(2);
+  }
+  return v;
+}
+
+// A --providers value: a whole integer in 1..topology::kMaxProviders, else
+// exit code 2 with a one-line reason.
+inline int ProviderCount(const char* text) {
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || v < 1 || v > topology::kMaxProviders) {
+    std::fprintf(stderr, "--providers=%s: expected an integer in 1..%d\n",
+                 text, topology::kMaxProviders);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
 
 struct Flags {
   double scale_denominator = 64;
@@ -44,11 +73,11 @@ struct Flags {
         return nullptr;
       };
       if (const char* v = value("--scale")) {
-        flags.scale_denominator = std::atof(v);
+        flags.scale_denominator = PositiveNumber("--scale", v);
       } else if (const char* v = value("--days")) {
-        flags.days = std::atof(v);
+        flags.days = PositiveNumber("--days", v);
       } else if (const char* v = value("--providers")) {
-        flags.providers = std::atoi(v);
+        flags.providers = ProviderCount(v);
       } else if (const char* v = value("--seed")) {
         flags.seed = static_cast<std::uint64_t>(std::atoll(v));
       } else if (arg == "--help") {
@@ -87,15 +116,18 @@ inline double FullScale(double value, const Flags& flags) {
   return value * flags.scale_denominator;
 }
 
-// True when any argument starts with `prefix`. The google-benchmark mains
-// use this to inject a default --benchmark_out destination (the file
-// tools/bench/compare.py diffs) only when the caller didn't pick their own.
-inline bool HasArgPrefix(int argc, char** argv, const char* prefix) {
-  const std::size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) return true;
+// Writes `text` to `path`, replacing it. Every step is checked: a full disk
+// or a failed close reports "write to <path> failed" and returns false.
+inline bool WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
   }
-  return false;
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "write to %s failed\n", path.c_str());
+  return ok;
 }
 
 // One-line digest of the health.* instruments a run's streaming detectors

@@ -123,6 +123,12 @@ class Reader {
   bool ok() const { return ok_; }
   std::uint64_t records_read() const { return records_; }
   std::uint64_t crc_failures() const { return crc_failures_; }
+  // Bytes taken so far by returned records and counted CRC skips.
+  std::size_t bytes_consumed() const { return pos_; }
+  // True once every byte went into a record or a counted CRC skip. After
+  // Next() has returned nullopt, false means the log ends on a damaged
+  // length field or on a tail shorter than one record.
+  bool complete() const { return pos_ == data_.size(); }
 
   // Next record, or nullopt at end-of-log. Records failing CRC are counted
   // and skipped (the read re-synchronizes on the following record because

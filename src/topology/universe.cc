@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "core/invariants.h"
 #include "netbase/rng.h"
 
 namespace iri::topology {
@@ -49,6 +50,9 @@ int Universe::MultihomedAt(TimePoint t) const {
 
 Universe GenerateUniverse(const TopologyConfig& config,
                           Duration scenario_length) {
+  IRI_ASSERT(config.num_providers >= 1 &&
+                 config.num_providers <= kMaxProviders,
+             "num_providers must be in 1..kMaxProviders");
   Universe u;
   u.config = config;
   Rng rng(config.seed);

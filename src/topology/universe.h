@@ -24,6 +24,10 @@
 
 namespace iri::topology {
 
+// Most providers one exchange can hold: provider i's router id and
+// interface address end in octet 10 + i.
+inline constexpr int kMaxProviders = 246;
+
 struct TopologyConfig {
   // Fraction of the paper's universe (42,000 prefixes / 1,300 ASes) to
   // generate. 1.0 is paper scale; benches default far lower and report it.
@@ -31,6 +35,7 @@ struct TopologyConfig {
 
   // Providers peering at the exchange (Mae-East hosted ~60; the route
   // servers peered with >90% of them; we default lower for tractability).
+  // 1..kMaxProviders.
   int num_providers = 16;
 
   // Paper full-scale reference numbers, scaled by `scale`.

@@ -146,9 +146,9 @@ struct ScenarioConfig {
   // Period of the sim-time flush event that drains the series instruments
   // into JSONL records and feeds the health detectors. Zero (or negative)
   // disables the whole telemetry path: no flush events, no per-event series
-  // cost beyond a null check (the micro_perf regression gate's
-  // configuration). Must divide the timer periods HealthConfig watches for
-  // the periodicity score to see them (10 s against 30 s/60 s by default).
+  // cost beyond a null check. Must divide the timer periods HealthConfig
+  // watches for the periodicity score to see them (10 s against 30 s/60 s by
+  // default).
   Duration series_flush_interval = Duration::Seconds(10);
   // EWMA smoothing for the counter series' per-window averages.
   double series_ewma_alpha = 0.3;

@@ -81,9 +81,9 @@ MultiExchangeConfig FiveExchange() {
 // The tentpole's smoke guard: the paper corpus shape itself —
 // scale_denominator = 1 (the full 42k-prefix universe), 16 providers, all
 // five collectors — over a window short enough for CI. Pins byte-for-byte
-// behaviour AND thread-count independence of exactly the configuration
-// bench/full_paper.cc times, so a perf-motivated change that moves any
-// full-scale output byte fails here before it can skew the bench.
+// behaviour AND thread-count independence of the corpus configuration
+// bench/full_paper.cc runs and perfbench times, so a perf-motivated change
+// that moves any full-scale output byte fails here.
 MultiExchangeConfig FullPaperSmoke() {
   MultiExchangeConfig cfg;
   cfg.scenario.topology.scale = 1.0;

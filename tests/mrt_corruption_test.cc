@@ -145,6 +145,7 @@ TEST(MrtCorruption, UndamagedStreamReadsBack) {
   EXPECT_EQ(ReadAll(c, reader), expected);
   EXPECT_EQ(reader.crc_failures(), 0u);
   EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.complete());
 }
 
 TEST(MrtCorruption, EverySingleByteFlipIsRejected) {
@@ -208,6 +209,9 @@ TEST(MrtCorruption, TruncationEndsTheReadCleanly) {
     }
     EXPECT_EQ(reader.crc_failures(), 0u) << "cut at " << cut;
     EXPECT_FALSE(reader.Next().has_value()) << "cut at " << cut;
+    // Only a cut on a record boundary leaves no unread tail.
+    EXPECT_EQ(reader.complete(), c.offsets[complete] == cut)
+        << "cut at " << cut;
   }
 }
 

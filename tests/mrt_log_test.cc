@@ -109,6 +109,8 @@ TEST(MrtLog, CorruptLengthFieldStopsRead) {
   Reader reader(bytes);
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_FALSE(reader.ok());
+  EXPECT_FALSE(reader.complete());
+  EXPECT_EQ(reader.bytes_consumed(), 0u);
 }
 
 TEST(MrtLog, FileRoundTrip) {

@@ -3,7 +3,7 @@
 // not of the universe size, so running the same seed at different
 // scale_denominator values must reproduce the same mix. This is what makes
 // the cheap CI-scale runs (1/64) evidence about the full-paper-scale
-// configuration (bench/full_paper.cc at scale_denominator = 1): if shares
+// corpus (bench/full_paper.cc and perfbench, scale_denominator = 1): if shares
 // drifted with scale, small-scale results would say nothing about Table 1.
 //
 // Absolute magnitudes DO scale (that's the point of the knob) — only the

@@ -210,5 +210,24 @@ TEST(Universe, DifferentSeedsDiffer) {
   EXPECT_TRUE(any_diff);
 }
 
+// Provider i's router id ends in octet 10 + i, so the provider count must
+// stay in 1..kMaxProviders; zero would index an empty provider list.
+TEST(UniverseDeathTest, ProviderCountOutOfRangeIsAnInvariantFailure) {
+  TopologyConfig cfg = SmallConfig();
+  cfg.num_providers = 0;
+  EXPECT_DEATH(GenerateUniverse(cfg, Duration::Days(1)), "num_providers");
+  cfg.num_providers = kMaxProviders + 1;
+  EXPECT_DEATH(GenerateUniverse(cfg, Duration::Days(1)), "num_providers");
+}
+
+TEST(Universe, MaxProvidersKeepsAddressesDistinct) {
+  TopologyConfig cfg = SmallConfig();
+  cfg.num_providers = kMaxProviders;
+  const auto u = GenerateUniverse(cfg, Duration::Days(1));
+  std::set<std::uint32_t> router_ids;
+  for (const auto& p : u.providers) router_ids.insert(p.router_id.bits());
+  EXPECT_EQ(router_ids.size(), static_cast<std::size_t>(kMaxProviders));
+}
+
 }  // namespace
 }  // namespace iri::topology

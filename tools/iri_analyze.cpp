@@ -5,7 +5,8 @@
 //
 // Always prints the taxonomy report and per-peer totals; optional sections
 // add the inter-arrival histogram (Figure 8 style) and the power spectrum
-// of hourly aggregates (Figure 5 style).
+// of hourly aggregates (Figure 5 style). A log that does not end on a whole
+// record (a cut file, a corrupt length field) exits 1 with no report.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -76,6 +77,13 @@ int main(int argc, char** argv) {
   });
 
   const std::uint64_t updates = monitor.Replay(reader);
+  if (!reader.complete()) {
+    std::fprintf(stderr,
+                 "iri_analyze: log ends on a damaged or truncated record at "
+                 "byte %zu\n",
+                 reader.bytes_consumed());
+    return 1;
+  }
   std::printf("%s: %llu UPDATE messages, %llu prefix events, "
               "%llu CRC failures, span %s\n\n",
               path, static_cast<unsigned long long>(updates),

@@ -5,7 +5,9 @@
 //                [--all-jittered] [--dampen]
 //
 // The produced log replays through iri_analyze (or any code built on
-// mrt::Reader + core::ExchangeMonitor).
+// mrt::Reader + core::ExchangeMonitor). --days and --scale take positive
+// numbers and --providers an integer in 1..246; anything else exits 2.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +15,7 @@
 
 #include "core/stats.h"
 #include "mrt/log.h"
+#include "topology/universe.h"
 #include "workload/scenario.h"
 
 using namespace iri;
@@ -27,6 +30,21 @@ const char* FlagValue(int argc, char** argv, const char* name) {
     }
   }
   return nullptr;
+}
+
+// A --days or --scale value: the whole text must be a finite number above
+// zero. Anything else ends the run with exit code 2 and a one-line reason.
+double PositiveFlag(int argc, char** argv, const char* name, double fallback) {
+  const char* text = FlagValue(argc, argv, name);
+  if (text == nullptr) return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    std::fprintf(stderr, "iri_simulate: %s=%s: expected a positive number\n",
+                 name, text);
+    std::exit(2);
+  }
+  return v;
 }
 
 bool HasFlag(int argc, char** argv, const char* name) {
@@ -53,13 +71,20 @@ int main(int argc, char** argv) {
   }
 
   workload::ScenarioConfig cfg;
-  cfg.duration = Duration::Days(
-      FlagValue(argc, argv, "--days") ? std::atof(FlagValue(argc, argv, "--days")) : 7.0);
-  const double scale_den =
-      FlagValue(argc, argv, "--scale") ? std::atof(FlagValue(argc, argv, "--scale")) : 64.0;
+  cfg.duration = Duration::Days(PositiveFlag(argc, argv, "--days", 7.0));
+  const double scale_den = PositiveFlag(argc, argv, "--scale", 64.0);
   cfg.topology.scale = 1.0 / scale_den;
   if (const char* v = FlagValue(argc, argv, "--providers")) {
-    cfg.topology.num_providers = std::atoi(v);
+    char* end = nullptr;
+    const long n = std::strtol(v, &end, 10);
+    if (end == v || *end != '\0' || n < 1 || n > topology::kMaxProviders) {
+      std::fprintf(stderr,
+                   "iri_simulate: --providers=%s: expected an integer in "
+                   "1..%d\n",
+                   v, topology::kMaxProviders);
+      return 2;
+    }
+    cfg.topology.num_providers = static_cast<int>(n);
   }
   if (const char* v = FlagValue(argc, argv, "--seed")) {
     cfg.seed = static_cast<std::uint64_t>(std::atoll(v));
