@@ -8,10 +8,13 @@
 //   --seed=S
 // and prints the paper-comparable rows for its table/figure. Absolute
 // magnitudes are reported both raw and extrapolated to paper scale
-// (multiplied by N); shapes are scale-invariant. A --scale, --days or
-// --providers value out of range ends the bench with exit code 2.
+// (multiplied by N); shapes are scale-invariant. A --scale, --days,
+// --providers or --seed value out of range ends the bench with exit code 2.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +52,36 @@ inline int ProviderCount(const char* text) {
   return static_cast<int>(v);
 }
 
+// A --seed value: a whole unsigned 64-bit decimal integer, else exit code 2
+// with a one-line reason.
+inline std::uint64_t SeedValue(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr, "--seed=%s: expected an unsigned 64-bit integer\n",
+                 text);
+    std::exit(2);
+  }
+  return v;
+}
+
+// A --threads value: a whole integer >= 0 (0 = sim::DefaultParallelism()),
+// else exit code 2 with a one-line reason.
+inline int ThreadCount(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE || v > INT_MAX) {
+    std::fprintf(stderr, "--threads=%s: expected a non-negative integer\n",
+                 text);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
 struct Flags {
   double scale_denominator = 64;
   double days = 7;
@@ -79,7 +112,7 @@ struct Flags {
       } else if (const char* v = value("--providers")) {
         flags.providers = ProviderCount(v);
       } else if (const char* v = value("--seed")) {
-        flags.seed = static_cast<std::uint64_t>(std::atoll(v));
+        flags.seed = SeedValue(v);
       } else if (arg == "--help") {
         std::printf(
             "flags: --scale=N --days=D --providers=P --seed=S\n");

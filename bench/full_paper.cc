@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       attribution_path = argv[i] + 14;
     }
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
+      threads = bench::ThreadCount(argv[i] + 10);
     }
   }
   bench::PrintHeader("Full-paper-scale corpus (5 exchanges)", flags);

@@ -23,7 +23,7 @@
 //
 // Lives in obs (not core): it consumes only tick-sampled counts and peer
 // ids, so the obs -> {obs, netbase} layer boundary stays closed
-// (tools/lint/iri_lint.py pins the map; see its obs self-test cases).
+// (tools/lint/iri_det.py pins the map; see its obs layering fixtures).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
-// iri-lint: the threads rule exempts this file — it is the single home of
-// raw threading primitives (see parallel.h for the determinism argument).
+// iri_det's thread-confinement check exempts this file — it is the single
+// home of raw threading primitives (see parallel.h for the determinism
+// argument).
 #include "sim/parallel.h"
 
 #include <algorithm>

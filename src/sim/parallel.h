@@ -8,7 +8,7 @@
 // RNG stream, private sinks each) whose results are merged in a fixed order
 // afterwards. ParallelFor is exactly that shape and nothing more: it runs
 // fn(0..n-1) with no ordering guarantees, so fn must never touch state
-// shared across indices. tools/lint/iri_lint.py bans std::thread/std::async
+// shared across indices. tools/lint/iri_det.py bans std::thread/std::async
 // and friends everywhere outside src/sim/parallel.cc to keep it that way.
 #pragma once
 

@@ -6,7 +6,8 @@
 // Always prints the taxonomy report and per-peer totals; optional sections
 // add the inter-arrival histogram (Figure 8 style) and the power spectrum
 // of hourly aggregates (Figure 5 style). A log that does not end on a whole
-// record (a cut file, a corrupt length field) exits 1 with no report.
+// record (a cut file, a corrupt length field) exits 1 with no report; an
+// unknown flag exits 2 with the usage line.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -22,6 +23,9 @@
 using namespace iri;
 
 int main(int argc, char** argv) {
+  const char* const usage =
+      "usage: iri_analyze LOG.mrt [--bins=10m|1h] [--interarrival] "
+      "[--spectrum]\n";
   const char* path = nullptr;
   bool want_interarrival = false, want_spectrum = false;
   Duration bin_width = Duration::Minutes(10);
@@ -37,9 +41,11 @@ int main(int argc, char** argv) {
     } else if (argv[i][0] != '-') {
       path = argv[i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: iri_analyze LOG.mrt [--bins=10m|1h] "
-                  "[--interarrival] [--spectrum]\n");
+      std::printf("%s", usage);
       return 0;
+    } else {
+      std::fprintf(stderr, "iri_analyze: unknown flag %s\n%s", argv[i], usage);
+      return 2;
     }
   }
   if (path == nullptr) {

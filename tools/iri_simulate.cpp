@@ -6,7 +6,10 @@
 //
 // The produced log replays through iri_analyze (or any code built on
 // mrt::Reader + core::ExchangeMonitor). --days and --scale take positive
-// numbers and --providers an integer in 1..246; anything else exits 2.
+// numbers, --providers an integer in 1..246 and --seed an unsigned 64-bit
+// integer; anything else exits 2.
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +90,18 @@ int main(int argc, char** argv) {
     cfg.topology.num_providers = static_cast<int>(n);
   }
   if (const char* v = FlagValue(argc, argv, "--seed")) {
-    cfg.seed = static_cast<std::uint64_t>(std::atoll(v));
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+        errno == ERANGE) {
+      std::fprintf(stderr,
+                   "iri_simulate: --seed=%s: expected an unsigned 64-bit "
+                   "integer\n",
+                   v);
+      return 2;
+    }
+    cfg.seed = n;
     cfg.topology.seed = cfg.seed + 1;
   }
   cfg.patho_enabled = HasFlag(argc, argv, "--patho");

@@ -1,11 +1,14 @@
-// Translation unit that pulls the layering fixture headers into the model
-// (headers are only analyzed when some TU reaches them). core may include
-// netbase and bgp, so this file itself is clean — the findings belong to
-// layering_bad.h (layer violation) and cycle_b.h (back edge of the cycle).
+// Translation unit that pulls the header fixtures into the model (headers
+// are only analyzed when some TU reaches them). core may include netbase,
+// obs, bgp and sim, so this file itself is clean: the findings belong to
+// the headers it reaches.
 
 #include "bgp/cycle_a.h"
+#include "bgp/guard_bad.h"
 #include "netbase/layering_bad.h"
 #include "netbase/layering_good.h"
+
+#include "obs/layering_bad.h"
 
 namespace iri::core {
 
@@ -14,8 +17,12 @@ unsigned FxUseLayers() {
   route.length = 24;
   bgp::FxCycleA a;
   bgp::FxCycleB b;
-  return FxPrefixBits(route) + FxHostBits(route.length)
-       + static_cast<unsigned>(a.a + b.b);
+  bgp::FxUnguarded unguarded;
+  sim::FxLink link;
+  unsigned sum = FxPrefixBits(route) + FxHostBits(route.length);
+  sum += obs::FxInstrument(route.length);
+  sum += static_cast<unsigned>(a.a + b.b + unguarded.value);
+  return sum + static_cast<unsigned>(obs::FxPeekDelay(link));
 }
 
 }  // namespace iri::core

@@ -4,17 +4,18 @@
 //
 // det-expect: thread-confinement
 
-#include <atomic>
-#include <mutex>
+#include <atomic>  // det-expect: thread-confinement
+#include <mutex>   // det-expect: thread-confinement
 #include <thread>
 
 namespace iri::core {
 
-std::atomic<int> fx_shared_counter{0};
-std::mutex fx_mutex;
+std::atomic<int> fx_shared_counter{0};  // det-expect: thread-confinement
+std::mutex fx_mutex;                    // det-expect: thread-confinement
 
 void FxSpawn() {
-  std::thread worker([] { fx_shared_counter.fetch_add(1); });
+  std::thread worker(  // det-expect: thread-confinement
+      [] { fx_shared_counter.fetch_add(1); });
   worker.join();
 }
 

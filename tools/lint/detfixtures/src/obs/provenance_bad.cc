@@ -1,10 +1,11 @@
-// Bad: a provenance attribution table that keeps its per-cause tallies in a
-// std::unordered_map keyed by cause id and merges them by iterating the map.
-// The iteration order is the hash layout, so the combined blast-radius
-// rollup — which is what reaches the attribution digest section — depends on
-// pointer/seed accidents instead of being a pure function of (seed, config).
-// The per-shard aggregation-root rule (Shard*::totals / Shard*::Merge* are
-// sinks) must catch it even though no Snapshot/Digest name appears here.
+// Bad: a provenance tally that keeps its per-cause counts in a
+// std::unordered_map keyed by cause id, and merges another exchange's tally
+// by walking that map. The walk order is the hash layout, so the order in
+// which causes enter the merged rollup (and from there the attribution
+// digest section) depends on bucket accidents instead of being a pure
+// function of (seed, config). No Snapshot/Digest name appears here: a
+// `Merge` member in src/obs/ is itself an output sink root, the rule that
+// roots obs::ShardProvenance::Merge.
 //
 // det-expect: unordered-in-output
 
@@ -14,23 +15,23 @@
 
 namespace iri::obs {
 
-class FxShardProvenanceTally {
+class FxProvenanceTally {
  public:
   void Record(std::uint32_t cause_id, std::uint64_t updates) {
     per_cause_[cause_id] += updates;
   }
-  std::vector<std::uint64_t> totals() const;
+  void Merge(const FxProvenanceTally& other);
 
  private:
   std::unordered_map<std::uint32_t, std::uint64_t> per_cause_;
+  std::vector<std::uint32_t> first_seen_order_;
 };
 
-std::vector<std::uint64_t> FxShardProvenanceTally::totals() const {
-  std::vector<std::uint64_t> out;
-  for (const auto& kv : per_cause_) {
-    out.push_back(kv.second);
+void FxProvenanceTally::Merge(const FxProvenanceTally& other) {
+  for (const auto& kv : other.per_cause_) {
+    if (per_cause_.count(kv.first) == 0) first_seen_order_.push_back(kv.first);
+    per_cause_[kv.first] += kv.second;
   }
-  return out;
 }
 
 }  // namespace iri::obs

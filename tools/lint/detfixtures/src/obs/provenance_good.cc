@@ -1,10 +1,9 @@
-// Good: the same per-cause attribution tally with its slots in a dense
-// vector indexed by cause id — ids are a dense allocation-ordered sequence
-// (obs::ProvenanceContext mints 1, 2, 3, ...), so indexing id-1 sweeps
-// causes in fixed order and the rollup is a pure function of the counts,
-// the way obs::ShardProvenance stores its CauseStats. Must produce zero
-// findings (guards the aggregation-root rule against false positives on
-// id-indexed merges).
+// Good: the same tally with its per-cause counts in a dense vector indexed
+// by cause id. Ids are a dense allocation-ordered sequence
+// (obs::ProvenanceContext mints 1, 2, 3, ...), so Merge sweeps causes in
+// fixed id order, the way obs::ShardProvenance::Merge folds its CauseStats.
+// Must produce zero findings (guards the Merge sink root against false
+// positives on id-indexed merges).
 
 #include <cstddef>
 #include <cstdint>
@@ -16,21 +15,20 @@ class FxOrderedProvenanceTally {
  public:
   void Record(std::uint32_t cause_id, std::uint64_t updates) {
     if (cause_id == 0) return;  // null cause: unattributed
-    if (per_cause_.size() < cause_id) per_cause_.resize(cause_id);
-    per_cause_[cause_id - 1] += updates;
+    if (by_id_.size() < cause_id) by_id_.resize(cause_id);
+    by_id_[cause_id - 1] += updates;
   }
-  std::vector<std::uint64_t> totals() const;
+  void Merge(const FxOrderedProvenanceTally& other);
 
  private:
-  std::vector<std::uint64_t> per_cause_;
+  std::vector<std::uint64_t> by_id_;
 };
 
-std::vector<std::uint64_t> FxOrderedProvenanceTally::totals() const {
-  std::vector<std::uint64_t> out;
-  for (const std::uint64_t n : per_cause_) {
-    out.push_back(n);
+void FxOrderedProvenanceTally::Merge(const FxOrderedProvenanceTally& other) {
+  if (by_id_.size() < other.by_id_.size()) by_id_.resize(other.by_id_.size());
+  for (std::size_t i = 0; i < other.by_id_.size(); ++i) {
+    by_id_[i] += other.by_id_[i];
   }
-  return out;
 }
 
 }  // namespace iri::obs

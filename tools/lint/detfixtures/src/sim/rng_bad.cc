@@ -5,7 +5,7 @@
 //
 // det-expect: rng-discipline
 
-#include <random>
+#include <random>  // det-expect: rng-discipline
 
 namespace iri::sim {
 

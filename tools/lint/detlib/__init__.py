@@ -3,7 +3,7 @@
 This package backs tools/lint/iri_det.py. It builds a per-translation-unit
 semantic model (function definitions, call sites, range-for loops over
 unordered containers, wall-clock / RNG / threading constructs, the #include
-graph) from compile_commands.json and runs five verification passes over it:
+graph) from compile_commands.json and runs verification passes over it:
 
   wall-clock-taint     no call path from a wall-clock or ad-hoc RNG read into
                        a digest / snapshot / MRT / series-JSONL sink
@@ -11,9 +11,13 @@ graph) from compile_commands.json and runs five verification passes over it:
                        reachable from an output sink root
   rng-discipline       every RNG draw goes through the seeded SplitMix64 /
                        Xoshiro streams in netbase/rng.h
+  wall-clock-confinement
+                       raw clock reads confined to netbase/time.{h,cc}
   thread-confinement   raw threading primitives confined to sim/parallel.cc
   include-layering     the netbase -> obs -> bgp -> {sim,mrt,...} -> core ->
                        workload include DAG holds, and has no cycles
+  pragma-once          every src/ header has #pragma once
+  not-analyzed         no src/ or tools/ source sits outside the closure
 
 Two interchangeable frontends produce the model:
 
@@ -33,11 +37,8 @@ against the same bad/good snippet pairs so they cannot drift apart silently.
 from __future__ import annotations
 
 __all__ = [
-    "baseline",
     "compdb",
     "frontend_fallback",
     "model",
     "passes",
 ]
-
-VERSION = "1.0"

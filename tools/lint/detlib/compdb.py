@@ -2,9 +2,8 @@
 
 The analyzer is compilation-database driven: the set of files it verifies is
 exactly the translation units CMake builds plus the repo headers they reach
-through quoted includes. Files outside that closure (dead code, generated
-trees) stay the regex lint's responsibility — iri_lint.py asks this module
-for the covered set to decide what to delegate.
+through quoted includes. A first-party source outside that closure is itself
+a finding (not-analyzed): nothing else would check it.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import shlex
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
 SOURCE_SUFFIXES = {".cc", ".cpp", ".cxx", ".c"}
+TREE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
 
 
 class CompDbError(RuntimeError):
@@ -96,6 +96,18 @@ def covered_files(compdb_path: pathlib.Path, root: pathlib.Path,
                         work.append(candidate)
                     break
     return covered
+
+
+def tree_sources(root: pathlib.Path, prefixes: tuple) -> list[str]:
+    """Repo-relative C++ sources and headers under the given top-level
+    directories (e.g. "src/"), sorted."""
+    out = []
+    for prefix in prefixes:
+        base = root / prefix
+        if base.is_dir():
+            out += [p.relative_to(root).as_posix() for p in base.rglob("*")
+                    if p.suffix in TREE_SUFFIXES]
+    return sorted(out)
 
 
 def find_compdb(root: pathlib.Path,

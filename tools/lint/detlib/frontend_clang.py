@@ -2,9 +2,8 @@
 
 Used when the clang python bindings and a libclang shared library are
 available — the CI static-analysis job installs them; developer machines
-without libclang transparently use frontend_fallback instead (iri_det.py
---frontend auto). Produces the same Model as the fallback, with two
-precision upgrades:
+without libclang transparently use frontend_fallback instead. Produces the
+same Model as the fallback, with two precision upgrades:
 
   * call sites carry the fully qualified name of the *referenced*
     declaration (no name-based over-approximation);
@@ -21,7 +20,8 @@ import pathlib
 from . import compdb
 from .model import (CallSite, ConstructUse, FileInfo, FunctionInfo,
                     IncludeEdge, IterSite, Model, rel_posix)
-from .frontend_fallback import collect_suppressions, INCLUDE_RE
+from .frontend_fallback import (INCLUDE_RE, PRAGMA_ONCE_RE,
+                                collect_suppressions)
 
 try:  # pragma: no cover - exercised only where libclang is installed
     import clang.cindex as cindex
@@ -54,8 +54,10 @@ _UNORDERED_TYPES = ("unordered_map", "unordered_set", "unordered_multimap",
 
 _WALLCLOCK_TYPES = ("std::chrono::system_clock", "std::chrono::steady_clock",
                     "std::chrono::high_resolution_clock")
+# WallClockNanos() is a call site, not a raw read: only wall-clock-taint
+# (DetConfig.source_call_names) governs it.
 _WALLCLOCK_CALLS = {"gettimeofday", "clock_gettime", "clock", "time",
-                    "localtime", "gmtime", "WallClockNanos"}
+                    "localtime", "gmtime", "localtime_r", "gmtime_r"}
 _RNG_TYPES = ("std::mersenne_twister_engine", "std::mt19937",
               "std::random_device", "std::linear_congruential_engine",
               "std::default_random_engine", "std::subtract_with_carry_engine")
@@ -134,12 +136,15 @@ def _visit_body(cursor, fn: FunctionInfo) -> None:
             base = (name or "").rsplit("::", 1)[-1]
             if name:
                 fn.calls.append(CallSite(name, line))
-            if base in _WALLCLOCK_CALLS:
+            # The C library or std function, like the fallback's
+            # `(?:std::)?name`: not a first-party member sharing its name.
+            library = (name or "").split("::", 1)[0] in ("std", base)
+            if library and base in _WALLCLOCK_CALLS:
                 fn.constructs.append(
                     ConstructUse("wallclock", f"{base}()", line))
-            elif base in _RNG_CALLS:
+            elif library and base in _RNG_CALLS:
                 fn.constructs.append(ConstructUse("rng", f"{base}()", line))
-            elif base in _THREAD_CALLS:
+            elif library and base in _THREAD_CALLS:
                 fn.constructs.append(
                     ConstructUse("thread", f"std::{base}", line))
         elif kind == ck.CXX_FOR_RANGE_STMT:
@@ -207,7 +212,8 @@ def _file_info(path: pathlib.Path, rel: str) -> FileInfo:
     except OSError:
         text = ""
     lines = text.splitlines()
-    info = FileInfo(path=rel, suppressions=collect_suppressions(lines))
+    info = FileInfo(path=rel, suppressions=collect_suppressions(lines),
+                    pragma_once=any(map(PRAGMA_ONCE_RE.match, lines)))
     for line_no, line in enumerate(lines, start=1):
         m = INCLUDE_RE.search(line)
         if m:
@@ -224,14 +230,11 @@ def _file_info(path: pathlib.Path, rel: str) -> FileInfo:
     return info
 
 
-def build_model(compdb_path: pathlib.Path, root: pathlib.Path,
-                extra_files: list[pathlib.Path] | None = None) -> Model:
+def build_model(compdb_path: pathlib.Path, root: pathlib.Path) -> Model:
     if not available():  # pragma: no cover
         raise RuntimeError(f"libclang unavailable: {import_error()}")
-    model = Model(frontend="clang")
+    model = Model(frontend="clang", root=root)
     covered = compdb.covered_files(compdb_path, root)
-    for path in extra_files or []:
-        covered.add(path.resolve())
     for path in sorted(covered):
         rel = rel_posix(path, root)
         if rel is not None:

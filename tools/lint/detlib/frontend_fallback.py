@@ -64,22 +64,27 @@ def scrub(text: str) -> str:
 # Construct patterns (line-level, applied to scrubbed text, attributed to the
 # enclosing function afterwards).
 
+# `(?<![\w:])(?:std::)?name` takes the C library call bare or as std::name,
+# but not a same-named member or another namespace's function.
 CONSTRUCT_PATTERNS: list[tuple[str, re.Pattern, str]] = [
-    ("wallclock", re.compile(
-        r"\bWallClockNanos\s*\("), "WallClockNanos()"),
     ("wallclock", re.compile(
         r"\bstd::chrono::(?:system|steady|high_resolution)_clock\b"),
      "std::chrono clock"),
-    ("wallclock", re.compile(r"(?<![\w:])time\s*\(\s*(?:nullptr|NULL|0|&)"),
-     "time()"),
+    ("wallclock", re.compile(
+        r"(?<![\w:])(?:std::)?time\s*\(\s*(?:nullptr|NULL|0|&)"), "time()"),
     ("wallclock", re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
     ("wallclock", re.compile(r"\bclock_gettime\s*\("), "clock_gettime()"),
-    ("wallclock", re.compile(r"(?<![\w:])clock\s*\(\s*\)"), "clock()"),
+    ("wallclock", re.compile(r"(?<![\w:])(?:std::)?clock\s*\(\s*\)"),
+     "clock()"),
+    ("wallclock", re.compile(
+        r"(?<![\w:])(?:std::)?(?:localtime|gmtime)(?:_r)?\s*\("),
+     "localtime()/gmtime()"),
     ("rng", re.compile(r"\bstd::random_device\b"), "std::random_device"),
     ("rng", re.compile(r"\bstd::mt19937(?:_64)?\b"), "std::mt19937"),
     ("rng", re.compile(r"\bstd::(?:default_random_engine|minstd_rand0?|"
                        r"ranlux\w+|knuth_b)\b"), "std <random> engine"),
-    ("rng", re.compile(r"(?<![\w:])s?rand\s*\("), "rand()/srand()"),
+    ("rng", re.compile(r"(?<![\w:])(?:std::)?s?rand\s*\("), "rand()/srand()"),
+    ("rng", re.compile(r"(?<![\w:])d?random\s*\("), "random()/drandom()"),
     ("rng", re.compile(r"(?<![\w:])[ed]rand48\s*\("), "*rand48()"),
     ("rng", re.compile(r"#\s*include\s*<random>"), "<random>"),
     ("thread", re.compile(r"\bstd::(?:jthread|thread)\b"),
@@ -99,6 +104,7 @@ CONSTRUCT_PATTERNS: list[tuple[str, re.Pattern, str]] = [
 ]
 
 INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 UNORDERED_TYPE_RE = re.compile(
     r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\b")
@@ -225,8 +231,9 @@ class FileParser:
         self.raw_lines = text.splitlines()
         self.scrubbed = scrub(text)
         self.scrubbed_lines = self.scrubbed.splitlines()
-        self.info = FileInfo(path=rel,
-                             suppressions=collect_suppressions(self.raw_lines))
+        self.info = FileInfo(
+            path=rel, suppressions=collect_suppressions(self.raw_lines),
+            pragma_once=any(map(PRAGMA_ONCE_RE.match, self.raw_lines)))
         self.functions: list[FunctionInfo] = []
         # Names from the program-wide table (headers declare, .cc iterates).
         self.global_unordered: set[str] = set(extra_unordered or ())
@@ -502,13 +509,10 @@ class FileParser:
 # --------------------------------------------------------------------------
 
 
-def build_model(compdb_path: pathlib.Path, root: pathlib.Path,
-                extra_files: list[pathlib.Path] | None = None) -> Model:
-    """Build a Model for the compile_commands closure (plus extra_files)."""
-    model = Model(frontend="fallback")
+def build_model(compdb_path: pathlib.Path, root: pathlib.Path) -> Model:
+    """Build a Model for the compile_commands closure."""
+    model = Model(frontend="fallback", root=root)
     covered = compdb.covered_files(compdb_path, root)
-    for path in extra_files or []:
-        covered.add(path.resolve())
     texts: list[tuple[str, str]] = []
     for path in sorted(covered):
         rel = rel_posix(path, root)

@@ -2,8 +2,8 @@
 
 A Model is a whole-program view assembled from every translation unit in
 compile_commands.json plus the repo headers they include. It deliberately
-stores *less* than a full AST: only the facts the five determinism passes
-need, so both the libclang frontend and the fallback parser can produce it.
+stores *less* than a full AST: only the facts the determinism passes need,
+so both the libclang frontend and the fallback parser can produce it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ class ConstructUse:
     """A determinism-relevant construct inside a function (or at file scope).
 
     kind is one of:
-      "wallclock"  wall-clock read (WallClockNanos, std::chrono system/steady
-                   clocks, time(), gettimeofday, clock_gettime, ...)
+      "wallclock"  raw wall-clock read (std::chrono system/steady clocks,
+                   time(), gettimeofday, clock_gettime, localtime, ...);
+                   a WallClockNanos() call is a CallSite, not a construct
       "rng"        ad-hoc RNG (std::mt19937, std::random_device, rand(), ...)
       "thread"     raw threading (std::thread/jthread/async, mutexes,
                    condition variables, semaphores, threading headers)
@@ -80,13 +81,15 @@ class FileInfo:
     constructs: list[ConstructUse] = dataclasses.field(default_factory=list)
     # line -> set of check ids suppressed via `iri-det: allow(<check>)`.
     suppressions: dict[int, set[str]] = dataclasses.field(default_factory=dict)
+    pragma_once: bool = False
 
 
 class Model:
     """Whole-program index consumed by the passes."""
 
-    def __init__(self, frontend: str):
+    def __init__(self, frontend: str, root: pathlib.Path):
         self.frontend = frontend
+        self.root = root
         self.functions: dict[str, FunctionInfo] = {}
         self.by_name: dict[str, list[FunctionInfo]] = {}
         self.files: dict[str, FileInfo] = {}
@@ -107,9 +110,6 @@ class Model:
             self.files[info.path] = info
 
     # -- queries -----------------------------------------------------------
-
-    def functions_named(self, name: str) -> list[FunctionInfo]:
-        return self.by_name.get(name, [])
 
     def resolve_callees(self, call_name: str) -> list[FunctionInfo]:
         """Resolve a call-site spelling to candidate definitions.
@@ -137,12 +137,6 @@ class Model:
             return False
         rules = info.suppressions.get(line, set())
         return check in rules or "all" in rules
-
-    def merge(self, other: "Model") -> None:
-        for fn in other.functions.values():
-            self.add_function(fn)
-        for info in other.files.values():
-            self.add_file(info)
 
 
 def rel_posix(path: str | pathlib.Path, root: pathlib.Path) -> str | None:

@@ -1,8 +1,8 @@
-"""The five determinism verification passes over a detlib Model.
+"""The determinism and layering verification passes over a detlib Model.
 
-Each pass emits Finding records with a stable identity (check, file,
-function, detail — line numbers are recorded for display but excluded from
-the identity so the committed baseline survives unrelated edits).
+Each pass emits Finding records; every finding fails the gate. Accepting
+one means an `iri-det: allow(<check>)` comment on its line, where review
+sees it.
 
 Configuration lives in DetConfig. The defaults encode this repo's contract
 (DESIGN.md §11): extend SINK_* / allowlists there when adding a new output
@@ -16,6 +16,7 @@ import dataclasses
 import pathlib
 import re
 
+from . import compdb
 from .model import FunctionInfo, Model
 
 # --------------------------------------------------------------------------
@@ -25,12 +26,15 @@ CHECKS = (
     "wall-clock-taint",
     "unordered-in-output",
     "rng-discipline",
+    "wall-clock-confinement",
     "thread-confinement",
     "include-layering",
+    "pragma-once",
+    "not-analyzed",
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Finding:
     check: str
     file: str
@@ -38,9 +42,6 @@ class Finding:
     function: str  # qualified name, or "" for file-scope findings
     detail: str  # stable description of the violating construct
     message: str  # human-readable explanation (may include the call path)
-
-    def key(self) -> str:
-        return f"{self.check}|{self.file}|{self.function}|{self.detail}"
 
     def __str__(self) -> str:
         where = f" (in {self.function})" if self.function else ""
@@ -62,13 +63,6 @@ class DetConfig:
         r"|Append|Flush|Merge|FormatCategoryReport|FormatTable)$")
     sink_file_re: re.Pattern = re.compile(
         r"^src/(mrt/|obs/trace\.|obs/timeseries\.|core/(report|snapshot)\.)")
-    # Per-shard aggregation roots (DESIGN.md §13): members of sharded
-    # (per-shard state-holding) types that merge shard-local state into the
-    # combined answer. Merged totals feed digests, so iterating an unordered
-    # container keyed by shard during the merge is hash-order-dependent
-    # output even though no Snapshot/Digest name appears in the chain.
-    shard_merge_name_re: re.Pattern = re.compile(
-        r"Shard\w*::(totals|total_events|Merge\w*|Combined\w*)$")
     # Sink roots are only meaningful in these layers; a `Flush` on some
     # simulator buffer is not an output sink. The fixture prefix keeps
     # --must-flag working on the analyzer's own gap fixtures (ordinary repo
@@ -86,20 +80,21 @@ class DetConfig:
     taint_allow_qname_re: re.Pattern = re.compile(
         r"(^|::)ScopedTimer(::|$)|::EnableWallClockProfile$")
     taint_allow_file_re: re.Pattern = re.compile(r"^src/obs/profile\.")
-    # Files whose wall-clock constructs are the sanctioned implementation.
-    wallclock_impl_files: frozenset = frozenset(
-        {"src/netbase/time.h", "src/netbase/time.cc"})
 
-    # RNG discipline: the seeded SplitMix64/Xoshiro implementation.
-    rng_impl_files: frozenset = frozenset({"src/netbase/rng.h"})
-
-    # Thread confinement.
-    thread_files: frozenset = frozenset({"src/sim/parallel.cc"})
-    atomic_files: frozenset = frozenset(
-        {"src/sim/parallel.cc", "src/core/invariants.h"})
-    # rng-discipline / thread-confinement apply to first-party code only:
-    # tests and benches may time themselves or exercise the pool directly.
-    confinement_prefixes: tuple = ("src/", "tools/")
+    # Construct kind -> the only files it may appear in: the seeded
+    # SplitMix64/Xoshiro streams, the wall-clock implementation behind
+    # WallClockNanos(), the fork-join pool, and the invariant-audit
+    # counters' atomics.
+    sanctioned: dict = dataclasses.field(default_factory=lambda: {
+        "rng": frozenset({"src/netbase/rng.h"}),
+        "wallclock": frozenset({"src/netbase/time.h", "src/netbase/time.cc"}),
+        "thread": frozenset({"src/sim/parallel.cc"}),
+        "atomic": frozenset({"src/sim/parallel.cc", "src/core/invariants.h"}),
+    })
+    # First-party code: confinement applies here (tests and benches may time
+    # themselves or exercise the pool directly), and every source here must
+    # be in the compilation-database closure.
+    first_party: tuple = ("src/", "tools/")
 
     # Layering: directory under src/ -> directories it may include.
     layers: dict = dataclasses.field(default_factory=lambda: {
@@ -132,9 +127,8 @@ def sink_roots(model: Model, cfg: DetConfig) -> list[FunctionInfo]:
     for fn in model.iter_functions():
         in_sink_file = bool(cfg.sink_file_re.search(fn.file))
         name_hit = bool(cfg.sink_name_re.search("::" + fn.qname))
-        shard_hit = bool(cfg.shard_merge_name_re.search(fn.qname))
         dir_ok = fn.file.startswith(tuple(cfg.sink_root_dirs))
-        if in_sink_file or ((name_hit or shard_hit) and dir_ok):
+        if in_sink_file or (name_hit and dir_ok):
             roots.append(fn)
     return roots
 
@@ -180,13 +174,14 @@ def pass_wallclock_taint(model: Model, cfg: DetConfig,
                 or bool(cfg.taint_allow_file_re.search(fn.file)))
 
     reach = reachable_from(model, roots, stop=allowed)
+    impl_files = cfg.sanctioned["wallclock"] | cfg.sanctioned["rng"]
     for fn, chain in reach.values():
         if allowed(fn) and fn.qname != chain[0]:
             continue
         if _excluded(cfg, fn.file, keep):
             continue
         tainted = [c for c in fn.constructs if c.kind in ("wallclock", "rng")]
-        if fn.file in cfg.wallclock_impl_files or fn.file in cfg.rng_impl_files:
+        if fn.file in impl_files:
             tainted = []
         for use in tainted:
             if model.suppressed(fn.file, use.line, "wall-clock-taint"):
@@ -198,18 +193,15 @@ def pass_wallclock_taint(model: Model, cfg: DetConfig,
                 f"{use.detail} feeds an output sink via {via}; digests/"
                 "MRT/series bytes must be wall-clock independent "
                 "(route wall time through Stability::kWallClock instruments)"))
-        # Calls to out-of-model sources (e.g. WallClockNanos when only its
-        # declaration is visible).
+        # Calls to wall-clock sources (WallClockNanos): the sanctioned API
+        # is no raw read, so only reaching a sink makes it a finding.
         for call in fn.calls:
             base = call.name.rsplit("::", 1)[-1]
             if base in cfg.source_call_names and not allowed(fn):
-                if fn.file in cfg.wallclock_impl_files:
+                if fn.file in impl_files:
                     continue
                 if model.suppressed(fn.file, call.line, "wall-clock-taint"):
                     continue
-                if any(c.line == call.line and c.kind == "wallclock"
-                       for c in fn.constructs):
-                    continue  # already reported via the construct scan
                 via = " -> ".join(chain)
                 findings.append(Finding(
                     "wall-clock-taint", fn.file, call.line, fn.qname,
@@ -240,57 +232,78 @@ def pass_unordered_in_output(model: Model, cfg: DetConfig,
     return findings
 
 
-def pass_rng_discipline(model: Model, cfg: DetConfig,
-                        keep: str | None = None) -> list[Finding]:
-    findings: list[Finding] = []
-    for path, info in model.files.items():
-        if path in cfg.rng_impl_files or _excluded(cfg, path, keep):
-            continue
-        if not path.startswith(cfg.confinement_prefixes) and path != keep:
-            continue
-        fns_here = [f for f in model.iter_functions() if f.file == path]
-        scoped = [(c, f.qname) for f in fns_here for c in f.constructs]
-        scoped += [(c, "") for c in info.constructs]
-        for use, qname in scoped:
-            if use.kind != "rng":
-                continue
-            if model.suppressed(path, use.line, "rng-discipline"):
-                continue
-            findings.append(Finding(
-                "rng-discipline", path, use.line, qname, use.detail,
-                f"{use.detail} bypasses the seeded SplitMix64/Xoshiro "
-                "streams (netbase/rng.h); derive a sub-seed via "
-                "ExchangeSubSeed/Rng::Fork instead"))
-    return findings
+# Construct kind -> (check, what is wrong with it outside
+# DetConfig.sanctioned[kind]).
+CONFINEMENT = {
+    "rng": ("rng-discipline",
+            "bypasses the seeded SplitMix64/Xoshiro streams (netbase/rng.h); "
+            "derive a sub-seed via ExchangeSubSeed/Rng::Fork instead"),
+    "wallclock": ("wall-clock-confinement",
+                  "reads the wall clock outside netbase/time.*; iri runs on "
+                  "simulated time only (WallClockNanos() is the one door)"),
+    "thread": ("thread-confinement",
+               "outside sim/parallel.cc; use sim::ParallelFor over "
+               "independent partitions"),
+    "atomic": ("thread-confinement",
+               "outside sim/parallel.cc and core/invariants.h; shared "
+               "mutable state breaks bit-for-bit reproducibility"),
+}
 
 
-def pass_thread_confinement(model: Model, cfg: DetConfig,
-                            keep: str | None = None) -> list[Finding]:
+def pass_confinement(model: Model, cfg: DetConfig,
+                     keep: str | None = None) -> list[Finding]:
+    """rng-discipline, wall-clock-confinement and thread-confinement: each
+    construct kind may appear only in its sanctioned files."""
     findings: list[Finding] = []
+    by_file: dict[str, list[tuple]] = {}
+    for fn in model.iter_functions():
+        by_file.setdefault(fn.file, []).extend(
+            (c, fn.qname) for c in fn.constructs)
     for path, info in model.files.items():
         if _excluded(cfg, path, keep):
             continue
-        if not path.startswith(cfg.confinement_prefixes) and path != keep:
+        if not path.startswith(cfg.first_party) and path != keep:
             continue
-        fns_here = [f for f in model.iter_functions() if f.file == path]
-        scoped = [(c, f.qname) for f in fns_here for c in f.constructs]
-        scoped += [(c, "") for c in info.constructs]
+        scoped = by_file.get(path, []) + [(c, "") for c in info.constructs]
         for use, qname in scoped:
-            if use.kind == "thread" and path not in cfg.thread_files:
-                if model.suppressed(path, use.line, "thread-confinement"):
-                    continue
-                findings.append(Finding(
-                    "thread-confinement", path, use.line, qname, use.detail,
-                    f"{use.detail} outside sim/parallel.cc; use "
-                    "sim::ParallelFor over independent partitions"))
-            elif use.kind == "atomic" and path not in cfg.atomic_files:
-                if model.suppressed(path, use.line, "thread-confinement"):
-                    continue
-                findings.append(Finding(
-                    "thread-confinement", path, use.line, qname, use.detail,
-                    f"{use.detail} outside sim/parallel.cc and "
-                    "core/invariants.h; shared mutable state breaks "
-                    "bit-for-bit reproducibility"))
+            check, remedy = CONFINEMENT[use.kind]
+            if path in cfg.sanctioned[use.kind]:
+                continue
+            if model.suppressed(path, use.line, check):
+                continue
+            findings.append(Finding(check, path, use.line, qname, use.detail,
+                                    f"{use.detail} {remedy}"))
+    return findings
+
+
+def pass_pragma_once(model: Model, cfg: DetConfig,
+                     keep: str | None = None) -> list[Finding]:
+    findings: list[Finding] = []
+    for path, info in model.files.items():
+        if _excluded(cfg, path, keep) or info.pragma_once:
+            continue
+        if not (path.startswith("src/") and path.endswith((".h", ".hpp"))):
+            continue
+        if model.suppressed(path, 1, "pragma-once"):
+            continue
+        findings.append(Finding("pragma-once", path, 1, "",
+                                "missing #pragma once",
+                                "header lacks #pragma once"))
+    return findings
+
+
+def pass_not_analyzed(model: Model, cfg: DetConfig,
+                      keep: str | None = None) -> list[Finding]:
+    """A first-party source no build target reaches is checked by nothing:
+    build it or delete it."""
+    findings: list[Finding] = []
+    for path in compdb.tree_sources(model.root, cfg.first_party):
+        if path in model.files or _excluded(cfg, path, keep):
+            continue
+        findings.append(Finding(
+            "not-analyzed", path, 1, "", "outside the compilation database",
+            "no translation unit in compile_commands.json reaches this "
+            "file, so no check covers it; build it or delete it"))
     return findings
 
 
@@ -369,29 +382,21 @@ def pass_include_layering(model: Model, cfg: DetConfig,
     return findings
 
 
-PASS_FUNCTIONS = {
-    "wall-clock-taint": pass_wallclock_taint,
-    "unordered-in-output": pass_unordered_in_output,
-    "rng-discipline": pass_rng_discipline,
-    "thread-confinement": pass_thread_confinement,
-    "include-layering": pass_include_layering,
-}
+PASSES = (
+    pass_wallclock_taint,
+    pass_unordered_in_output,
+    pass_confinement,
+    pass_include_layering,
+    pass_pragma_once,
+    pass_not_analyzed,
+)
 
 
 def run_all(model: Model, cfg: DetConfig | None = None,
-            checks: list[str] | None = None,
             keep: str | None = None) -> list[Finding]:
     cfg = cfg or DetConfig()
-    out: list[Finding] = []
-    for check in checks or CHECKS:
-        out.extend(PASS_FUNCTIONS[check](model, cfg, keep=keep))
-    out.sort(key=lambda f: (f.file, f.line, f.check, f.detail))
-    # Deduplicate by identity key (the same function can be reached from
-    # several roots).
-    seen: set[str] = set()
-    unique: list[Finding] = []
-    for f in out:
-        if f.key() not in seen:
-            seen.add(f.key())
-            unique.append(f)
-    return unique
+    out: set[Finding] = set()
+    for run in PASSES:
+        out.update(run(model, cfg, keep=keep))
+    return sorted(out, key=lambda f: (f.file, f.line, f.check, f.detail,
+                                      f.function, f.message))
