@@ -16,13 +16,13 @@
 // concurrency); the output is bit-identical at any thread count.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "args.h"
 #include "core/monitor.h"
 #include "core/report.h"
 #include "core/stats.h"
@@ -32,6 +32,9 @@
 
 int main(int argc, char** argv) {
   using namespace iri;
+  constexpr const char* kUsage =
+      "example_exchange_monitor [hours=6] [/tmp/exchange.mrt] [exchanges=2] "
+      "[--attribution[=report.json]]";
   bool attribution = false;
   std::string attribution_path;
   std::vector<const char*> positional;
@@ -45,17 +48,26 @@ int main(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  const double hours = positional.size() > 0 ? std::atof(positional[0]) : 6.0;
+  if (positional.size() > 3) {
+    examples::RejectArg(kUsage, "extra", positional[3]);
+  }
+  const double hours =
+      positional.size() > 0
+          ? examples::PositiveArg(positional[0], "hours", kUsage)
+          : 6.0;
   const std::string path =
       positional.size() > 1 ? positional[1] : "/tmp/exchange.mrt";
-  const int exchanges = positional.size() > 2 ? std::atoi(positional[2]) : 2;
+  const int exchanges =
+      positional.size() > 2
+          ? examples::IntegerArg(positional[2], 1, "exchanges", kUsage)
+          : 2;
 
   // --- live collection, one independent partition per exchange ---
   workload::MultiExchangeConfig cfg;
   cfg.scenario.topology.scale = 1.0 / 64;
   cfg.scenario.topology.num_providers = 12;
   cfg.scenario.duration = Duration::Hours(hours);
-  cfg.scenario.num_exchanges = exchanges < 1 ? 1 : exchanges;
+  cfg.scenario.num_exchanges = exchanges;
 
   std::printf("collecting %.1f simulated hours at %d exchange(s)...\n", hours,
               cfg.scenario.num_exchanges);

@@ -2,19 +2,24 @@
 // and print the taxonomy report for the BGP updates the route server saw.
 //
 //   $ example_quickstart [hours=24] [seed=42]
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.h"
 #include "core/report.h"
 #include "core/stats.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace iri;
-
-  const double hours = argc > 1 ? std::atof(argv[1]) : 24.0;
+  constexpr const char* kUsage = "example_quickstart [hours=24] [seed=42]";
+  if (argc > 3) examples::RejectArg(kUsage, "extra", argv[3]);
+  const double hours =
+      argc > 1 ? examples::PositiveArg(argv[1], "hours", kUsage) : 24.0;
   const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 42;
+      argc > 2 ? examples::IntegerArg<std::uint64_t>(argv[2], 0, "seed", kUsage)
+               : 42;
 
   workload::ScenarioConfig cfg;
   cfg.topology.scale = 1.0 / 64;  // ~650 prefixes; see DESIGN.md on scale

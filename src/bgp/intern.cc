@@ -67,7 +67,7 @@ AttrSetId AttrTable::Intern(const PathAttributes& attrs) {
   if (it != lookup_.end()) return it->second;
   IRI_ASSERT(entries_.size() < kInvalidAttrSetId,
              "AttrTable id space exhausted");
-  const PathAttributes* canonical = arena_.New<PathAttributes>(attrs);
+  const PathAttributes* canonical = &canonical_.emplace_back(attrs);
   const AttrSetId id = static_cast<AttrSetId>(entries_.size());
   const ForwardingId fwd_id =
       fwd_lookup_

@@ -17,19 +17,19 @@
 // to look up the canonical value; no id, and no order derived from one,
 // reaches any output. The unordered lookup maps are only ever probed
 // (find/emplace); nothing iterates them, so their bucket order can never
-// reach a digest either. Canonical values live in an Arena owned by the
-// table: block addresses are stable for the table's lifetime, which is what
-// lets entries hold plain pointers.
+// reach a digest either. Canonical values live in a std::deque owned by the
+// table: push_back never moves an existing element, which is what lets
+// entries and the lookup maps hold plain pointers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "bgp/attributes.h"
 #include "bgp/types.h"
-#include "core/arena.h"
 #include "core/invariants.h"
 #include "netbase/ipv4.h"
 
@@ -90,11 +90,10 @@ class AttrTable {
   bool Contains(AttrSetId id) const { return id < entries_.size(); }
   std::size_t size() const { return entries_.size(); }
   std::size_t NumForwardingClasses() const { return fwd_lookup_.size(); }
-  std::size_t arena_bytes() const { return arena_.bytes_allocated(); }
 
  private:
   struct Entry {
-    const PathAttributes* attrs;  // canonical copy, arena-owned
+    const PathAttributes* attrs;  // canonical copy, owned by canonical_
     DecisionFields decision;
     ForwardingId fwd_id;
   };
@@ -132,7 +131,8 @@ class AttrTable {
   // Probed only (find/emplace) — never iterated, so bucket order is inert.
   std::unordered_map<const PathAttributes*, AttrSetId, PtrHash, PtrEq> lookup_;
   std::unordered_map<FwdKey, ForwardingId, FwdHash, FwdEq> fwd_lookup_;
-  core::Arena arena_{16 * 1024};
+  // Id-ordered canonical sets; references stay valid across push_back.
+  std::deque<PathAttributes> canonical_;
 };
 
 }  // namespace iri::bgp

@@ -182,59 +182,4 @@ std::string Registry::SnapshotText(bool include_wall_clock,
   return out;
 }
 
-std::string Registry::SnapshotJson(bool include_wall_clock) const {
-  std::string counters, gauges, histograms;
-  for (const auto& [name, inst] : instruments_) {
-    if (!include_wall_clock && inst->stability == Stability::kWallClock) {
-      continue;
-    }
-    switch (inst->kind) {
-      case Instrument::Kind::kCounter:
-        if (!counters.empty()) counters += ',';
-        counters += '"';
-        counters += name;
-        counters += "\":";
-        AppendU64(counters, inst->counter.value());
-        break;
-      case Instrument::Kind::kGauge:
-        if (!gauges.empty()) gauges += ',';
-        gauges += '"';
-        gauges += name;
-        gauges += "\":";
-        AppendI64(gauges, inst->gauge.value());
-        break;
-      case Instrument::Kind::kHistogram: {
-        const Histogram& h = *inst->histogram;
-        if (!histograms.empty()) histograms += ',';
-        histograms += '"';
-        histograms += name;
-        histograms += "\":{\"count\":";
-        AppendU64(histograms, h.count());
-        histograms += ",\"sum\":";
-        AppendI64(histograms, h.sum());
-        histograms += ",\"edges\":[";
-        for (std::size_t i = 0; i < h.edges().size(); ++i) {
-          if (i != 0) histograms += ',';
-          AppendI64(histograms, h.edges()[i]);
-        }
-        histograms += "],\"buckets\":[";
-        for (std::size_t i = 0; i < h.buckets().size(); ++i) {
-          if (i != 0) histograms += ',';
-          AppendU64(histograms, h.buckets()[i]);
-        }
-        histograms += "]}";
-        break;
-      }
-    }
-  }
-  std::string out = "{\"counters\":{";
-  out += counters;
-  out += "},\"gauges\":{";
-  out += gauges;
-  out += "},\"histograms\":{";
-  out += histograms;
-  out += "}}";
-  return out;
-}
-
 }  // namespace iri::obs

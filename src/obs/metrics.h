@@ -145,11 +145,6 @@ class Registry {
   std::string SnapshotText(bool include_wall_clock = false,
                            const std::string& prefix = std::string()) const;
 
-  // Stable JSON snapshot: {"counters":{...},"gauges":{...},
-  // "histograms":{"name":{"count":n,"sum":s,"edges":[...],"buckets":[...]}}}
-  // with keys in name order.
-  std::string SnapshotJson(bool include_wall_clock = false) const;
-
   std::size_t size() const { return instruments_.size(); }
 
  private:

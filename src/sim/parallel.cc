@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -14,9 +17,18 @@
 namespace iri::sim {
 
 int DefaultParallelism() {
-  if (const char* env = std::getenv("IRI_PARALLEL_EXCHANGES")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
+  const char* env = std::getenv("IRI_PARALLEL_EXCHANGES");
+  if (env != nullptr && *env != '\0') {
+    const char* end = env + std::strlen(env);
+    int parsed = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, parsed);
+    if (ec != std::errc() || ptr != end || parsed <= 0) {
+      std::fprintf(stderr,
+                   "IRI_PARALLEL_EXCHANGES=%s: expected a positive integer\n",
+                   env);
+      std::exit(2);
+    }
+    return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

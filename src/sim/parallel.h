@@ -17,9 +17,11 @@
 namespace iri::sim {
 
 // Worker count used when callers pass threads <= 0: the IRI_PARALLEL_EXCHANGES
-// environment variable when set to a positive integer, otherwise the
-// hardware concurrency (minimum 1). IRI_PARALLEL_EXCHANGES=1 forces the
-// serial path through the calling thread.
+// environment variable when set, otherwise the hardware concurrency (minimum
+// 1). IRI_PARALLEL_EXCHANGES=1 forces the serial path through the calling
+// thread. A set, non-empty value that is not a positive decimal integer
+// ("abc", "4x", "0") ends the process with exit code 2 and a message naming
+// the variable and the value.
 int DefaultParallelism();
 
 // Invokes fn(i) for every i in [0, n) across up to `threads` workers

@@ -173,6 +173,7 @@ class Router : public LinkEndpoint {
   // adjacency behind a stateless border router. The paper's ISP-I
   // transmitted 2.4M withdrawals for 14,112 prefixes it had announced 259
   // of; this is that mechanism. Stateful routers coalesce it to silence.
+  // `prefixes` is read before the call returns; nothing keeps the span.
   void SprayWithdrawals(std::span<const Prefix> prefixes);
 
   bool HasLocalRoute(const Prefix& prefix) const;

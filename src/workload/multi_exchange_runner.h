@@ -3,8 +3,9 @@
 // The paper's dataset comes from five independent exchange points (Mae-East,
 // Sprint NAP, AADS, PacBell NAP, Mae-West) whose collectors never talk to
 // each other — they only meet again in post-hoc analysis. That independence
-// is an execution boundary: a num_exchanges=K scenario splits into K
-// single-exchange partitions, each with its own sim::Scheduler, its own
+// is an execution boundary: a num_exchanges=K campaign splits into K
+// single-exchange partitions (one ExchangeScenario each — the only way to
+// run more than one exchange), each with its own sim::Scheduler, its own
 // decorrelated RNG stream (ExchangeSubSeed), and private MRT/stats sinks.
 // Partitions run on a small worker pool (sim::ParallelFor, sized by
 // IRI_PARALLEL_EXCHANGES; 1 reproduces today's serial path) and their

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/invariants.h"
 #include "netbase/rng.h"
 
 namespace iri::workload {
@@ -27,14 +28,12 @@ ExchangeScenario::ExchangeScenario(ScenarioConfig config,
       universe_(std::move(universe)),
       usage_(config_.usage),
       rng_(config_.seed) {
+  IRI_ASSERT(config_.num_exchanges == 1,
+             "ExchangeScenario is one exchange point; run K exchanges "
+             "through MultiExchangeRunner");
   Build();
   Bootstrap();
   ScheduleProcesses();
-  // Day-scoped scratch discipline: everything carved from day_arena_ is
-  // transient within a single scheduler task, so resetting between days
-  // (after the day's hooks, before the next day's events) is safe and keeps
-  // the arena's footprint bounded by the busiest day.
-  ScheduleDaily([this](int) { day_arena_.Reset(); });
 }
 
 void ExchangeScenario::Build() {
@@ -42,34 +41,28 @@ void ExchangeScenario::Build() {
   sched_.AttachMetrics(&metrics_);
   prov_.SetTracer(&trace_);
 
-  // --- route servers, one per exchange point ---
-  const int k = std::max(1, config_.num_exchanges);
-  config_.num_exchanges = k;
-  for (int e = 0; e < k; ++e) {
-    sim::RouterConfig rs_cfg;
-    rs_cfg.name = "route-server-" + std::to_string(e);
-    rs_cfg.asn = 7;  // the Routing Arbiter's AS
-    rs_cfg.router_id = IPv4Address(198, 32, static_cast<std::uint8_t>(e), 1);
-    rs_cfg.interface_addr =
-        IPv4Address(198, 32, static_cast<std::uint8_t>(e), 2);
-    rs_cfg.transparent = true;
-    rs_cfg.no_reexport = !config_.rs_reexport;
-    rs_cfg.hold_time_s = 180;
-    rs_cfg.packer.interval = Duration::Seconds(10);
-    rs_cfg.packer.discipline = bgp::TimerDiscipline::kJittered;
-    route_servers_.push_back(
-        std::make_unique<sim::Router>(sched_, rs_cfg, rng_.Next()));
-    route_servers_.back()->AttachObservability(&metrics_, &trace_);
-    route_servers_.back()->SetProvenance(&prov_);
-    monitors_.push_back(std::make_unique<core::ExchangeMonitor>());
-    monitors_.back()->Attach(*route_servers_.back());
-    monitors_.back()->AttachMetrics(&metrics_);
-  }
+  // --- the route server (the Routing Arbiter's AS) and its monitor ---
+  sim::RouterConfig rs_cfg;
+  rs_cfg.name = "route-server-0";
+  rs_cfg.asn = 7;
+  rs_cfg.router_id = IPv4Address(198, 32, 0, 1);
+  rs_cfg.interface_addr = IPv4Address(198, 32, 0, 2);
+  rs_cfg.transparent = true;
+  rs_cfg.no_reexport = true;  // monitor statistics never need the fan-out
+  rs_cfg.hold_time_s = 180;
+  rs_cfg.packer.interval = Duration::Seconds(10);
+  rs_cfg.packer.discipline = bgp::TimerDiscipline::kJittered;
+  route_server_ = std::make_unique<sim::Router>(sched_, rs_cfg, rng_.Next());
+  route_server_->AttachObservability(&metrics_, &trace_);
+  route_server_->SetProvenance(&prov_);
+  monitor_ = std::make_unique<core::ExchangeMonitor>();
+  monitor_->Attach(*route_server_);
+  monitor_->AttachMetrics(&metrics_);
 
   // --- streaming telemetry: series instruments + health detectors ---
-  // Every monitor feeds the same named instruments (one partition, one
-  // series), and the flush tick samples the shared windows for the health
-  // feed — so the caches below and the monitors' caches alias by name.
+  // The monitor feeds the named instruments, and the flush tick samples the
+  // same windows for the health feed — so the caches below and the
+  // monitor's caches alias by name.
   if (config_.series_flush_interval.nanos() > 0) {
     series_.SetEwmaAlpha(config_.series_ewma_alpha);
     health_ = std::make_unique<obs::HealthMonitor>(
@@ -77,9 +70,7 @@ void ExchangeScenario::Build() {
     series_updates_ = &series_.GetCounter("monitor.updates");
     series_wwdup_ = &series_.GetCounter("monitor.wwdup");
     series_aadup_ = &series_.GetCounter("monitor.aadup");
-    for (auto& monitor : monitors_) {
-      monitor->AttachTimeSeries(&series_, health_.get());
-    }
+    monitor_->AttachTimeSeries(&series_, health_.get());
   }
 
   // --- pathological provider selection: smallest table weight ---
@@ -94,59 +85,51 @@ void ExchangeScenario::Build() {
         .stateless_bgp = true;
   }
 
-  // --- provider border routers + links (one per exchange) ---
-  for (std::size_t i = 0; i < universe_.providers.size(); ++i) {
-    const auto& spec = universe_.providers[i];
-    borders_.emplace_back();
-    links_.emplace_back();
-    for (int e = 0; e < k; ++e) {
-      sim::RouterConfig cfg;
-      cfg.name = spec.name + (k > 1 ? "@x" + std::to_string(e) : "");
-      cfg.asn = spec.asn;
-      cfg.router_id = IPv4Address(spec.router_id.bits() +
-                                  (static_cast<std::uint32_t>(e) << 24));
-      cfg.interface_addr = IPv4Address(
-          spec.interface_addr.bits() + (static_cast<std::uint32_t>(e) << 24));
-      cfg.stateless_bgp = spec.stateless_bgp && !config_.force_all_stateful;
-      cfg.hold_time_s = 90;
-      cfg.packer.interval = config_.flush_interval;
-      cfg.packer.discipline =
-          (spec.unjittered_timer && !config_.force_all_jittered)
-              ? bgp::TimerDiscipline::kUnjittered
-              : bgp::TimerDiscipline::kJittered;
-      cfg.enable_dampening = config_.providers_dampen;
-      cfg.dampening = config_.dampening;
-      auto router = std::make_unique<sim::Router>(sched_, cfg, rng_.Next());
+  // --- provider border routers + their exchange links ---
+  for (const auto& spec : universe_.providers) {
+    sim::RouterConfig cfg;
+    cfg.name = spec.name;
+    cfg.asn = spec.asn;
+    cfg.router_id = spec.router_id;
+    cfg.interface_addr = spec.interface_addr;
+    cfg.stateless_bgp = spec.stateless_bgp && !config_.force_all_stateful;
+    cfg.hold_time_s = 90;
+    cfg.packer.interval = config_.flush_interval;
+    cfg.packer.discipline =
+        (spec.unjittered_timer && !config_.force_all_jittered)
+            ? bgp::TimerDiscipline::kUnjittered
+            : bgp::TimerDiscipline::kJittered;
+    cfg.enable_dampening = config_.providers_dampen;
+    cfg.dampening = config_.dampening;
+    auto router = std::make_unique<sim::Router>(sched_, cfg, rng_.Next());
 
-      // Export policy toward the exchange: own routes only, and never the
-      // aggregated customer components. Stateless withdrawal sprays bypass
-      // this policy — that asymmetry is the WWDup pathology.
-      bgp::Policy exp = bgp::Policy::DenyAll();
-      {
-        bgp::PolicyRule deny_aggregated;
-        deny_aggregated.name = "deny-aggregated-components";
-        deny_aggregated.match.has_community = kAggregatedTag;
-        deny_aggregated.action.deny = true;
-        exp.Add(std::move(deny_aggregated));
-        bgp::PolicyRule allow_own;
-        allow_own.name = "allow-own-routes";
-        allow_own.match.has_community = kOwnRouteTag;
-        exp.Add(std::move(allow_own));
-      }
-
-      auto link = std::make_unique<sim::Link>(sched_, config_.link_latency);
-      router->AttachObservability(&metrics_, &trace_);
-      router->SetProvenance(&prov_);
-      link->AttachObservability(&metrics_, &trace_, cfg.name);
-      link->SetProvenance(&prov_);
-      router->AttachLink(*link, /*side_a=*/true, 7, bgp::Policy::AcceptAll(),
-                         std::move(exp));
-      route_servers_[static_cast<std::size_t>(e)]->AttachLink(
-          *link, /*side_a=*/false, spec.asn);
-
-      borders_.back().push_back(std::move(router));
-      links_.back().push_back(std::move(link));
+    // Export policy toward the exchange: own routes only, and never the
+    // aggregated customer components. Stateless withdrawal sprays bypass
+    // this policy — that asymmetry is the WWDup pathology.
+    bgp::Policy exp = bgp::Policy::DenyAll();
+    {
+      bgp::PolicyRule deny_aggregated;
+      deny_aggregated.name = "deny-aggregated-components";
+      deny_aggregated.match.has_community = kAggregatedTag;
+      deny_aggregated.action.deny = true;
+      exp.Add(std::move(deny_aggregated));
+      bgp::PolicyRule allow_own;
+      allow_own.name = "allow-own-routes";
+      allow_own.match.has_community = kOwnRouteTag;
+      exp.Add(std::move(allow_own));
     }
+
+    auto link = std::make_unique<sim::Link>(sched_, config_.link_latency);
+    router->AttachObservability(&metrics_, &trace_);
+    router->SetProvenance(&prov_);
+    link->AttachObservability(&metrics_, &trace_, cfg.name);
+    link->SetProvenance(&prov_);
+    router->AttachLink(*link, /*side_a=*/true, 7, bgp::Policy::AcceptAll(),
+                       std::move(exp));
+    route_server_->AttachLink(*link, /*side_a=*/false, spec.asn);
+
+    borders_.push_back(std::move(router));
+    links_.push_back(std::move(link));
   }
 
   customer_state_.assign(universe_.customers.size(), CustomerState{});
@@ -194,15 +177,11 @@ void ExchangeScenario::Build() {
 }
 
 void ExchangeScenario::OriginateAt(int provider, const bgp::Route& route) {
-  for (auto& border : borders_[static_cast<std::size_t>(provider)]) {
-    border->Originate(route);
-  }
+  borders_[static_cast<std::size_t>(provider)]->Originate(route);
 }
 
 void ExchangeScenario::WithdrawAt(int provider, const Prefix& prefix) {
-  for (auto& border : borders_[static_cast<std::size_t>(provider)]) {
-    border->WithdrawLocal(prefix);
-  }
+  borders_[static_cast<std::size_t>(provider)]->WithdrawLocal(prefix);
 }
 
 int ExchangeScenario::SampleCustomer() {
@@ -240,9 +219,7 @@ void ExchangeScenario::Bootstrap() {
   // first few RTTs.
   sched_.At(TimePoint::Origin(), [this] {
     obs::CauseScope scope(&prov_, obs::CauseKind::kBootstrap, sched_.Now());
-    for (auto& per_provider : links_) {
-      for (auto& link : per_provider) link->Restore();
-    }
+    for (auto& link : links_) link->Restore();
   });
 
   // Originate the world at t=2s: provider aggregates, visible customers,
@@ -553,12 +530,10 @@ void ExchangeScenario::StartUpgradeIncident() {
        ++k) {
     sched_.After(kDay * (k + 0.3), [this, upg] {
       obs::CauseScope bounce(&prov_, upgrade_cause_);
-      for (auto& link : links_[static_cast<std::size_t>(upg)]) link->Fail();
+      links_[static_cast<std::size_t>(upg)]->Fail();
       sched_.After(Duration::Minutes(2 + 6 * rng_.Uniform()), [this, upg] {
         obs::CauseScope inner(&prov_, upgrade_cause_);
-        for (auto& link : links_[static_cast<std::size_t>(upg)]) {
-          link->Restore();
-        }
+        links_[static_cast<std::size_t>(upg)]->Restore();
       });
     });
   }
@@ -596,20 +571,17 @@ void ExchangeScenario::ScheduleDaily(std::function<void(int day)> fn) {
 
 void ExchangeScenario::RunUntil(TimePoint t) {
   sched_.RunUntil(t);
-  obs::ShardProvenance combined;
-  for (auto& monitor : monitors_) {
-    combined.Merge(monitor->classifier().provenance());
-  }
+  const obs::ShardProvenance& observed = monitor_->classifier().provenance();
   metrics_.GetGauge("provenance.causes")
       .Set(static_cast<std::int64_t>(prov_.Count()));
   metrics_.GetGauge("provenance.events_attributed")
-      .Set(static_cast<std::int64_t>(combined.attributed()));
+      .Set(static_cast<std::int64_t>(observed.attributed()));
   metrics_.GetGauge("provenance.events_unattributed")
-      .Set(static_cast<std::int64_t>(combined.unattributed()));
+      .Set(static_cast<std::int64_t>(observed.unattributed()));
 }
 
 double ExchangeScenario::TableShare(int provider) const {
-  const auto& rib = route_servers_.front()->rib();
+  const auto& rib = route_server_->rib();
   const std::size_t total = rib.NumRoutes();
   if (total == 0) return 0;
   return static_cast<double>(
@@ -822,24 +794,21 @@ void ExchangeScenario::InternalResetBeat(int provider, int beats_left,
                                          obs::CauseTag cause) {
   if (beats_left <= 0) return;
   obs::CauseScope scope(&prov_, cause);
-  for (auto& border : borders_[static_cast<std::size_t>(provider)]) {
-    border->InternalReset(config_.internal_reset_dirty_fraction);
-  }
+  sim::Router& border = *borders_[static_cast<std::size_t>(provider)];
+  border.InternalReset(config_.internal_reset_dirty_fraction);
   // The reset also tears through routes learned *from* the exchange: the
   // stateless router withdraws them toward everyone, including providers
   // that are their only origin (pure WWDup at the collector). The leak set
   // is fixed per provider; each beat disturbs most of it.
   const auto& leak = foreign_leak_sets_[static_cast<std::size_t>(provider)];
   if (!leak.empty()) {
-    SprayBuffer sample{core::ArenaAllocator<Prefix>(&day_arena_)};
+    std::vector<Prefix> sample;
     sample.reserve(leak.size());
     const double fraction = 0.6 + 0.4 * rng_.Uniform();
     for (const Prefix& prefix : leak) {
       if (rng_.Uniform() < fraction) sample.push_back(prefix);
     }
-    for (auto& border : borders_[static_cast<std::size_t>(provider)]) {
-      border->SprayWithdrawals(sample);
-    }
+    border.SprayWithdrawals(sample);
   }
   sched_.After(config_.flush_interval, [this, provider, beats_left, cause] {
     InternalResetBeat(provider, beats_left - 1, cause);
@@ -852,28 +821,26 @@ void ExchangeScenario::MaintenanceWindow(int day) {
   const TimePoint base = TimePoint::Origin() + kDay * day +
                          Duration::Hours(config_.maintenance_hour);
   if (base > TimePoint::Origin() + config_.duration) return;
-  for (std::size_t i = 0; i < borders_.size(); ++i) {
-    for (std::size_t e = 0; e < links_[i].size(); ++e) {
-      if (rng_.Uniform() >= config_.maintenance_reset_prob) continue;
-      const Duration offset =
-          Duration::Hours(config_.maintenance_window_h) * rng_.Uniform();
-      sched_.At(base + offset, [this, i, e] {
-        // Minted at fire time (not scheduling time) so the injection
-        // timestamp matches the fault, and captured so the restore half of
-        // the bounce shares it.
-        const obs::CauseTag cause =
-            prov_.Allocate(obs::CauseKind::kMaintenance, sched_.Now());
-        {
-          obs::CauseScope scope(&prov_, cause);
-          links_[i][e]->Fail();
-        }
-        const Duration outage = Duration::Seconds(60 + 120 * rng_.Uniform());
-        sched_.After(outage, [this, i, e, cause] {
-          obs::CauseScope scope(&prov_, cause);
-          links_[i][e]->Restore();
-        });
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    if (rng_.Uniform() >= config_.maintenance_reset_prob) continue;
+    const Duration offset =
+        Duration::Hours(config_.maintenance_window_h) * rng_.Uniform();
+    sched_.At(base + offset, [this, i] {
+      // Minted at fire time (not scheduling time) so the injection
+      // timestamp matches the fault, and captured so the restore half of
+      // the bounce shares it.
+      const obs::CauseTag cause =
+          prov_.Allocate(obs::CauseKind::kMaintenance, sched_.Now());
+      {
+        obs::CauseScope scope(&prov_, cause);
+        links_[i]->Fail();
+      }
+      const Duration outage = Duration::Seconds(60 + 120 * rng_.Uniform());
+      sched_.After(outage, [this, i, cause] {
+        obs::CauseScope scope(&prov_, cause);
+        links_[i]->Restore();
       });
-    }
+    });
   }
 }
 
@@ -893,9 +860,9 @@ void ExchangeScenario::SaturdaySpike(int day) {
 
 void ExchangeScenario::PathoSpray() {
   // A fraction of the learned table is lost and re-learned; withdrawals for
-  // all of it spray out through the stateless border router(s).
+  // all of it spray out through the stateless border router.
   const double fraction = 0.3 + 0.7 * rng_.Uniform();
-  SprayBuffer prefixes{core::ArenaAllocator<Prefix>(&day_arena_)};
+  std::vector<Prefix> prefixes;
   prefixes.reserve(static_cast<std::size_t>(
       static_cast<double>(patho_table_.size()) * fraction) + 1);
   for (int ci : patho_table_) {
@@ -905,9 +872,8 @@ void ExchangeScenario::PathoSpray() {
     }
   }
   obs::CauseScope scope(&prov_, obs::CauseKind::kPathoSpray, sched_.Now());
-  for (auto& border : borders_[static_cast<std::size_t>(patho_provider_)]) {
-    border->SprayWithdrawals(prefixes);
-  }
+  borders_[static_cast<std::size_t>(patho_provider_)]->SprayWithdrawals(
+      prefixes);
 }
 
 std::uint64_t ExchangeSubSeed(std::uint64_t scenario_seed, int exchange) {

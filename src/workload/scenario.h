@@ -1,9 +1,9 @@
 // The nine-month measurement campaign in a box.
 //
-// ExchangeScenario assembles one or more public exchange points — Routing
-// Arbiter-style route servers, one border router per (provider, exchange),
-// links — seeds them with a generated universe, attaches a measurement
-// monitor per exchange, and drives every instability mechanism the paper
+// ExchangeScenario assembles one public exchange point — a Routing
+// Arbiter-style route server, one border router and link per provider —
+// seeds it with a generated universe, attaches a measurement monitor to the
+// route server, and drives every instability mechanism the paper
 // identifies:
 //
 //   * customer leased-line flaps (Poisson, modulated by the usage curve)
@@ -22,13 +22,16 @@
 // All rates are per-day at usage level 1.0 and are sampled by Poisson
 // thinning against the usage envelope, so the realized event stream carries
 // the daily/weekly/seasonal structure the paper's spectral analysis finds.
+//
+// The paper's five collectors were independent taps; a multi-exchange
+// campaign is K of these scenarios, one per exchange point, run by
+// workload/multi_exchange_runner.h.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/monitor.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -54,11 +57,9 @@ struct ScenarioConfig {
   UsageConfig usage;
 
   // Exchange points. The paper instrumented five (Mae-East, AADS, Sprint,
-  // PacBell, Mae-West); each provider runs one border router per exchange,
-  // and each exchange has its own route server + monitor. AS-internal
-  // events (customer flaps, internal resets, sprays) hit every border
-  // router of the provider simultaneously; session-level events
-  // (maintenance resets) are per exchange.
+  // PacBell, Mae-West). This is the partition count MultiExchangeRunner
+  // splits the campaign into; one ExchangeScenario is one exchange and
+  // requires 1 here (PartitionConfig sets it).
   int num_exchanges = 1;
 
   // --- legitimate instability (per-day rates at usage level 1.0) ---
@@ -133,8 +134,6 @@ struct ScenarioConfig {
   bool force_all_stateful = false;   // ablation: the vendor software fix
   bool providers_dampen = false;     // RFC 2439 at provider borders
   bgp::DampeningParams dampening;
-  bool rs_reexport = false;  // full route-server fan-out (costly; monitor
-                             // statistics are identical either way)
   Duration link_latency = Duration::Millis(2);
 
   // Opt-in wall-clock profiling (obs/profile.h): adds nondeterministic
@@ -171,23 +170,17 @@ class ExchangeScenario {
   void ScheduleDaily(std::function<void(int day)> fn);
 
   sim::Scheduler& scheduler() { return sched_; }
-  core::ExchangeMonitor& monitor(int exchange = 0) {
-    return *monitors_[static_cast<std::size_t>(exchange)];
+  core::ExchangeMonitor& monitor() { return *monitor_; }
+  sim::Router& route_server() { return *route_server_; }
+  sim::Router& provider_router(int i) {
+    return *borders_[static_cast<std::size_t>(i)];
   }
-  sim::Router& route_server(int exchange = 0) {
-    return *route_servers_[static_cast<std::size_t>(exchange)];
-  }
-  sim::Router& provider_router(int i, int exchange = 0) {
-    return *borders_[static_cast<std::size_t>(i)]
-                    [static_cast<std::size_t>(exchange)];
-  }
-  int num_exchanges() const { return config_.num_exchanges; }
   const topology::Universe& universe() const { return universe_; }
   const UsageModel& usage() const { return usage_; }
   const ScenarioConfig& config() const { return config_; }
 
   // This scenario's observability state: every component (scheduler,
-  // routers, links, monitors) feeds these. Single-partition, like the
+  // routers, links, monitor) feeds these. Single-partition, like the
   // scenario itself — the multi-exchange runner merges them across
   // partitions in fixed exchange order.
   obs::Registry& metrics() { return metrics_; }
@@ -213,10 +206,6 @@ class ExchangeScenario {
 
   // The scale factor versus the paper's full universe, for report headers.
   double Scale() const { return universe_.config.scale; }
-
-  // Day-scoped scratch arena (reset at each midnight rollover); exposed so
-  // tests can check the reuse discipline.
-  const core::Arena& day_arena() const { return day_arena_; }
 
  private:
   struct CustomerState {
@@ -305,13 +294,13 @@ class ExchangeScenario {
   sim::Scheduler sched_;
   Rng rng_;
 
-  std::vector<std::unique_ptr<sim::Router>> route_servers_;
-  // borders_[provider][exchange]; links_ has the same shape.
-  std::vector<std::vector<std::unique_ptr<sim::Router>>> borders_;
-  std::vector<std::vector<std::unique_ptr<sim::Link>>> links_;
-  std::vector<std::unique_ptr<core::ExchangeMonitor>> monitors_;
+  std::unique_ptr<sim::Router> route_server_;
+  std::unique_ptr<core::ExchangeMonitor> monitor_;
+  // One border router and one exchange link per provider, provider-indexed.
+  std::vector<std::unique_ptr<sim::Router>> borders_;
+  std::vector<std::unique_ptr<sim::Link>> links_;
 
-  // AS-level helpers: apply to every border router of `provider`.
+  // AS-level helpers: act on `provider`'s border router.
   void OriginateAt(int provider, const bgp::Route& route);
   void WithdrawAt(int provider, const Prefix& prefix);
 
@@ -332,14 +321,6 @@ class ExchangeScenario {
   double saturday_boost_ = 1.0;    // active spike multiplier
   TimePoint saturday_boost_end_;
   std::vector<std::function<void(int)>> daily_hooks_;
-  // Day-scoped scratch arena for transient event buffers (withdrawal-spray
-  // samples). A daily hook registered in the constructor Reset()s it at
-  // every midnight rollover, so a long campaign's scratch footprint is
-  // bounded by its busiest single day. Reset only ever runs from the
-  // midnight task, never inside an event handler that holds a buffer.
-  core::Arena day_arena_{16 * 1024};
-  // Type of the spray sample buffers carved from day_arena_.
-  using SprayBuffer = std::vector<Prefix, core::ArenaAllocator<Prefix>>;
 
   // Weighted customer sampling (per-provider flap multipliers).
   std::vector<double> customer_weight_cumulative_;
@@ -350,8 +331,9 @@ class ExchangeScenario {
 // --- multi-exchange partitioning -------------------------------------------
 //
 // The partitioned runner (workload/multi_exchange_runner.h) splits a
-// num_exchanges=K scenario into K independent single-exchange scenarios,
-// the only parallel axis (one serial classifier per exchange monitor).
+// num_exchanges=K campaign into K independent single-exchange scenarios —
+// the only way to run more than one exchange, and the only parallel axis
+// (one serial classifier per exchange monitor).
 // Each partition draws from its own decorrelated RNG stream so no draw in
 // one exchange can perturb another — the property that makes the parallel
 // schedule interleaving-independent (see DESIGN.md §8).

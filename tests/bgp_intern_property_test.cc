@@ -121,8 +121,8 @@ TEST(AttrTableProperty, IdCompareMatchesDeepCompare) {
 TEST(AttrTableProperty, CanonicalPointersStableAcrossGrowth) {
   Rng rng(7);
   AttrTable table;
-  // Grab a reference early, then force the arena through many more blocks;
-  // the Rib and monitor hold ids across the whole run, so Get() must keep
+  // Grab a reference early, then grow the table by thousands of sets; the
+  // Rib and monitor hold ids across the whole run, so Get() must keep
   // returning the same storage.
   const PathAttributes first = RandomAttributes(rng);
   const AttrSetId first_id = table.Intern(first);
@@ -135,8 +135,6 @@ TEST(AttrTableProperty, CanonicalPointersStableAcrossGrowth) {
   }
   EXPECT_EQ(first_ptr, &table.Get(first_id));
   EXPECT_EQ(*first_ptr, first);
-  EXPECT_GT(table.arena_bytes(), std::size_t{16 * 1024})
-      << "expected the arena to have grown past its first block";
 }
 
 }  // namespace

@@ -178,18 +178,5 @@ TEST(Registry, MergeIsOrderInsensitiveOnDisjointSources) {
   EXPECT_EQ(xy.SnapshotText(), yx.SnapshotText());
 }
 
-TEST(Registry, SnapshotJsonShape) {
-  Registry reg;
-  reg.GetCounter("c").Add(2);
-  reg.GetGauge("g").Set(-1);
-  const std::array<std::int64_t, 1> edges{5};
-  reg.GetHistogram("h", edges).Observe(9);
-  const std::string json = reg.SnapshotJson();
-  EXPECT_NE(json.find("\"counters\":{\"c\":2}"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"gauges\":{\"g\":-1}"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"h\":{\"count\":1,\"sum\":9"), std::string::npos)
-      << json;
-}
-
 }  // namespace
 }  // namespace iri::obs

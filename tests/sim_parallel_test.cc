@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace iri::sim {
@@ -59,6 +61,57 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
 
 TEST(DefaultParallelism, IsAtLeastOne) {
   EXPECT_GE(DefaultParallelism(), 1);
+}
+
+// Sets IRI_PARALLEL_EXCHANGES for one scope and restores it afterwards, so
+// a value the whole binary runs under still holds for the other tests.
+class ScopedParallelEnv {
+ public:
+  explicit ScopedParallelEnv(const char* value) {
+    const char* old = std::getenv(kName);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    setenv(kName, value, 1);
+  }
+  ~ScopedParallelEnv() {
+    if (had_) {
+      setenv(kName, saved_.c_str(), 1);
+    } else {
+      unsetenv(kName);
+    }
+  }
+
+ private:
+  static constexpr const char* kName = "IRI_PARALLEL_EXCHANGES";
+  bool had_ = false;
+  std::string saved_;
+};
+
+TEST(DefaultParallelism, ReadsAPositiveInteger) {
+  {
+    const ScopedParallelEnv env("3");
+    EXPECT_EQ(DefaultParallelism(), 3);
+  }
+  {
+    // Set but empty: same as unset.
+    const ScopedParallelEnv env("");
+    EXPECT_GE(DefaultParallelism(), 1);
+  }
+}
+
+// A mistyped worker count must not run quietly: "4x" used to run 4 workers
+// and "abc" hardware concurrency. Only DefaultParallelism runs in the child,
+// so no pool is ever started.
+TEST(DefaultParallelismDeathTest, MalformedValueFailsNamingIt) {
+  // Earlier tests ran worker pools; re-execute rather than fork a process
+  // that has had threads (the CI TSan leg runs this binary).
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* value : {"abc", "4x", "0"}) {
+    const ScopedParallelEnv env(value);
+    EXPECT_EXIT(DefaultParallelism(), testing::ExitedWithCode(2),
+                std::string("IRI_PARALLEL_EXCHANGES=") + value)
+        << "value " << value;
+  }
 }
 
 }  // namespace

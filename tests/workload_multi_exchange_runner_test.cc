@@ -95,16 +95,25 @@ TEST(MultiExchangeRunner, MergePreservesFixedExchangeOrder) {
   EXPECT_EQ(result.combined.Total(), events);
 }
 
+// "It is important to note that these results are representative of other
+// exchange points": independent collectors over one Internet must see the
+// same statistical mix, not the same bytes.
 TEST(MultiExchangeRunner, PartitionsAreDecorrelatedButSameUniverse) {
   const MultiExchangeResult result = MultiExchangeRunner(SmallConfig(2)).Run();
   ASSERT_EQ(result.exchanges.size(), 2u);
   // Different sub-seeds ⇒ different event streams...
   EXPECT_NE(result.exchanges[0].mrt, result.exchanges[1].mrt);
-  // ...over the same universe, so volumes stay statistically aligned.
+  // ...over the same universe, so volumes stay statistically aligned...
   const double e0 = static_cast<double>(result.exchanges[0].events);
   const double e1 = static_cast<double>(result.exchanges[1].events);
   ASSERT_GT(e0, 100.0);
   EXPECT_NEAR(e1 / e0, 1.0, 0.5);
+  // ...and so does the pathological share of each collector's stream.
+  const double patho0 =
+      static_cast<double>(result.exchanges[0].counts.Pathology()) / e0;
+  const double patho1 =
+      static_cast<double>(result.exchanges[1].counts.Pathology()) / e1;
+  EXPECT_NEAR(patho1, patho0, 0.1);
 }
 
 TEST(MultiExchangeRunner, PartitionSetupSeesEveryExchangeOnce) {
@@ -113,7 +122,7 @@ TEST(MultiExchangeRunner, PartitionSetupSeesEveryExchangeOnce) {
   std::vector<std::uint64_t> sink_events(3, 0);
   runner.SetPartitionSetup([&](int e, ExchangeScenario& scenario) {
     setup_hits[static_cast<std::size_t>(e)] += 1;
-    EXPECT_EQ(scenario.num_exchanges(), 1);
+    EXPECT_EQ(scenario.config().num_exchanges, 1);
     scenario.monitor().AddSink([&sink_events, e](const core::ClassifiedEvent&) {
       ++sink_events[static_cast<std::size_t>(e)];
     });

@@ -248,5 +248,14 @@ TEST(Scenario, ExplicitUniverseInjection) {
   EXPECT_EQ(scenario.route_server().num_peers(), providers);
 }
 
+// A scenario is one exchange point: K exchanges are K partitions of
+// MultiExchangeRunner, never one scenario quietly building one exchange.
+TEST(ScenarioDeathTest, MoreThanOneExchangeIsRefused) {
+  auto cfg = BaseConfig();
+  cfg.duration = Duration::Minutes(10);
+  cfg.num_exchanges = 2;
+  EXPECT_DEATH(ExchangeScenario{cfg}, "num_exchanges == 1");
+}
+
 }  // namespace
 }  // namespace iri::workload

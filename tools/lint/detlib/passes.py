@@ -110,8 +110,7 @@ class DetConfig:
         "workload": {"workload", "core", "igp", "mrt", "sim", "topology",
                      "analysis", "bgp", "obs", "netbase"},
     })
-    layering_exceptions: frozenset = frozenset(
-        {"core/invariants.h", "core/arena.h"})
+    layering_exceptions: frozenset = frozenset({"core/invariants.h"})
     no_exception_layers: frozenset = frozenset({"netbase"})
 
     # Paths excluded from repo analysis (the analyzer's own deliberately
