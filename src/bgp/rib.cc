@@ -1,11 +1,16 @@
 #include "bgp/rib.h"
 
+#include <algorithm>
+
 #include "core/invariants.h"
 
 namespace iri::bgp {
 
 void Rib::AddPeer(PeerId peer, IPv4Address router_id) {
   peers_[peer] = router_id;
+  if (peer != kLocalPeer && peer >= peer_route_counts_.size()) {
+    peer_route_counts_.resize(static_cast<std::size_t>(peer) + 1, 0);
+  }
 }
 
 RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
@@ -13,14 +18,12 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   IRI_ASSERT(peers_.contains(peer),
              "Announce from a peer never registered with AddPeer");
   IRI_ASSERT(attrs_.Contains(attrs), "Announce of an id not from attrs()");
-  Entry* entry;
-  if (Entry** slot = index_.Find(prefix); slot != nullptr) {
-    entry = *slot;
-  } else {
-    table_.Insert(prefix, Entry{});
-    entry = table_.Find(prefix);
-    *index_.TryEmplace(prefix).first = entry;
+  auto [slot, fresh] = index_.TryEmplace(prefix);
+  if (fresh) {
+    *slot = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(Entry{prefix, {}, -1});
   }
+  Entry* entry = &entries_[*slot];
   if (entry->candidates.empty()) ++num_prefixes_;  // fresh entry or tombstone
   const bool had_best = entry->best >= 0;
   const PeerId old_best_peer =
@@ -41,7 +44,7 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
     own = &entry->candidates.emplace_back();
     own->peer = peer;
     own->peer_router_id = peers_[peer];
-    peer_prefixes_[peer].insert(prefix);
+    ++RouteCount(peer);
     ++num_routes_;
   }
   own->attr_id = attrs;
@@ -67,57 +70,64 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
 
 RibChange Rib::Withdraw(PeerId peer, const Prefix& prefix) {
   obs::ScopedTimer timer(&withdraw_site_, 1);
-  Entry* const* slot = index_.Find(prefix);
-  if (slot == nullptr) return {};
-  Entry* entry = *slot;
+  Entry* entry = Find(prefix);
+  if (entry == nullptr) return {};
   const bool had_best = entry->best >= 0;
   const PeerId old_best_peer =
       had_best ? entry->candidates[static_cast<std::size_t>(entry->best)].peer
                : kLocalPeer;
 
-  bool removed = false;
-  for (std::size_t i = 0; i < entry->candidates.size(); ++i) {
-    if (entry->candidates[i].peer == peer) {
-      entry->candidates.erase(entry->candidates.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-      removed = true;
-      break;
+  RibChange change;
+  auto own = std::find_if(
+      entry->candidates.begin(), entry->candidates.end(),
+      [peer](const Candidate& c) { return c.peer == peer; });
+  if (own == entry->candidates.end()) {
+    // Pathological withdrawal: nothing to do, the best stands.
+    if (had_best) {
+      change.new_best =
+          &entry->candidates[static_cast<std::size_t>(entry->best)];
     }
+    return change;
   }
-  if (!removed) return {};  // pathological withdrawal: nothing to do
-  IRI_ASSERT(num_routes_ > 0,
+  entry->candidates.erase(own);
+  IRI_ASSERT(num_routes_ > 0 && RouteCount(peer) > 0,
              "Adj-RIB-In count underflow: removed a route while num_routes_ "
-             "was already zero");
-  peer_prefixes_[peer].erase(prefix);
+             "or the peer's route count was already zero");
+  --RouteCount(peer);
   --num_routes_;
 
   if (entry->candidates.empty()) {
-    // Tombstone: the entry (and its candidate buffer) stays in the trie so
-    // the next announcement of this prefix reuses it wholesale.
+    // Tombstone: the entry (and its candidate buffer) keeps its slot so the
+    // next announcement of this prefix reuses it wholesale.
     entry->best = -1;
     --num_prefixes_;
-    RibChange change;
     change.best_changed = had_best;
     return change;
   }
   entry->best = SelectBest(entry->candidates);
-  RibChange change;
   change.new_best = &entry->candidates[static_cast<std::size_t>(entry->best)];
-  // Removing a non-best candidate never changes the best: the decision
-  // ladder is a total order, so the previous maximum still wins.
-  change.best_changed = had_best && old_best_peer == peer;
+  // The entry was live, so it had a best. Removing a non-best candidate can
+  // still move the best: MED compares only routes from one neighbour AS, so
+  // the ladder is not transitive and SelectBest's pairwise scan depends on
+  // which candidates it meets. An unchanged best peer is the same candidate,
+  // attributes included.
+  change.best_changed = change.new_best->peer != old_best_peer;
   return change;
 }
 
 std::vector<Prefix> Rib::ClearPeer(PeerId peer) {
   std::vector<Prefix> changed;
-  auto it = peer_prefixes_.find(peer);
-  if (it == peer_prefixes_.end()) return changed;
-  // Copy: Withdraw mutates peer_prefixes_[peer].
-  const std::vector<Prefix> prefixes(it->second.begin(), it->second.end());
-  changed.reserve(prefixes.size());
-  for (const Prefix& p : prefixes) {
-    if (Withdraw(peer, p).best_changed) changed.push_back(p);
+  // Address-order scan, stopping once the peer holds nothing: Withdraw
+  // never mints a slot, so the order list is stable across the loop.
+  for (const std::uint32_t slot : AddressOrder()) {
+    if (PeerRouteCount(peer) == 0) break;
+    const Entry& e = entries_[slot];
+    const bool held = std::any_of(
+        e.candidates.begin(), e.candidates.end(),
+        [peer](const Candidate& c) { return c.peer == peer; });
+    if (held && Withdraw(peer, e.prefix).best_changed) {
+      changed.push_back(e.prefix);
+    }
   }
   IRI_DCHECK(PeerRouteCount(peer) == 0,
              "ClearPeer must drop every route learned from the peer");
@@ -127,21 +137,36 @@ std::vector<Prefix> Rib::ClearPeer(PeerId peer) {
 
 const Candidate* Rib::Best(const Prefix& prefix) const {
   obs::ScopedTimer timer(&lookup_site_, 1);
-  Entry* const* slot = index_.Find(prefix);
-  if (slot == nullptr || (*slot)->best < 0) return nullptr;
-  const Entry* entry = *slot;
+  const Entry* entry = Find(prefix);
+  if (entry == nullptr || entry->best < 0) return nullptr;
   return &entry->candidates[static_cast<std::size_t>(entry->best)];
 }
 
 std::vector<Candidate> Rib::CandidatesFor(const Prefix& prefix) const {
-  Entry* const* slot = index_.Find(prefix);
-  if (slot == nullptr) return {};
-  return (*slot)->candidates;
+  const Entry* entry = Find(prefix);
+  if (entry == nullptr) return {};
+  return entry->candidates;
 }
 
 std::size_t Rib::PeerRouteCount(PeerId peer) const {
-  auto it = peer_prefixes_.find(peer);
-  return it == peer_prefixes_.end() ? 0 : it->second.size();
+  if (peer == kLocalPeer) return local_route_count_;
+  return peer < peer_route_counts_.size() ? peer_route_counts_[peer] : 0;
+}
+
+const std::vector<std::uint32_t>& Rib::AddressOrder() const {
+  const std::size_t sorted = address_order_.size();
+  if (sorted == entries_.size()) return address_order_;
+  for (std::size_t i = sorted; i < entries_.size(); ++i) {
+    address_order_.push_back(static_cast<std::uint32_t>(i));
+  }
+  const auto by_prefix = [this](std::uint32_t a, std::uint32_t b) {
+    return entries_[a].prefix < entries_[b].prefix;
+  };
+  const auto mid = address_order_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::sort(mid, address_order_.end(), by_prefix);
+  std::inplace_merge(address_order_.begin(), mid, address_order_.end(),
+                     by_prefix);
+  return address_order_;
 }
 
 bool Rib::AuditInvariants() const {
@@ -150,17 +175,21 @@ bool Rib::AuditInvariants() const {
   std::size_t malformed_entries = 0;   // best index out of range, or a
                                        // tombstone still claiming a best
   std::size_t duplicate_peer_routes = 0;
-  std::size_t unindexed_routes = 0;    // candidate missing from peer_prefixes_
-  std::size_t stale_index_entries = 0; // index_ disagrees with the trie
+  std::size_t stale_index_entries = 0; // index_ disagrees with entries_
   std::size_t bad_attr_ids = 0;        // id out of range, or cached decision
                                        // fields that disagree with attrs_
-  table_.Visit([&](const Prefix& prefix, const Entry& e) {
-    Entry* const* idx = index_.Find(prefix);
-    if (idx == nullptr || *idx != &e) ++stale_index_entries;
+  // Candidate tally per peer, beside the counts it must equal.
+  std::vector<std::size_t> tally(peer_route_counts_.size(), 0);
+  std::size_t local_tally = 0;
+  std::size_t uncounted_routes = 0;  // from a peer id with no count
+  for (std::size_t slot = 0; slot < entries_.size(); ++slot) {
+    const Entry& e = entries_[slot];
+    const std::uint32_t* idx = index_.Find(e.prefix);
+    if (idx == nullptr || *idx != slot) ++stale_index_entries;
     candidate_total += e.candidates.size();
     if (e.candidates.empty()) {
       if (e.best != -1) ++malformed_entries;
-      return;  // tombstone: parked storage only, invisible to readers
+      continue;  // tombstone: parked storage only, invisible to readers
     }
     ++live_prefixes;
     if (e.best < 0 ||
@@ -174,43 +203,53 @@ bool Rib::AuditInvariants() const {
         ++bad_attr_ids;
       }
       for (std::size_t j = i + 1; j < e.candidates.size(); ++j) {
-        if (e.candidates[i].peer == e.candidates[j].peer) {
-          ++duplicate_peer_routes;
-        }
+        if (c.peer == e.candidates[j].peer) ++duplicate_peer_routes;
       }
-      auto it = peer_prefixes_.find(e.candidates[i].peer);
-      if (it == peer_prefixes_.end() || !it->second.contains(prefix)) {
-        ++unindexed_routes;
+      if (c.peer == kLocalPeer) {
+        ++local_tally;
+      } else if (c.peer < tally.size()) {
+        ++tally[c.peer];
+      } else {
+        ++uncounted_routes;
       }
     }
-  });
-  std::size_t indexed_total = 0;
-  for (const auto& [peer, prefixes] : peer_prefixes_) {
-    indexed_total += prefixes.size();
+  }
+  // Both ways: every entry is indexed under its own slot, and the index
+  // holds nothing else (equal sizes, distinct slots).
+  const bool index_ok =
+      stale_index_entries == 0 && index_.size() == entries_.size();
+  const bool counts_ok = uncounted_routes == 0 &&
+                        local_tally == local_route_count_ &&
+                        tally == peer_route_counts_;
+  std::size_t counted_total = local_route_count_;
+  for (const std::size_t n : peer_route_counts_) counted_total += n;
+  const std::vector<std::uint32_t>& order = AddressOrder();
+  bool order_ok = order.size() == entries_.size();
+  for (std::size_t i = 1; order_ok && i < order.size(); ++i) {
+    order_ok = entries_[order[i - 1]].prefix < entries_[order[i]].prefix;
   }
 
   IRI_ASSERT(malformed_entries == 0,
              "RIB entry best index out of range or tombstone with a best");
   IRI_ASSERT(live_prefixes == num_prefixes_,
              "num_prefixes_ disagrees with the table's live entry count");
-  IRI_ASSERT(stale_index_entries == 0 && index_.size() == table_.size(),
-             "exact-match index out of sync with the trie");
+  IRI_ASSERT(index_ok, "exact-match index out of sync with the entries");
+  IRI_ASSERT(order_ok, "address-order list is not a sorted list of slots");
   IRI_ASSERT(duplicate_peer_routes == 0,
              "Adj-RIB-In holds two routes from one peer for one prefix");
-  IRI_ASSERT(unindexed_routes == 0,
-             "route present in the table but missing from the per-peer index");
+  IRI_ASSERT(counts_ok,
+             "a per-peer route count disagrees with that peer's candidates");
   IRI_ASSERT(bad_attr_ids == 0,
              "candidate attribute id out of range or its cached decision "
              "fields disagree with the attribute table");
   IRI_ASSERT(candidate_total == num_routes_,
              "num_routes_ disagrees with the table's candidate count");
-  IRI_ASSERT(indexed_total == num_routes_,
-             "num_routes_ disagrees with the per-peer index total");
-  return malformed_entries == 0 && duplicate_peer_routes == 0 &&
-         unindexed_routes == 0 && candidate_total == num_routes_ &&
-         indexed_total == num_routes_ && live_prefixes == num_prefixes_ &&
-         stale_index_entries == 0 && index_.size() == table_.size() &&
-         bad_attr_ids == 0;
+  IRI_ASSERT(counted_total == num_routes_,
+             "num_routes_ disagrees with the per-peer count total");
+  return malformed_entries == 0 && live_prefixes == num_prefixes_ &&
+         index_ok && order_ok && duplicate_peer_routes == 0 && counts_ok &&
+         bad_attr_ids == 0 && candidate_total == num_routes_ &&
+         counted_total == num_routes_;
 }
 
 }  // namespace iri::bgp

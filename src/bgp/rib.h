@@ -10,14 +10,12 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/decision.h"
 #include "bgp/intern.h"
 #include "bgp/route.h"
 #include "netbase/probe_map.h"
-#include "netbase/radix_trie.h"
 #include "obs/profile.h"
 
 namespace iri::bgp {
@@ -27,11 +25,12 @@ struct RibChange {
   // True if the Loc-RIB entry for the prefix changed (new best, different
   // best attributes, or loss of all routes).
   bool best_changed = false;
-  // The new best route, or nullptr if the prefix is now unreachable. Points
-  // into the RIB's own storage: valid only until the next mutation of this
-  // Rib (the allocation-free replacement for the std::optional<Candidate>
-  // deep copy this used to be — Announce/Withdraw are the hottest calls in
-  // the full-paper-scale run).
+  // The prefix's best route after the event (whether or not it changed), or
+  // nullptr if the prefix is now unreachable: always equal to Best(prefix),
+  // no-op withdrawals included, so callers need no second lookup. Points
+  // into the RIB's own storage, not a copy (Announce/Withdraw are the
+  // hottest calls in the full-paper-scale run): valid only until the next
+  // mutation of this Rib.
   const Candidate* new_best = nullptr;
 };
 
@@ -83,12 +82,14 @@ class Rib {
   }
 
   // Applies an explicit withdrawal. A withdrawal for a route the peer never
-  // announced is a no-op (this is how WWDup pathologies look to a receiver).
+  // announced is a no-op (this is how WWDup pathologies look to a receiver)
+  // that still reports the prefix's current best.
   RibChange Withdraw(PeerId peer, const Prefix& prefix);
 
   // Drops every route learned from `peer` (session loss). Returns the
-  // prefixes whose best route changed; callers re-read Best() for the new
-  // state (every existing caller only needed the prefix list).
+  // prefixes whose best route changed, in ascending address order (that
+  // order reaches the wire through Router::OnSessionDown); callers re-read
+  // Best() for the new state.
   std::vector<Prefix> ClearPeer(PeerId peer);
 
   // Current best route for `prefix`, or nullptr if unreachable.
@@ -99,7 +100,7 @@ class Rib {
   std::vector<Candidate> CandidatesFor(const Prefix& prefix) const;
 
   // Number of distinct prefixes with at least one path. (Withdrawn-to-empty
-  // entries linger in the trie as tombstones so a flap cycle reuses their
+  // entries keep their slot as tombstones so a flap cycle reuses their
   // storage; they are excluded here and skipped by every visitor.)
   std::size_t NumPrefixes() const { return num_prefixes_; }
 
@@ -109,12 +110,14 @@ class Rib {
   // Number of prefixes learned from `peer`.
   std::size_t PeerRouteCount(PeerId peer) const;
 
-  // Full O(routes) structural audit of the Adj-RIB-In bookkeeping:
-  // num_routes_ equals both the per-peer index total and the table's
-  // candidate count, num_prefixes_ equals the live entry count, every live
-  // entry has a valid best index (tombstones have none), no entry holds
-  // two routes from the same peer, and every candidate's attribute id is in
-  // range of attrs() with cached decision fields equal to the table's.
+  // Full O(routes) structural audit of the Adj-RIB-In bookkeeping: the
+  // prefix index and the entries agree both ways, every per-peer route
+  // count equals that peer's candidate tally, num_routes_ equals the
+  // table's candidate count, num_prefixes_ equals the live entry count,
+  // every live entry has a valid best index (tombstones have none), no
+  // entry holds two routes from the same peer, and every candidate's
+  // attribute id is in range of attrs() with cached decision fields equal
+  // to the table's.
   // Returns true when consistent (and IRI_ASSERTs each clause, so under the
   // default abort policy a false return is unreachable). Called by tests and
   // by debug builds after every ClearPeer.
@@ -123,35 +126,64 @@ class Rib {
   // Visits (prefix, best candidate) over the whole Loc-RIB in address order.
   template <typename Fn>
   void VisitBest(Fn&& fn) const {
-    table_.Visit([&fn](const Prefix& p, const Entry& e) {
-      if (e.best >= 0) fn(p, e.candidates[static_cast<std::size_t>(e.best)]);
-    });
+    for (const std::uint32_t slot : AddressOrder()) {
+      const Entry& e = entries_[slot];
+      if (e.best >= 0) {
+        fn(e.prefix, e.candidates[static_cast<std::size_t>(e.best)]);
+      }
+    }
   }
 
-  // Visits (prefix, number of distinct paths) — Figure 10's multihoming
-  // census runs on this.
+  // Visits (prefix, number of distinct paths) in address order — Figure
+  // 10's multihoming census runs on this.
   template <typename Fn>
   void VisitPathCounts(Fn&& fn) const {
-    table_.Visit([&fn](const Prefix& p, const Entry& e) {
-      if (!e.candidates.empty()) fn(p, e.candidates.size());
-    });
+    for (const std::uint32_t slot : AddressOrder()) {
+      const Entry& e = entries_[slot];
+      if (!e.candidates.empty()) fn(e.prefix, e.candidates.size());
+    }
   }
 
  private:
   struct Entry {
+    Prefix prefix;
     std::vector<Candidate> candidates;
     int best = -1;  // index into candidates, -1 when empty
   };
 
-  RadixTrie<Entry> table_;
-  // Exact-match accelerator over the trie: one flat probe instead of a
-  // length()-deep pointer chase, on every Announce/Withdraw/Best. Entry
-  // pointers are stable because entries are never erased (tombstones), and
-  // ProbeMap has no iteration API, so its slot order cannot reach any
-  // output. Address-order visitation stays on the trie.
-  ProbeMap<Prefix, Entry*> index_;
+  // The entry of `prefix`, or nullptr if it was never announced.
+  Entry* Find(const Prefix& prefix) {
+    const std::uint32_t* slot = index_.Find(prefix);
+    return slot == nullptr ? nullptr : &entries_[*slot];
+  }
+  const Entry* Find(const Prefix& prefix) const {
+    return const_cast<Rib*>(this)->Find(prefix);
+  }
+
+  // Routes held from `peer` (kLocalPeer included).
+  std::size_t& RouteCount(PeerId peer) {
+    return peer == kLocalPeer ? local_route_count_ : peer_route_counts_[peer];
+  }
+
+  // Every entry slot, tombstones included, sorted by prefix. Prefix's
+  // (bits, length) ordering is the address order of a radix-trie pre-order
+  // walk (a covering prefix first, then its lower half, then its upper
+  // half). Slots minted since the last call are sorted and merged in.
+  const std::vector<std::uint32_t>& AddressOrder() const;
+
+  // Entries are never erased: a prefix withdrawn to empty keeps its slot as
+  // a tombstone, so slots (and index_) stay valid for the Rib's lifetime.
+  // index_ is probed only (ProbeMap has no iteration API), so its layout
+  // cannot reach any output; ordered walks go through address_order_, which
+  // a const walk may extend (so one Rib is walked from one thread at a time,
+  // as each partition's routers are).
+  std::vector<Entry> entries_;
+  ProbeMap<Prefix, std::uint32_t> index_;
+  mutable std::vector<std::uint32_t> address_order_;
   std::unordered_map<PeerId, IPv4Address> peers_;
-  std::unordered_map<PeerId, std::unordered_set<Prefix>> peer_prefixes_;
+  // Routes held per registered peer id, and from kLocalPeer.
+  std::vector<std::size_t> peer_route_counts_;
+  std::size_t local_route_count_ = 0;
   AttrTable attrs_;
   std::size_t num_routes_ = 0;
   std::size_t num_prefixes_ = 0;  // live (non-tombstone) entries

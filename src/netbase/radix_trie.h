@@ -1,9 +1,9 @@
 // Binary (unibit) radix trie keyed by IPv4 prefix.
 //
-// This is the routing-table workhorse: Loc-RIBs, Adj-RIBs and the topology
-// allocator all store routes in one of these. It supports exact-match
-// insert/lookup/erase, longest-prefix match on addresses, and ordered
-// visitation.
+// sim/forwarding's FIB keeps its routes in one of these for the
+// longest-prefix match on addresses; it also supports exact-match
+// insert/lookup/erase and ordered visitation. (The Loc-RIB is not a trie:
+// bgp::Rib keeps dense entries plus an address-sorted slot list.)
 //
 // A unibit trie (one level per bit, max depth 32) is chosen over a
 // path-compressed Patricia tree deliberately: at the paper's table sizes

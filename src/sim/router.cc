@@ -16,16 +16,34 @@ bgp::AttrSetId ExportAttributes(bgp::AttrTable& attrs, bgp::AttrSetId best,
   return attrs.Intern(route.attributes);
 }
 
+namespace {
+
+// Sender-side loop avoidance (the receiver would reject a path through its
+// own AS anyway), then ExportAttributes.
+bgp::AttrSetId ExportToPeer(bgp::AttrTable& attrs, bgp::AttrSetId best,
+                            const Prefix& prefix, bgp::Asn remote_asn,
+                            const bgp::Policy& policy,
+                            const RouterConfig& config) {
+  if (attrs.Get(best).as_path.Contains(remote_asn)) {
+    return bgp::kInvalidAttrSetId;
+  }
+  return ExportAttributes(attrs, best, prefix, policy, config);
+}
+
+}  // namespace
+
 bgp::AttrSetId ExportMemo::Export(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                                  const Prefix& prefix,
+                                  const Prefix& prefix, bgp::Asn remote_asn,
                                   const bgp::Policy& policy,
                                   const RouterConfig& config) {
   if (policy.ReadsPrefix()) {
-    return ExportAttributes(attrs, best, prefix, policy, config);
+    return ExportToPeer(attrs, best, prefix, remote_asn, policy, config);
   }
   if (best >= out_.size()) out_.resize(attrs.size());
   std::optional<bgp::AttrSetId>& memo = out_[best];
-  if (!memo) memo = ExportAttributes(attrs, best, prefix, policy, config);
+  if (!memo) {
+    memo = ExportToPeer(attrs, best, prefix, remote_asn, policy, config);
+  }
   return *memo;
 }
 
@@ -148,7 +166,9 @@ void Router::Originate(const bgp::Route& route) {
     });
     return;
   }
-  if (change.best_changed) PropagateChange(route.prefix, cause);
+  if (change.best_changed) {
+    PropagateChange(route.prefix, change.new_best, cause);
+  }
 }
 
 void Router::WithdrawLocal(const Prefix& prefix) {
@@ -172,10 +192,10 @@ void Router::WithdrawLocal(const Prefix& prefix) {
     *slot = kNoLocalRoute;
   }
   const bgp::RibChange change = rib_.Withdraw(bgp::kLocalPeer, prefix);
-  if (config_.stateless_bgp && rib_.Best(prefix) == nullptr) {
+  if (config_.stateless_bgp && change.new_best == nullptr) {
     BroadcastWithdraw(prefix, cause);
   }
-  if (change.best_changed) PropagateChange(prefix, cause);
+  if (change.best_changed) PropagateChange(prefix, change.new_best, cause);
 }
 
 bool Router::HasLocalRoute(const Prefix& prefix) const {
@@ -500,7 +520,7 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
       dampener_.OnWithdraw({w, from}, sched_.Now());
     }
     const bgp::RibChange change = rib_.Withdraw(from, w);
-    if (config_.stateless_bgp && rib_.Best(w) == nullptr) {
+    if (config_.stateless_bgp && change.new_best == nullptr) {
       // Any withdrawal — even for a route we never carried — is sprayed at
       // every peer: the implementation keeps no record of what it told whom.
       BroadcastWithdraw(w, cause);
@@ -554,8 +574,12 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
 
 void Router::PropagateChange(const Prefix& prefix, obs::CauseTag cause) {
   if (config_.no_reexport) return;
-  // One Best() lookup for the whole peer fan-out.
-  const bgp::Candidate* best = rib_.Best(prefix);
+  PropagateChange(prefix, rib_.Best(prefix), cause);
+}
+
+void Router::PropagateChange(const Prefix& prefix, const bgp::Candidate* best,
+                             obs::CauseTag cause) {
+  if (config_.no_reexport) return;
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
     Peer& p = peers_[id];
     if (!p.established) continue;
@@ -579,12 +603,8 @@ bgp::AttrSetId Router::ExportCandidate(Peer& peer, const Prefix& prefix,
   if (best.peer != bgp::kLocalPeer && &peer == &peers_[best.peer]) {
     return bgp::kInvalidAttrSetId;
   }
-  // Sender-side loop avoidance: the receiver would reject it anyway.
-  if (rib_.AttributesOf(best).as_path.Contains(peer.remote_asn)) {
-    return bgp::kInvalidAttrSetId;
-  }
   return peer.export_memo.Export(rib_.attrs(), best.attr_id, prefix,
-                                peer.export_policy, config_);
+                                peer.remote_asn, peer.export_policy, config_);
 }
 
 void Router::EnqueueOp(bgp::PeerId id, bgp::RouteOp op) {

@@ -92,22 +92,25 @@ bgp::AttrSetId ExportAttributes(bgp::AttrTable& attrs, bgp::AttrSetId best,
                                 const bgp::Policy& policy,
                                 const RouterConfig& config);
 
-// ExportAttributes memoised per input id. Under an export policy that never
-// matches on the prefix (the identity, or rules on communities and AS path
-// only) the result depends only on the input set, the policy and the
+// The export to one peer, memoised per input id: kInvalidAttrSetId when the
+// set's AS path already holds `remote_asn` (sender-side loop avoidance),
+// else ExportAttributes. Under an export policy that never matches on the
+// prefix (the identity, or rules on communities and AS path only) the
+// result depends only on the input set, the peer's AS, the policy and the
 // router's config, so it is computed once per distinct set, however many
-// prefixes share it; a policy that reads the prefix is applied afresh on
-// every call. One memo belongs to one (table, policy, config) triple: a
-// router keeps one per peer.
+// prefixes share it; under a policy that reads the prefix both the loop
+// check and the policy are applied afresh on every call. One memo belongs
+// to one (table, remote AS, policy, config) tuple: a router keeps one per
+// peer.
 class ExportMemo {
  public:
   bgp::AttrSetId Export(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                        const Prefix& prefix, const bgp::Policy& policy,
-                        const RouterConfig& config);
+                        const Prefix& prefix, bgp::Asn remote_asn,
+                        const bgp::Policy& policy, const RouterConfig& config);
 
  private:
-  // Input id -> exported id (kInvalidAttrSetId when denied); nullopt until
-  // first computed.
+  // Input id -> exported id (kInvalidAttrSetId when looped or denied);
+  // nullopt until first computed.
   std::vector<std::optional<bgp::AttrSetId>> out_;
 };
 
@@ -264,7 +267,12 @@ class Router : public LinkEndpoint {
   bool DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
                       bgp::AttrSetId attrs);
   // Re-exports the new state of `prefix` to every eligible peer, stamping
-  // emitted ops with `cause`.
+  // emitted ops with `cause`. `best` is the prefix's current best route
+  // (nullptr when unreachable), as a RibChange just reported it; the
+  // two-argument form resolves it with one Best() lookup, for callers whose
+  // RibChange is stale (deferred or batched propagation).
+  void PropagateChange(const Prefix& prefix, const bgp::Candidate* best,
+                       obs::CauseTag cause);
   void PropagateChange(const Prefix& prefix, obs::CauseTag cause);
   // Stateless pathology: spray a withdrawal at every established peer,
   // bypassing export policy and Adj-RIB-Out.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "netbase/radix_trie.h"
+
 namespace iri::bgp {
 namespace {
 
@@ -82,6 +84,26 @@ TEST_F(RibTest, WithdrawNonBestIsSilent) {
   EXPECT_EQ(rib.Best(P("10.0.0.0/8"))->peer, 1u);
 }
 
+TEST_F(RibTest, WithdrawOfNonBestCanMoveBestUnderMed) {
+  // MED compares only routes from one neighbour AS, so the ladder is not
+  // transitive: B beats A on MED, C beats B on router id, A beats C on
+  // router id. With all three the scan picks C; without B it picks A.
+  Route a = R("10.0.0.0/8", {701});
+  a.attributes.med = 10;
+  Route b = R("10.0.0.0/8", {701});
+  b.attributes.med = 5;
+  Route c = R("10.0.0.0/8", {1239});
+  rib.Announce(1, a);  // router id 1.1.1.1
+  rib.Announce(3, b);  // router id 3.3.3.3
+  rib.Announce(2, c);  // router id 2.2.2.2
+  ASSERT_EQ(rib.Best(P("10.0.0.0/8"))->peer, 2u);
+  auto change = rib.Withdraw(3, P("10.0.0.0/8"));
+  EXPECT_TRUE(change.best_changed);
+  ASSERT_NE(change.new_best, nullptr);
+  EXPECT_EQ(change.new_best->peer, 1u);
+  EXPECT_EQ(rib.Best(P("10.0.0.0/8"))->peer, 1u);
+}
+
 TEST_F(RibTest, WithdrawLastRouteEmptiesPrefix) {
   rib.Announce(1, R("10.0.0.0/8", {701}));
   auto change = rib.Withdraw(1, P("10.0.0.0/8"));
@@ -96,9 +118,13 @@ TEST_F(RibTest, PathologicalWithdrawalIsNoOp) {
   auto change = rib.Withdraw(1, P("192.42.113.0/24"));
   EXPECT_FALSE(change.best_changed);
   rib.Announce(2, R("192.42.113.0/24", {9}));
-  // Withdrawal from a peer that never announced it: also a no-op.
+  // Withdrawal from a peer that never announced it: also a no-op, and it
+  // still reports the prefix's standing best.
   change = rib.Withdraw(1, P("192.42.113.0/24"));
   EXPECT_FALSE(change.best_changed);
+  ASSERT_NE(change.new_best, nullptr);
+  EXPECT_EQ(change.new_best->peer, 2u);
+  EXPECT_EQ(change.new_best, rib.Best(P("192.42.113.0/24")));
   EXPECT_EQ(rib.Best(P("192.42.113.0/24"))->peer, 2u);
 }
 
@@ -128,19 +154,48 @@ TEST_F(RibTest, PeerRouteCountTracksState) {
   EXPECT_EQ(rib.PeerRouteCount(1), 2u);
   rib.Withdraw(1, P("10.0.0.0/8"));
   EXPECT_EQ(rib.PeerRouteCount(1), 1u);
+  // Locally originated routes are counted apart from the peer ids.
+  rib.AddPeer(kLocalPeer, IPv4Address(0));
+  rib.Announce(kLocalPeer, R("11.0.0.0/8", {}));
+  EXPECT_EQ(rib.PeerRouteCount(kLocalPeer), 1u);
+  EXPECT_EQ(rib.PeerRouteCount(1), 1u);
+  EXPECT_TRUE(rib.AuditInvariants());
+  rib.ClearPeer(kLocalPeer);
+  EXPECT_EQ(rib.PeerRouteCount(kLocalPeer), 0u);
+  EXPECT_EQ(rib.NumRoutes(), 1u);
 }
 
 TEST_F(RibTest, VisitBestIsAddressOrdered) {
-  rib.Announce(1, R("192.0.0.0/8", {701}));
-  rib.Announce(1, R("10.0.0.0/8", {701}));
-  rib.Announce(2, R("10.0.0.0/8", {9}));
-  std::vector<Prefix> order;
-  rib.VisitBest([&order](const Prefix& p, const Candidate&) {
-    order.push_back(p);
+  // Nested and sibling prefixes announced out of order: the Loc-RIB walk
+  // must be exactly a radix trie's pre-order (covering prefix, then its
+  // lower half, then its upper half).
+  const char* prefixes[] = {"10.128.0.0/9", "192.0.0.0/8", "10.0.0.0/24",
+                            "0.0.0.0/0",    "10.0.0.0/8",  "10.0.0.0/9",
+                            "10.0.0.0/16",  "9.0.0.0/8",   "10.0.1.0/24"};
+  RadixTrie<int> trie;
+  for (const char* s : prefixes) {
+    rib.Announce(1, R(s, {701}));
+    trie.Insert(P(s), 0);
+  }
+  rib.Withdraw(1, P("10.0.0.0/9"));  // a tombstone is skipped
+  trie.Erase(P("10.0.0.0/9"));
+  std::vector<Prefix> want;
+  trie.Visit([&want](const Prefix& p, int) { want.push_back(p); });
+  std::vector<Prefix> got;
+  rib.VisitBest([&got](const Prefix& p, const Candidate&) {
+    got.push_back(p);
   });
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], P("10.0.0.0/8"));
-  EXPECT_EQ(order[1], P("192.0.0.0/8"));
+  EXPECT_EQ(got, want);
+  rib.Announce(1, R("10.0.0.0/9", {701}));  // tombstone revived in place
+  trie.Insert(P("10.0.0.0/9"), 0);
+  want.clear();
+  trie.Visit([&want](const Prefix& p, int) { want.push_back(p); });
+  got.clear();
+  rib.VisitPathCounts([&got](const Prefix& p, std::size_t) {
+    got.push_back(p);
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(rib.AuditInvariants());
 }
 
 TEST_F(RibTest, VisitPathCountsForMultihomingCensus) {

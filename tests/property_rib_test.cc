@@ -4,6 +4,7 @@
 // set, and the reported change flags must be consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -30,20 +31,33 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
     PeerId peer;
     PathAttributes attributes;
   };
-  auto reference_best =
-      [&model](const Prefix& prefix) -> std::optional<RefBest> {
+  // SelectBest over the model's routes for `prefix` from the peers in
+  // `order`. MED is comparable only between routes from one neighbour AS,
+  // so the decision ladder is not transitive and the winner can depend on
+  // candidate order.
+  auto reference_best_in =
+      [&model](const Prefix& prefix,
+               const std::vector<PeerId>& order) -> std::optional<RefBest> {
     auto it = model.find(prefix);
-    if (it == model.end() || it->second.empty()) return std::nullopt;
+    if (it == model.end()) return std::nullopt;
     std::vector<Candidate> candidates;
     std::vector<const PathAttributes*> attrs_of;  // parallel to candidates
-    for (const auto& [peer, attrs] : it->second) {
+    for (const PeerId peer : order) {
+      auto route = it->second.find(peer);
+      if (route == it->second.end()) continue;
       candidates.push_back(
           {peer, IPv4Address(10, 0, 0, static_cast<std::uint8_t>(peer + 1)),
-           kInvalidAttrSetId, DecisionFields::Of(attrs)});
-      attrs_of.push_back(&attrs);
+           kInvalidAttrSetId, DecisionFields::Of(route->second)});
+      attrs_of.push_back(&route->second);
     }
+    if (candidates.empty()) return std::nullopt;
     const auto best = static_cast<std::size_t>(SelectBest(candidates));
     return RefBest{candidates[best].peer, *attrs_of[best]};
+  };
+  std::vector<PeerId> peer_order;
+  for (PeerId p = 0; p < kPeers; ++p) peer_order.push_back(p);
+  auto reference_best = [&](const Prefix& prefix) {
+    return reference_best_in(prefix, peer_order);
   };
 
   auto random_prefix = [&rng] {
@@ -100,11 +114,39 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
         break;
       }
       default: {  // session loss
-        rib.ClearPeer(peer);
+        // The RIB's own candidate order per prefix, before the clear (the
+        // clear keeps the survivors' relative order). A model route the RIB
+        // lost still competes, last.
+        std::map<Prefix, std::vector<PeerId>> rib_order;
+        for (const auto& [p, peers] : model) {
+          std::vector<PeerId>& order = rib_order[p];
+          for (const Candidate& c : rib.CandidatesFor(p)) {
+            order.push_back(c.peer);
+          }
+          for (const auto& [q, attrs] : peers) {
+            if (std::find(order.begin(), order.end(), q) == order.end()) {
+              order.push_back(q);
+            }
+          }
+        }
+        const std::vector<Prefix> cleared = rib.ClearPeer(peer);
+        // Exactly the prefixes whose best changed, in ascending address
+        // order (std::map order): that order reaches the wire.
+        std::vector<Prefix> want_cleared;
         for (auto it = model.begin(); it != model.end();) {
+          const std::vector<PeerId>& order = rib_order[it->first];
+          const auto was = reference_best_in(it->first, order);
           it->second.erase(peer);
+          const auto now = reference_best_in(it->first, order);
+          if (was.has_value() != now.has_value() ||
+              (was && now &&
+               (was->peer != now->peer ||
+                !(was->attributes == now->attributes)))) {
+            want_cleared.push_back(it->first);
+          }
           it = it->second.empty() ? model.erase(it) : std::next(it);
         }
+        EXPECT_EQ(cleared, want_cleared) << "step " << step;
         break;
       }
     }
@@ -123,6 +165,15 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
       }
       EXPECT_EQ(rib.NumPrefixes(), model.size());
       EXPECT_EQ(rib.NumRoutes(), model_routes);
+      // The Loc-RIB walk visits exactly the model's prefixes in std::map
+      // order.
+      std::vector<Prefix> visited;
+      rib.VisitBest([&visited](const Prefix& p, const Candidate&) {
+        visited.push_back(p);
+      });
+      std::vector<Prefix> want_visited;
+      for (const auto& [p, peers] : model) want_visited.push_back(p);
+      EXPECT_EQ(visited, want_visited);
       ASSERT_TRUE(rib.AuditInvariants());
     }
   }

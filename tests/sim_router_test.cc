@@ -309,6 +309,51 @@ TEST(Router, StatefulSuppressesWithdrawalsForUnannouncedPrefixes) {
   EXPECT_EQ(c_tap.withdrawn, 0u);  // Adj-RIB-Out check killed the WWDup
 }
 
+TEST(Router, SessionLossWithdrawsInAddressOrder) {
+  // R is stateful and re-exports: when its session to B drops, the
+  // withdrawals for everything it learned from B reach C in the order
+  // Rib::ClearPeer reports them, which must be ascending address order
+  // whatever order B announced in.
+  Net net;
+  Router& b = net.AddRouter("B", 100);
+  Router& r = net.AddRouter("R", 200);
+  Router& c = net.AddRouter("C", 300);
+  Link& br = net.Connect(b, r);
+  net.Connect(r, c);
+  net.Start();
+
+  std::vector<Prefix> prefixes;
+  for (int i = 0; i < 64; ++i) {
+    // Every fourth prefix is a /16 covering the three /24s after it.
+    const auto second = static_cast<std::uint8_t>(i - i % 4);
+    const auto third = static_cast<std::uint8_t>(i % 4);
+    prefixes.push_back(third == 0
+                           ? Prefix(IPv4Address(10, second, 0, 0), 16)
+                           : Prefix(IPv4Address(10, second, third, 0), 24));
+  }
+  std::vector<Prefix> shuffled = prefixes;
+  Rng rng(17);
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.Below(i + 1)]);
+  }
+  ASSERT_NE(shuffled, prefixes);
+  for (const Prefix& p : shuffled) b.Originate(LocalRoute(p.ToString()));
+  net.Settle();
+  ASSERT_EQ(c.rib().NumPrefixes(), prefixes.size());
+
+  std::vector<Prefix> withdrawn;
+  c.SetUpdateTap([&withdrawn](TimePoint, bgp::PeerId, bgp::Asn,
+                              const bgp::UpdateMessage& u,
+                              std::span<const std::uint8_t>,
+                              const obs::CauseVec&) {
+    withdrawn.insert(withdrawn.end(), u.withdrawn.begin(), u.withdrawn.end());
+  });
+  br.Fail();
+  net.Settle();
+  EXPECT_EQ(withdrawn, prefixes);  // prefixes is built in address order
+  EXPECT_EQ(c.rib().NumPrefixes(), 0u);
+}
+
 TEST(Router, StatefulSuppressesDuplicateAnnouncements) {
   Net net;
   Router& a = net.AddRouter("A", 100);
@@ -594,8 +639,9 @@ TEST(Router, UpdateTapSeesInboundUpdates) {
 // Differential check of the export memo: for every (policy, router mode)
 // pair, ExportMemo::Export must return the id a fresh ExportAttributes
 // returns, and that id must name exactly the set a deep rewrite written here
-// produces. The memo caches under the identity and under a policy that
-// reads only attributes, and must not under a policy that reads the prefix.
+// produces, or kInvalidAttrSetId for a path through the receiving peer's AS.
+// The memo caches under the identity and under a policy that reads only
+// attributes, and must not under a policy that reads the prefix.
 TEST(ExportMemo, MatchesFreshExportAndDeepReference) {
   bgp::Policy identity = bgp::Policy::AcceptAll();
   // Attribute-only rules, like the scenario's provider export policy.
@@ -634,6 +680,9 @@ TEST(ExportMemo, MatchesFreshExportAndDeepReference) {
   EXPECT_FALSE(by_attributes.ReadsPrefix());
   EXPECT_TRUE(by_prefix.ReadsPrefix());
   const bgp::Policy* policies[] = {&identity, &by_attributes, &by_prefix};
+  // The receiving peer's AS: a third of the input paths already hold it, so
+  // the memo's loop check must deny them.
+  constexpr bgp::Asn kRemoteAsn = 702;
 
   for (const bool transparent : {false, true}) {
     for (const bgp::Policy* policy : policies) {
@@ -660,14 +709,16 @@ TEST(ExportMemo, MatchesFreshExportAndDeepReference) {
             static_cast<std::uint8_t>(rng.Bernoulli(0.8) ? 24 : 26));
 
         const bgp::AttrSetId memo_id =
-            memo.Export(table, in_id, prefix, *policy, config);
+            memo.Export(table, in_id, prefix, kRemoteAsn, *policy, config);
         const bgp::AttrSetId fresh_id =
-            ExportAttributes(table, in_id, prefix, *policy, config);
+            in.as_path.Contains(kRemoteAsn)
+                ? bgp::kInvalidAttrSetId
+                : ExportAttributes(table, in_id, prefix, *policy, config);
         ASSERT_EQ(memo_id, fresh_id)
             << "step " << i << " transparent " << transparent;
 
         bgp::Route want{prefix, in};
-        if (!policy->ApplyInPlace(want)) {
+        if (in.as_path.Contains(kRemoteAsn) || !policy->ApplyInPlace(want)) {
           EXPECT_EQ(memo_id, bgp::kInvalidAttrSetId) << "step " << i;
           continue;
         }
