@@ -82,16 +82,18 @@ void EndToEndCost() {
   route.prefix = customer;
 
   // Flap the customer for five cycles, alternating the downstream AS path
-  // (attribute changes accrue penalty too), then leave it stably up.
+  // (attribute changes accrue penalty too), then leave it stably up. The
+  // tasks read `route` by reference: a Route does not fit a scheduler slot,
+  // and it outlives the run below.
   for (int i = 0; i < 5; ++i) {
-    sched.At(TimePoint::Origin() + Duration::Minutes(2.0 * i), [&border, route] {
+    sched.At(TimePoint::Origin() + Duration::Minutes(2.0 * i), [&border, &route] {
       border.Originate(route);
     });
     sched.At(TimePoint::Origin() + Duration::Minutes(2.0 * i + 1),
              [&border, customer] { border.WithdrawLocal(customer); });
   }
   const TimePoint final_up = TimePoint::Origin() + Duration::Minutes(10);
-  sched.At(final_up, [&border, route] { border.Originate(route); });
+  sched.At(final_up, [&border, &route] { border.Originate(route); });
 
   // Sample downstream reachability every 30 simulated seconds.
   TimePoint reachable_at = TimePoint::Max();

@@ -10,10 +10,11 @@ constexpr std::uint8_t kFlagOptional = 0x80;
 constexpr std::uint8_t kFlagTransitive = 0x40;
 constexpr std::uint8_t kFlagExtendedLength = 0x10;
 
-// Emits one attribute TLV: flags, type, length (1 or 2 bytes), body.
-void EmitAttr(ByteWriter& out, std::uint8_t flags, AttrType type,
-              const ByteWriter& body) {
-  const std::size_t len = body.size();
+// Emits one attribute's flags, type and length (1 byte, or 2 with the
+// extended-length flag when the body exceeds 255 bytes); the caller writes
+// the `len`-byte body straight after.
+void EmitAttrHeader(ByteWriter& out, std::uint8_t flags, AttrType type,
+                    std::size_t len) {
   if (len > 255) flags |= kFlagExtendedLength;
   out.U8(flags);
   out.U8(static_cast<std::uint8_t>(type));
@@ -22,82 +23,82 @@ void EmitAttr(ByteWriter& out, std::uint8_t flags, AttrType type,
   } else {
     out.U8(static_cast<std::uint8_t>(len));
   }
-  out.Bytes(body.data());
 }
 
-void EncodeAsPath(const AsPath& path, ByteWriter& body) {
-  for (const auto& seg : path.segments()) {
-    body.U8(static_cast<std::uint8_t>(seg.type));
-    body.U8(static_cast<std::uint8_t>(seg.asns.size()));
-    for (Asn asn : seg.asns) body.U16(static_cast<std::uint16_t>(asn));
-  }
-}
-
-AsPath DecodeAsPath(ByteReader& in, std::size_t len) {
-  AsPath path;
+// Decodes an AS_PATH body into `path`, reusing its segments and their AS
+// buffers: the receive path decodes every UPDATE into one scratch message,
+// so in steady state this allocates nothing.
+void DecodeAsPathInto(ByteReader& in, std::size_t len, AsPath& path) {
+  std::vector<AsPathSegment>& segments = path.segments();
+  std::size_t used = 0;
   const std::size_t end = in.position() + len;
   while (in.ok() && in.position() < end) {
-    AsPathSegment seg;
     const std::uint8_t type = in.U8();
     if (type != static_cast<std::uint8_t>(AsPathSegment::Type::kSet) &&
         type != static_cast<std::uint8_t>(AsPathSegment::Type::kSequence)) {
       in.MarkBad();
-      return path;
+      break;
     }
+    if (used == segments.size()) segments.emplace_back();
+    AsPathSegment& seg = segments[used++];
     seg.type = static_cast<AsPathSegment::Type>(type);
+    seg.asns.clear();
     const std::uint8_t count = in.U8();
     seg.asns.reserve(count);
     for (std::uint8_t i = 0; i < count; ++i) seg.asns.push_back(in.U16());
-    path.segments().push_back(std::move(seg));
   }
+  segments.resize(used);
   if (in.position() != end) in.MarkBad();
-  return path;
 }
 
 }  // namespace
 
 void EncodeAttributes(const PathAttributes& attrs, ByteWriter& out) {
-  {  // ORIGIN: well-known mandatory.
-    ByteWriter body;
-    body.U8(static_cast<std::uint8_t>(attrs.origin));
-    EmitAttr(out, kFlagTransitive, AttrType::kOrigin, body);
-  }
+  // ORIGIN: well-known mandatory.
+  EmitAttrHeader(out, kFlagTransitive, AttrType::kOrigin, 1);
+  out.U8(static_cast<std::uint8_t>(attrs.origin));
   {  // AS_PATH: well-known mandatory (may be zero segments for local routes).
-    ByteWriter body;
-    EncodeAsPath(attrs.as_path, body);
-    EmitAttr(out, kFlagTransitive, AttrType::kAsPath, body);
+    std::size_t len = 0;
+    for (const auto& seg : attrs.as_path.segments()) {
+      len += 2 + 2 * seg.asns.size();
+    }
+    EmitAttrHeader(out, kFlagTransitive, AttrType::kAsPath, len);
+    for (const auto& seg : attrs.as_path.segments()) {
+      out.U8(static_cast<std::uint8_t>(seg.type));
+      out.U8(static_cast<std::uint8_t>(seg.asns.size()));
+      for (Asn asn : seg.asns) out.U16(static_cast<std::uint16_t>(asn));
+    }
   }
-  {  // NEXT_HOP: well-known mandatory.
-    ByteWriter body;
-    body.U32(attrs.next_hop.bits());
-    EmitAttr(out, kFlagTransitive, AttrType::kNextHop, body);
-  }
+  // NEXT_HOP: well-known mandatory.
+  EmitAttrHeader(out, kFlagTransitive, AttrType::kNextHop, 4);
+  out.U32(attrs.next_hop.bits());
   if (attrs.med) {  // optional non-transitive
-    ByteWriter body;
-    body.U32(*attrs.med);
-    EmitAttr(out, kFlagOptional, AttrType::kMultiExitDisc, body);
+    EmitAttrHeader(out, kFlagOptional, AttrType::kMultiExitDisc, 4);
+    out.U32(*attrs.med);
   }
   if (attrs.local_pref) {  // well-known discretionary
-    ByteWriter body;
-    body.U32(*attrs.local_pref);
-    EmitAttr(out, kFlagTransitive, AttrType::kLocalPref, body);
+    EmitAttrHeader(out, kFlagTransitive, AttrType::kLocalPref, 4);
+    out.U32(*attrs.local_pref);
   }
   if (attrs.atomic_aggregate) {  // well-known discretionary, empty body
-    ByteWriter body;
-    EmitAttr(out, kFlagTransitive, AttrType::kAtomicAggregate, body);
+    EmitAttrHeader(out, kFlagTransitive, AttrType::kAtomicAggregate, 0);
   }
   if (attrs.aggregator) {  // optional transitive
-    ByteWriter body;
-    body.U16(static_cast<std::uint16_t>(attrs.aggregator->asn));
-    body.U32(attrs.aggregator->router_id.bits());
-    EmitAttr(out, kFlagOptional | kFlagTransitive, AttrType::kAggregator, body);
+    EmitAttrHeader(out, kFlagOptional | kFlagTransitive, AttrType::kAggregator,
+                   6);
+    out.U16(static_cast<std::uint16_t>(attrs.aggregator->asn));
+    out.U32(attrs.aggregator->router_id.bits());
   }
   if (!attrs.communities.empty()) {  // optional transitive (RFC 1997)
-    ByteWriter body;
-    std::vector<Community> sorted = attrs.communities;
-    std::sort(sorted.begin(), sorted.end());
-    for (Community c : sorted) body.U32(c);
-    EmitAttr(out, kFlagOptional | kFlagTransitive, AttrType::kCommunity, body);
+    EmitAttrHeader(out, kFlagOptional | kFlagTransitive, AttrType::kCommunity,
+                   4 * attrs.communities.size());
+    if (std::is_sorted(attrs.communities.begin(), attrs.communities.end())) {
+      for (Community c : attrs.communities) out.U32(c);
+    } else {
+      std::vector<Community> sorted = attrs.communities;
+      std::sort(sorted.begin(), sorted.end());
+      for (Community c : sorted) out.U32(c);
+    }
   }
 }
 
@@ -109,6 +110,14 @@ PathAttributes DecodeAttributes(ByteReader& in, std::size_t total_len) {
 
 void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
                           PathAttributes& attrs) {
+  attrs.origin = Origin::kIgp;
+  attrs.next_hop = IPv4Address{};
+  attrs.med.reset();
+  attrs.local_pref.reset();
+  attrs.atomic_aggregate = false;
+  attrs.aggregator.reset();
+  attrs.communities.clear();
+  bool saw_as_path = false;  // else the stale path is cleared at the end
   const std::size_t end = in.position() + total_len;
   while (in.ok() && in.position() < end) {
     const std::uint8_t flags = in.U8();
@@ -125,7 +134,8 @@ void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
         break;
       }
       case AttrType::kAsPath:
-        attrs.as_path = DecodeAsPath(in, len);
+        DecodeAsPathInto(in, len, attrs.as_path);
+        saw_as_path = true;
         break;
       case AttrType::kNextHop:
         attrs.next_hop = IPv4Address(in.U32());
@@ -165,8 +175,8 @@ void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
       return;
     }
   }
+  if (!saw_as_path) attrs.as_path.segments().clear();
   if (in.position() != end) in.MarkBad();
-  return;
 }
 
 std::string PathAttributes::ToString() const {

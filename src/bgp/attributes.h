@@ -64,20 +64,6 @@ struct PathAttributes {
 
   friend bool operator==(const PathAttributes&, const PathAttributes&) = default;
 
-  // Restores the default-constructed state while keeping the communities
-  // buffer's capacity — decode-scratch support for the router's receive
-  // path, which reuses one PathAttributes across every inbound UPDATE.
-  void ResetForDecode() {
-    origin = Origin::kIgp;
-    as_path = AsPath{};
-    next_hop = IPv4Address{};
-    med.reset();
-    local_pref.reset();
-    atomic_aggregate = false;
-    aggregator.reset();
-    communities.clear();
-  }
-
   std::string ToString() const;
 };
 
@@ -89,8 +75,11 @@ void EncodeAttributes(const PathAttributes& attrs, ByteWriter& out);
 // returns a partially-filled struct (callers must check in.ok()).
 PathAttributes DecodeAttributes(ByteReader& in, std::size_t total_len);
 
-// In-place variant: decodes into `attrs`, which the caller must have reset
-// (ResetForDecode or fresh). Reuses the communities buffer.
+// In-place variant: overwrites every field of `attrs` (absent attributes
+// get their defaults) while keeping its buffers — the communities and the
+// AS_PATH segments with their AS lists — so the router's receive path,
+// which decodes every inbound UPDATE into one scratch set, does not
+// allocate per message.
 void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
                           PathAttributes& attrs);
 

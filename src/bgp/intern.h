@@ -11,21 +11,25 @@
 // exact-duplicate test and the paper's forwarding-tuple test
 // (ForwardingEquivalent) are integer reads and compares.
 //
+// Each id's wire encoding (EncodeAttributes) is cached too, made on first
+// use by the update packer: every UPDATE a router sends carries one cached
+// attribute field instead of a fresh serialisation.
+//
 // Determinism argument (see DESIGN.md §12): ids are assigned in insertion
 // order, so for a fixed update stream the (value → id) mapping is a pure
 // function of the stream. Ids are only ever compared for equality and used
 // to look up the canonical value; no id, and no order derived from one,
-// reaches any output. The unordered lookup maps are only ever probed
-// (find/emplace); nothing iterates them, so their bucket order can never
-// reach a digest either. Canonical values live in a std::deque owned by the
-// table: push_back never moves an existing element, which is what lets
-// entries and the lookup maps hold plain pointers.
+// reaches any output. The flat lookup slots are only ever probed; nothing
+// iterates them, so their hash order can never reach a digest either.
+// Canonical values live in a std::deque owned by the table: push_back
+// never moves an existing element, which is what lets entries hold plain
+// pointers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "bgp/attributes.h"
@@ -63,10 +67,6 @@ struct DecisionFields {
   friend bool operator==(const DecisionFields&, const DecisionFields&) = default;
 };
 
-// Structural hash (FNV-1a over the set's canonical fields). Process-local
-// only — never emitted, so the constants can change freely.
-std::size_t HashAttributes(const PathAttributes& attrs);
-
 // One table per Rib (i.e. per router) and one per ExchangeMonitor: no
 // sharing across partitions, no locks.
 class AttrTable {
@@ -87,39 +87,60 @@ class AttrTable {
     return Forwarding(a) == Forwarding(b);
   }
 
+  // EstimateAttributesSize(Get(id)), computed once at insertion: the
+  // update packer's split decisions read it per prefix.
+  std::uint32_t PackingEstimate(AttrSetId id) const {
+    return At(id).estimate;
+  }
+
+  // EncodeAttributes(Get(id)): encoded into the table's byte arena on the
+  // first call, a view of the cached bytes afterwards. The view is valid
+  // until the next call for an id not yet encoded (the arena may grow).
+  std::span<const std::uint8_t> Encoded(AttrSetId id);
+
   bool Contains(AttrSetId id) const { return id < entries_.size(); }
   std::size_t size() const { return entries_.size(); }
-  std::size_t NumForwardingClasses() const { return fwd_lookup_.size(); }
+  std::size_t NumForwardingClasses() const { return fwd_rep_.size(); }
 
  private:
   struct Entry {
     const PathAttributes* attrs;  // canonical copy, owned by canonical_
     DecisionFields decision;
     ForwardingId fwd_id;
+    std::uint32_t estimate;     // EstimateAttributesSize(*attrs)
+    std::uint32_t wire_offset;  // into wire_, valid when wire_len > 0
+    std::uint32_t wire_len;     // 0 until encoded (an encoding never is)
   };
-  // The forwarding half of a canonical set: its NEXT_HOP and (a pointer to)
-  // its AS_PATH.
-  struct FwdKey {
-    IPv4Address next_hop;
-    const AsPath* path;
+  // One open-addressing probe table: (hash, id) slots, power-of-two sized,
+  // linear probing, doubled at 7/8 load. The stored hash lets a rehash move
+  // slots without rehashing sets, and rejects most mismatches without a
+  // deep compare.
+  struct Slot {
+    std::uint32_t hash = 0;
+    std::uint32_t id = kInvalidAttrSetId;  // kInvalidAttrSetId == empty
   };
-  struct PtrHash {
-    std::size_t operator()(const PathAttributes* p) const {
-      return HashAttributes(*p);
+  class Slots {
+   public:
+    Slots();
+    // The id stored under `hash` for which `same(id)` holds, or the empty
+    // slot where it belongs (id == kInvalidAttrSetId), to be filled by
+    // Insert before the next probe.
+    template <typename Same>
+    Slot& Probe(std::uint32_t hash, Same same) {
+      for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+        Slot& s = slots_[i];
+        if (s.id == kInvalidAttrSetId || (s.hash == hash && same(s.id))) {
+          return s;
+        }
+      }
     }
-  };
-  struct PtrEq {
-    bool operator()(const PathAttributes* a, const PathAttributes* b) const {
-      return *a == *b;
-    }
-  };
-  struct FwdHash {
-    std::size_t operator()(const FwdKey& k) const;
-  };
-  struct FwdEq {
-    bool operator()(const FwdKey& a, const FwdKey& b) const {
-      return a.next_hop == b.next_hop && *a.path == *b.path;
-    }
+    // Fills the empty slot Probe returned, growing the table if needed.
+    void Insert(Slot& empty, std::uint32_t hash, std::uint32_t id);
+
+   private:
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
   };
 
   const Entry& At(AttrSetId id) const {
@@ -128,11 +149,13 @@ class AttrTable {
   }
 
   std::vector<Entry> entries_;  // id-indexed, insertion order
-  // Probed only (find/emplace) — never iterated, so bucket order is inert.
-  std::unordered_map<const PathAttributes*, AttrSetId, PtrHash, PtrEq> lookup_;
-  std::unordered_map<FwdKey, ForwardingId, FwdHash, FwdEq> fwd_lookup_;
+  Slots lookup_;                // set hash -> id
+  Slots fwd_lookup_;            // (NEXT_HOP, AS_PATH) hash -> forwarding id
+  std::vector<AttrSetId> fwd_rep_;  // forwarding id -> its first set's id
   // Id-ordered canonical sets; references stay valid across push_back.
   std::deque<PathAttributes> canonical_;
+  // Every encoded set's bytes, back to back, in first-encoding order.
+  ByteWriter wire_;
 };
 
 }  // namespace iri::bgp

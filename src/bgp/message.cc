@@ -10,6 +10,11 @@ void WriteMarker(ByteWriter& out) {
   for (int i = 0; i < 16; ++i) out.U8(0xFF);
 }
 
+// Wire size of one prefix in an NLRI or withdrawn-routes field.
+std::size_t NlriPrefixSize(const Prefix& p) {
+  return 1 + (static_cast<std::size_t>(p.length()) + 7) / 8;
+}
+
 bool ReadAndCheckMarker(ByteReader& in) {
   auto marker = in.Bytes(16);
   if (marker.size() != 16) return false;
@@ -17,37 +22,13 @@ bool ReadAndCheckMarker(ByteReader& in) {
                      [](std::uint8_t b) { return b == 0xFF; });
 }
 
-void EncodeUpdateBody(const UpdateMessage& u, ByteWriter& out) {
-  // Withdrawn routes, preceded by their byte length (back-patched).
-  const std::size_t withdrawn_len_at = out.size();
-  out.U16(0);
-  const std::size_t withdrawn_start = out.size();
-  for (const Prefix& p : u.withdrawn) EncodeNlriPrefix(p, out);
-  out.PatchU16(withdrawn_len_at,
-               static_cast<std::uint16_t>(out.size() - withdrawn_start));
-
-  // Path attributes, preceded by their byte length (back-patched). Per RFC,
-  // attributes are omitted entirely when there is no NLRI.
-  const std::size_t attrs_len_at = out.size();
-  out.U16(0);
-  if (!u.nlri.empty()) {
-    const std::size_t attrs_start = out.size();
-    EncodeAttributes(u.attributes, out);
-    out.PatchU16(attrs_len_at,
-                 static_cast<std::uint16_t>(out.size() - attrs_start));
-  }
-
-  for (const Prefix& p : u.nlri) EncodeNlriPrefix(p, out);
-}
-
-// Writes the decoded body into `u`, whose buffers (withdrawn/nlri/
-// communities) keep their capacity — the router's receive path reuses one
-// UpdateMessage across every inbound UPDATE.
+// Writes the decoded body into `u`, whose buffers (withdrawn, NLRI and the
+// attribute set's) keep their capacity — the router's receive path reuses
+// one UpdateMessage across every inbound UPDATE.
 void DecodeUpdateBodyInto(ByteReader& in, std::size_t body_len,
                           UpdateMessage& u) {
   u.withdrawn.clear();
   u.nlri.clear();
-  u.attributes.ResetForDecode();
   const std::size_t end = in.position() + body_len;
 
   const std::uint16_t withdrawn_len = in.U16();
@@ -60,9 +41,7 @@ void DecodeUpdateBodyInto(ByteReader& in, std::size_t body_len,
   if (in.position() != withdrawn_end) in.MarkBad();
 
   const std::uint16_t attrs_len = in.U16();
-  if (attrs_len > 0) {
-    DecodeAttributesInto(in, attrs_len, u.attributes);
-  }
+  DecodeAttributesInto(in, attrs_len, u.attributes);
 
   while (in.ok() && in.position() < end) {
     if (auto p = DecodeNlriPrefix(in)) {
@@ -113,15 +92,57 @@ std::optional<Prefix> DecodeNlriPrefix(ByteReader& in) {
   return Prefix(IPv4Address(bits), len);
 }
 
+std::size_t FramedUpdateSize(std::span<const Prefix> withdrawn,
+                             std::size_t attribute_bytes,
+                             std::span<const Prefix> nlri) {
+  std::size_t size = kHeaderSize + 4;
+  for (const Prefix& p : withdrawn) size += NlriPrefixSize(p);
+  if (!nlri.empty()) size += attribute_bytes;
+  for (const Prefix& p : nlri) size += NlriPrefixSize(p);
+  return size;
+}
+
+void FrameUpdate(std::span<const Prefix> withdrawn,
+                 std::span<const std::uint8_t> attributes,
+                 std::span<const Prefix> nlri, ByteWriter& out) {
+  const std::size_t start = out.size();
+  WriteMarker(out);
+  const std::size_t length_at = out.size();
+  out.U16(0);
+  out.U8(static_cast<std::uint8_t>(MessageType::kUpdate));
+
+  // Withdrawn routes, preceded by their byte length (back-patched).
+  const std::size_t withdrawn_len_at = out.size();
+  out.U16(0);
+  for (const Prefix& p : withdrawn) EncodeNlriPrefix(p, out);
+  out.PatchU16(withdrawn_len_at, static_cast<std::uint16_t>(
+                                     out.size() - withdrawn_len_at - 2));
+
+  // Path attributes, preceded by their byte length. Per RFC, attributes are
+  // omitted entirely when there is no NLRI.
+  if (nlri.empty()) {
+    out.U16(0);
+  } else {
+    out.U16(static_cast<std::uint16_t>(attributes.size()));
+    out.Bytes(attributes);
+  }
+
+  for (const Prefix& p : nlri) EncodeNlriPrefix(p, out);
+  out.PatchU16(length_at, static_cast<std::uint16_t>(out.size() - start));
+}
+
 std::vector<std::uint8_t> Encode(const Message& msg) {
   ByteWriter out;
-  // One allocation per message instead of a growth cascade: updates get the
-  // packer's size bound, the fixed-shape messages a small constant.
   if (const auto* u = std::get_if<UpdateMessage>(&msg)) {
-    out.Reserve(EstimateUpdateSize(*u));
-  } else {
-    out.Reserve(kHeaderSize + 16);
+    ByteWriter attributes;
+    if (!u->nlri.empty()) EncodeAttributes(u->attributes, attributes);
+    out.Reserve(
+        FramedUpdateSize(u->withdrawn, attributes.size(), u->nlri));
+    FrameUpdate(u->withdrawn, attributes.data(), u->nlri, out);
+    return std::move(out).Take();
   }
+  // The fixed-shape messages: OPEN is the largest, at 29 bytes.
+  out.Reserve(kHeaderSize + 10);
   WriteMarker(out);
   const std::size_t length_at = out.size();
   out.U16(0);
@@ -136,14 +157,11 @@ std::vector<std::uint8_t> Encode(const Message& msg) {
           out.U16(m.hold_time_s);
           out.U32(m.bgp_identifier.bits());
           out.U8(0);  // no optional parameters
-        } else if constexpr (std::is_same_v<T, UpdateMessage>) {
-          EncodeUpdateBody(m, out);
         } else if constexpr (std::is_same_v<T, NotificationMessage>) {
           out.U8(static_cast<std::uint8_t>(m.code));
           out.U8(m.subcode);
-        } else {
-          static_assert(std::is_same_v<T, KeepAliveMessage>);
         }
+        // KEEPALIVE has no body; UPDATEs were framed above.
       },
       msg);
 
@@ -163,6 +181,22 @@ bool DecodeUpdateInto(std::span<const std::uint8_t> wire, UpdateMessage& out) {
   if (static_cast<MessageType>(type) != MessageType::kUpdate) return false;
   DecodeUpdateBodyInto(in, length - kHeaderSize, out);
   return in.ok() && in.remaining() == 0;
+}
+
+const UpdateMessage* UpdateDecoder::Decode(
+    std::span<const std::uint8_t> wire) {
+  // The Path Attributes length follows the withdrawn routes; a frame too
+  // short to hold it fails to decode in either message.
+  bool has_attributes = false;
+  if (wire.size() >= kHeaderSize + 2) {
+    const std::size_t attrs_len_at =
+        kHeaderSize + 2 +
+        ((std::size_t{wire[kHeaderSize]} << 8) | wire[kHeaderSize + 1]);
+    has_attributes = attrs_len_at + 2 <= wire.size() &&
+                     (wire[attrs_len_at] | wire[attrs_len_at + 1]) != 0;
+  }
+  UpdateMessage& out = has_attributes ? with_attributes_ : without_attributes_;
+  return DecodeUpdateInto(wire, out) ? &out : nullptr;
 }
 
 std::optional<Message> Decode(std::span<const std::uint8_t> wire) {
@@ -213,19 +247,17 @@ std::optional<Message> Decode(std::span<const std::uint8_t> wire) {
   return msg;
 }
 
-std::size_t EstimateUpdateSize(const UpdateMessage& update) {
-  // Header + two length fields + 5 bytes/prefix (worst case) + generous
-  // attribute bound (fixed attrs + path + communities).
-  std::size_t attrs = 0;
-  if (!update.nlri.empty()) {
-    attrs = 32;
-    for (const auto& seg : update.attributes.as_path.segments()) {
-      attrs += 2 + 2 * seg.asns.size();
-    }
-    attrs += 4 * update.attributes.communities.size();
+std::size_t EstimateAttributesSize(const PathAttributes& attrs) {
+  std::size_t size = 32;
+  for (const auto& seg : attrs.as_path.segments()) {
+    size += 2 + 2 * seg.asns.size();
   }
+  return size + 4 * attrs.communities.size();
+}
+
+std::size_t EstimateUpdateSize(const UpdateMessage& update) {
   return kHeaderSize + 4 + 5 * (update.withdrawn.size() + update.nlri.size()) +
-         attrs;
+         (update.nlri.empty() ? 0 : EstimateAttributesSize(update.attributes));
 }
 
 std::string ToString(const Message& msg) {

@@ -81,10 +81,24 @@ using Message =
 MessageType TypeOf(const Message& msg);
 std::string ToString(const Message& msg);
 
-// Serializes a message including the 19-byte header. Never produces more
-// than kMaxMessageSize bytes; callers (the update packer) are responsible
-// for splitting over-large UPDATEs beforehand.
+// Serializes a message including the 19-byte header, in one exact-size
+// allocation; UPDATEs go through FrameUpdate. Keeping an UPDATE within
+// kMaxMessageSize is the update packer's job.
 std::vector<std::uint8_t> Encode(const Message& msg);
+
+// Exact wire size of the UPDATE FrameUpdate writes from these parts.
+std::size_t FramedUpdateSize(std::span<const Prefix> withdrawn,
+                             std::size_t attribute_bytes,
+                             std::span<const Prefix> nlri);
+
+// The one UPDATE framer: writes header, withdrawn routes, the already
+// encoded Path Attributes field (`attributes`, EncodeAttributes output;
+// omitted when `nlri` is empty) and NLRI to `out`. Encode(UpdateMessage)
+// and the update packer both frame through it, so a cached attribute
+// encoding and a fresh one give the same bytes.
+void FrameUpdate(std::span<const Prefix> withdrawn,
+                 std::span<const std::uint8_t> attributes,
+                 std::span<const Prefix> nlri, ByteWriter& out);
 
 // Decodes one message from `wire`. Returns nullopt on any framing or
 // semantic error (bad marker, bad length, truncated body, unknown type).
@@ -97,12 +111,40 @@ std::optional<Message> Decode(std::span<const std::uint8_t> wire);
 // contents and must not be read. Validation mirrors Decode() exactly.
 bool DecodeUpdateInto(std::span<const std::uint8_t> wire, UpdateMessage& out);
 
+// Reused decode targets for a stream of UPDATEs (the router's receive
+// path). It keeps two messages: one for UPDATEs that carry path attributes
+// and one for those that do not, so a withdrawal-only UPDATE never empties
+// the AS_PATH whose buffers the next announcement decodes into, and steady
+// state decodes without allocating.
+class UpdateDecoder {
+ public:
+  // DecodeUpdateInto on the matching message: the decoded UPDATE, valid
+  // until the next call, or nullptr where DecodeUpdateInto fails.
+  const UpdateMessage* Decode(std::span<const std::uint8_t> wire);
+
+ private:
+  UpdateMessage with_attributes_;
+  UpdateMessage without_attributes_;
+};
+
 // Prefix <-> NLRI wire helpers, shared with the MRT log codec.
 void EncodeNlriPrefix(const Prefix& p, ByteWriter& out);
 std::optional<Prefix> DecodeNlriPrefix(ByteReader& in);
 
-// Conservative bound on the encoded size of an UPDATE with the given
-// contents; the update packer uses it to split messages at 4096 bytes.
+// The update packer's size estimate, the number it splits messages on:
+// header and length fields, 5 bytes per prefix, and for an UPDATE with
+// NLRI EstimateAttributesSize of its attributes. It is not a bound: it
+// counts 32 bytes for the fixed attributes, which encode to up to 45 (all
+// optional attributes present, extended-length AS_PATH and COMMUNITY), so
+// a fully loaded set encodes up to 13 bytes larger than estimated. The
+// packer closes a message once the estimate reaches kMaxMessageSize - 64,
+// and that margin is what keeps every packed message within
+// kMaxMessageSize. The values are part of the behaviour contract: where
+// messages split reaches the MRT logs and the goldens.
 std::size_t EstimateUpdateSize(const UpdateMessage& update);
+
+// The attribute part of EstimateUpdateSize: 32 bytes for the fixed
+// attributes, 2 + 2 per AS for each AS_PATH segment, 4 per community.
+std::size_t EstimateAttributesSize(const PathAttributes& attrs);
 
 }  // namespace iri::bgp

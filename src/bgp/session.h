@@ -11,11 +11,12 @@
 // the RFC concerns TCP retry details the simulator models at the link layer).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bgp/message.h"
+#include "core/invariants.h"
 #include "netbase/time.h"
 #include "obs/trace.h"
 
@@ -58,7 +59,27 @@ class SessionFsm {
     ActionType type;
     NotificationMessage notification;  // valid for kSendNotification/kSessionDown
   };
-  using Actions = std::vector<Action>;
+  // The actions of a few events, held inline: one event yields at most two
+  // (e.g. NOTIFICATION + session down), and the keepalive timer fires
+  // millions of times per simulated day, so no event may allocate.
+  class Actions {
+   public:
+    static constexpr std::size_t kCapacity = 8;
+
+    void push_back(const Action& a) {
+      IRI_ASSERT(size_ < kCapacity, "SessionFsm::Actions overflow");
+      items_[size_++] = a;
+    }
+    void clear() { size_ = 0; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Action* begin() const { return items_.data(); }
+    const Action* end() const { return items_.data() + size_; }
+
+   private:
+    std::array<Action, kCapacity> items_{};
+    std::size_t size_ = 0;
+  };
 
   explicit SessionFsm(SessionConfig config) : config_(config) {}
 

@@ -4,67 +4,85 @@
 
 namespace iri::bgp {
 
-std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
-                                       const AttrTable& attrs,
-                                       std::vector<obs::CauseVec>* causes) {
-  std::vector<UpdateMessage> out;
-  std::vector<obs::CauseVec> out_causes;  // parallel to out when requested
+std::span<const UpdatePacker::Packed> UpdatePacker::Pack(
+    std::span<const RouteOp> ops, const AttrTable& attrs) {
+  messages_.clear();
+  prefixes_.clear();
+  causes_.clear();
+  groups_.clear();
+  group_of_.clear();
+  open_group_.Clear();
+  // EstimateUpdateSize of an UPDATE holding n prefixes (plus, with NLRI,
+  // the set's attribute estimate) is kEmpty + 5 n (+ estimate).
+  constexpr std::size_t kEmpty = kHeaderSize + 4;
+  constexpr std::size_t kLimit = kMaxMessageSize - 64;
 
-  // Withdrawals first, packed densely (matches observed router behaviour:
-  // the paper's multi-million-withdrawal days arrived as packed UPDATEs).
-  // The cause sideband mirrors each message's withdrawn list op for op.
-  UpdateMessage withdrawals;
-  obs::CauseVec withdrawal_causes;
+  // Withdrawals in op order; a message closes after the prefix that takes
+  // its estimate past the limit.
+  bool open = false;
   for (const RouteOp& op : ops) {
     if (!op.IsWithdraw()) continue;
-    withdrawals.withdrawn.push_back(op.prefix);
-    if (causes != nullptr) withdrawal_causes.push_back(op.cause);
-    if (EstimateUpdateSize(withdrawals) > kMaxMessageSize - 64) {
-      out.push_back(std::move(withdrawals));
-      withdrawals = {};
-      if (causes != nullptr) {
-        out_causes.push_back(std::move(withdrawal_causes));
-        withdrawal_causes = {};
-      }
+    if (!open) {
+      messages_.push_back(Packed{kInvalidAttrSetId,
+                                 static_cast<std::uint32_t>(prefixes_.size()),
+                                 0});
     }
-  }
-  if (!withdrawals.withdrawn.empty()) {
-    out.push_back(std::move(withdrawals));
-    if (causes != nullptr) out_causes.push_back(std::move(withdrawal_causes));
+    prefixes_.push_back(op.prefix);
+    causes_.push_back(op.cause);
+    open = kEmpty + 5 * ++messages_.back().count <= kLimit;
   }
 
-  // Announcements grouped by identical attribute sets (equal ids). Order
-  // within a group follows arrival order; groups are emitted in order of
-  // first appearance. Grouping reorders ops relative to the input, so the
-  // sideband is built here, one slot per NLRI prefix, in the same order.
-  std::vector<UpdateMessage> groups;
-  std::vector<AttrSetId> group_ids;  // parallel to groups
-  std::vector<obs::CauseVec> group_causes;
+  // Announcements: assign each to a group (an id's open group while its
+  // estimate is below the limit, else a new one), then lay the groups out
+  // back to back in creation order, each in arrival order.
   for (const RouteOp& op : ops) {
     if (op.IsWithdraw()) continue;
-    std::size_t group_index = groups.size();
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (group_ids[i] == op.attr_id &&
-          EstimateUpdateSize(groups[i]) < kMaxMessageSize - 64) {
-        group_index = i;
-        break;
-      }
+    auto [group, fresh] = open_group_.TryEmplace(op.attr_id);
+    if (!fresh && kEmpty + 5 * groups_[*group].count +
+                          attrs.PackingEstimate(op.attr_id) >=
+                      kLimit) {
+      fresh = true;
     }
-    if (group_index == groups.size()) {
-      groups.push_back({});
-      groups.back().attributes = attrs.Get(op.attr_id);
-      group_ids.push_back(op.attr_id);
-      if (causes != nullptr) group_causes.emplace_back();
+    if (fresh) {
+      *group = static_cast<std::uint32_t>(groups_.size());
+      groups_.push_back(Group{op.attr_id, 0});
     }
-    groups[group_index].nlri.push_back(op.prefix);
-    if (causes != nullptr) group_causes[group_index].push_back(op.cause);
+    ++groups_[*group].count;
+    group_of_.push_back(*group);
   }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    out.push_back(std::move(groups[i]));
-    if (causes != nullptr) out_causes.push_back(std::move(group_causes[i]));
+  const std::size_t first_group = messages_.size();
+  std::uint32_t next = static_cast<std::uint32_t>(prefixes_.size());
+  for (const Group& g : groups_) {
+    messages_.push_back(Packed{g.attr_id, next, 0});
+    next += g.count;
   }
-  if (causes != nullptr) *causes = std::move(out_causes);
-  return out;
+  prefixes_.resize(next);
+  causes_.resize(next);
+  std::size_t k = 0;
+  for (const RouteOp& op : ops) {
+    if (op.IsWithdraw()) continue;
+    Packed& m = messages_[first_group + group_of_[k++]];
+    prefixes_[m.begin + m.count] = op.prefix;
+    causes_[m.begin + m.count] = op.cause;
+    ++m.count;
+  }
+  return messages_;
+}
+
+std::vector<std::uint8_t> UpdatePacker::Wire(const Packed& m,
+                                             AttrTable& attrs) const {
+  const std::span<const Prefix> prefixes = Prefixes(m);
+  const std::span<const Prefix> withdrawn =
+      m.IsWithdrawal() ? prefixes : std::span<const Prefix>();
+  const std::span<const Prefix> nlri =
+      m.IsWithdrawal() ? std::span<const Prefix>() : prefixes;
+  const std::span<const std::uint8_t> attributes =
+      m.IsWithdrawal() ? std::span<const std::uint8_t>()
+                       : attrs.Encoded(m.attr_id);
+  ByteWriter out;
+  out.Reserve(FramedUpdateSize(withdrawn, attributes.size(), nlri));
+  FrameUpdate(withdrawn, attributes, nlri, out);
+  return std::move(out).Take();
 }
 
 void OutboundQueue::Enqueue(TimePoint now, RouteOp op) {

@@ -56,20 +56,63 @@ struct RouteOp {
 };
 static_assert(std::is_trivially_copyable_v<RouteOp>);
 
-// Packs a batch of route ops into wire-legal UPDATE messages: withdrawals
-// are combined, announcements are grouped by attribute id (equal ids are
-// byte-equal sets of `attrs`, the table the ops' ids come from), and
-// messages are split below kMaxMessageSize. When `causes` is non-null it
-// receives one CauseVec per output message, each aligned with that
-// message's wire event order (withdrawn prefixes, then NLRI) — the grouping
-// reorders ops, so the sideband must be built here to stay aligned.
-std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
-                                       const AttrTable& attrs,
-                                       std::vector<obs::CauseVec>* causes);
-inline std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
-                                              const AttrTable& attrs) {
-  return PackUpdates(ops, attrs, nullptr);
-}
+// Packs one flush's route ops straight into wire-legal UPDATEs. Withdrawals
+// come first, packed densely (the paper's multi-million-withdrawal days
+// arrived as packed UPDATEs). Announcements are grouped by attribute id
+// (equal ids are byte-equal sets of the table the ops' ids come from);
+// groups are emitted in order of first appearance and keep arrival order
+// inside. A message is closed once EstimateUpdateSize of its contents
+// reaches kMaxMessageSize - 64 (a withdrawal message after the prefix that
+// crosses that line, a group before the next prefix). Each message also
+// carries its cause sideband: one tag per prefix, aligned with the wire
+// event order (withdrawn prefixes, then NLRI) — grouping reorders ops, so
+// the sideband must be built here to stay aligned.
+//
+// The packer's buffers are reused scratch: after warm-up, Pack allocates
+// nothing, and Wire makes exactly one allocation, the message itself.
+class UpdatePacker {
+ public:
+  // One packed UPDATE: either a run of withdrawals or one attribute group.
+  struct Packed {
+    AttrSetId attr_id;    // kInvalidAttrSetId: a withdrawal message
+    std::uint32_t begin;  // first slot in prefixes() / causes()
+    std::uint32_t count;  // prefixes carried
+
+    bool IsWithdrawal() const { return attr_id == kInvalidAttrSetId; }
+  };
+
+  // Packs `ops` (ids interned in `attrs`), replacing the previous batch.
+  // Returns the messages in send order; valid until the next Pack.
+  std::span<const Packed> Pack(std::span<const RouteOp> ops,
+                               const AttrTable& attrs);
+
+  // Message `m`'s prefixes (withdrawn or NLRI) and their causes.
+  std::span<const Prefix> Prefixes(const Packed& m) const {
+    return std::span<const Prefix>(prefixes_).subspan(m.begin, m.count);
+  }
+  std::span<const obs::CauseTag> Causes(const Packed& m) const {
+    return std::span<const obs::CauseTag>(causes_).subspan(m.begin, m.count);
+  }
+
+  // Message `m` framed for the wire (FrameUpdate over the table's cached
+  // attribute bytes), in one exact-size allocation.
+  std::vector<std::uint8_t> Wire(const Packed& m, AttrTable& attrs) const;
+
+ private:
+  struct Group {
+    AttrSetId attr_id;
+    std::uint32_t count;
+  };
+
+  std::vector<Packed> messages_;
+  std::vector<Prefix> prefixes_;        // message order, all messages
+  std::vector<obs::CauseTag> causes_;   // parallel to prefixes_
+  std::vector<Group> groups_;           // creation order
+  std::vector<std::uint32_t> group_of_; // per announcement, in op order
+  // An id's open group: the newest group of the id, the only one that can
+  // still have room. Probed only, so its slot order reaches nothing.
+  ProbeMap<AttrSetId, std::uint32_t> open_group_;
+};
 
 enum class TimerDiscipline : std::uint8_t { kUnjittered, kJittered };
 

@@ -41,8 +41,8 @@ void Link::Fail() {
 void Link::Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
                 obs::CauseVec causes) {
   if (!up_) return;
-  const Side& dst = (from == a_.endpoint) ? b_ : a_;
-  if (dst.endpoint == nullptr) return;
+  const Side* dst = (from == a_.endpoint) ? &b_ : &a_;
+  if (dst->endpoint == nullptr) return;
   ++messages_carried_;
   bytes_carried_ += bytes.size();
   if (messages_metric_) {
@@ -53,7 +53,7 @@ void Link::Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
   sched_.After(latency_, [this, dst, epoch, data = std::move(bytes),
                           tags = std::move(causes)]() mutable {
     if (epoch != epoch_ || !up_) return;  // carrier dropped in flight
-    dst.endpoint->OnWireData(dst.peer_id, std::move(data), std::move(tags));
+    dst->endpoint->OnWireData(dst->peer_id, std::move(data), std::move(tags));
   });
 }
 

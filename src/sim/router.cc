@@ -271,10 +271,10 @@ void Router::OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
   if (metrics_.messages_rx) metrics_.messages_rx->Add(1);
 
   // UPDATEs — the dominant wire type — decode into the router's scratch
-  // message, reusing its buffers; everything else takes the allocating
+  // messages, reusing their buffers; everything else takes the allocating
   // Decode. The type byte sits at the fixed header offset, so routing on it
-  // before decoding is exact, and DecodeUpdateInto applies the same
-  // validation Decode would.
+  // before decoding is exact, and the decoder applies the same validation
+  // Decode would.
   const bool wire_is_update =
       bytes.size() >= bgp::kHeaderSize &&
       bytes[bgp::kHeaderSize - 1] ==
@@ -284,9 +284,7 @@ void Router::OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
   {
     obs::ScopedTimer timer(&decode_site_, bytes.size());
     if (wire_is_update) {
-      if (bgp::DecodeUpdateInto(bytes, decode_scratch_)) {
-        update = &decode_scratch_;
-      }
+      update = decoder_.Decode(bytes);
     } else {
       msg = bgp::Decode(bytes);
     }
@@ -447,23 +445,22 @@ void Router::OnSessionDown(bgp::PeerId id) {
 }
 
 void Router::SendMessage(bgp::PeerId id, const bgp::Message& msg,
-                         bool priority, obs::CauseVec causes) {
+                         bool priority) {
   Peer& p = peers_[id];
   if (p.link == nullptr || !p.link->up()) return;
   ++stats_.messages_tx;
   if (metrics_.messages_tx) metrics_.messages_tx->Add(1);
-  if (const auto* u = std::get_if<bgp::UpdateMessage>(&msg)) {
-    ++stats_.updates_tx;
-    if (metrics_.updates_tx) metrics_.updates_tx->Add(1);
-    stats_.prefixes_announced_tx += u->nlri.size();
-    stats_.prefixes_withdrawn_tx += u->withdrawn.size();
-  }
   std::vector<std::uint8_t> bytes;
   {
     obs::ScopedTimer timer(&encode_site_);
     bytes = bgp::Encode(msg);
     timer.AddItems(bytes.size());
   }
+  Transmit(p, std::move(bytes), priority, obs::CauseVec{});
+}
+
+void Router::Transmit(Peer& p, std::vector<std::uint8_t> bytes, bool priority,
+                      obs::CauseVec causes) {
   const TimePoint now = sched_.Now();
   // Non-priority traffic queues behind the CPU backlog; this is the delay
   // that starves KEEPALIVEs on busy route-caching routers.
@@ -498,13 +495,9 @@ bool Router::DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
 void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
                            const obs::CauseVec& causes) {
   Peer& p = peers_[from];
-  // Prefixes whose best route changed, paired with the cause of the wire
-  // event that changed them.
-  struct ChangedEntry {
-    Prefix prefix;
-    obs::CauseTag cause{};
-  };
-  std::vector<ChangedEntry> changed;
+  // Nothing below re-enters ProcessUpdate (propagation only enqueues), so
+  // one member buffer serves every UPDATE.
+  changed_.clear();
 
   // The sideband is aligned with wire event order: withdrawn, then NLRI.
   std::size_t ev = 0;
@@ -525,7 +518,7 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
       // every peer: the implementation keeps no record of what it told whom.
       BroadcastWithdraw(w, cause);
     }
-    if (change.best_changed) changed.push_back({w, cause});
+    if (change.best_changed) changed_.push_back({w, cause});
   }
 
   // The decoded attribute set is interned once per UPDATE. An identity
@@ -552,22 +545,22 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
         // Denied by policy: make sure no earlier route from this peer
         // lingers.
         const bgp::RibChange change = rib_.Withdraw(from, nlri);
-        if (change.best_changed) changed.push_back({nlri, cause});
+        if (change.best_changed) changed_.push_back({nlri, cause});
         continue;
       }
       attr_id = rib_.attrs().Intern(route.attributes);
     }
     if (config_.enable_dampening && DampenAnnounce(from, nlri, attr_id)) {
       if (rib_.Withdraw(from, nlri).best_changed) {
-        changed.push_back({nlri, cause});
+        changed_.push_back({nlri, cause});
       }
       continue;
     }
     const bgp::RibChange change = rib_.Announce(from, nlri, attr_id);
-    if (change.best_changed) changed.push_back({nlri, cause});
+    if (change.best_changed) changed_.push_back({nlri, cause});
   }
 
-  for (const ChangedEntry& entry : changed) {
+  for (const ChangedEntry& entry : changed_) {
     PropagateChange(entry.prefix, entry.cause);
   }
 }
@@ -655,16 +648,28 @@ void Router::FlushPeer(bgp::PeerId id) {
 
   // The packer reorders ops (attribute grouping), so it builds the per-
   // message cause sideband itself.
-  std::vector<obs::CauseVec> msg_causes;
-  std::vector<bgp::UpdateMessage> msgs =
-      bgp::PackUpdates(final_ops_, rib_.attrs(), &msg_causes);
-  for (std::size_t m = 0; m < msgs.size(); ++m) {
-    const bgp::UpdateMessage& msg = msgs[m];
+  for (const bgp::UpdatePacker::Packed& msg :
+       packer_.Pack(final_ops_, rib_.attrs())) {
     // Marshaling cost per outbound prefix.
     ChargeCpu(config_.cost_per_prefix *
-              (0.25 * static_cast<double>(msg.withdrawn.size() + msg.nlri.size())));
+              (0.25 * static_cast<double>(msg.count)));
     if (crashed_) return;
-    SendMessage(id, msg, /*priority=*/false, std::move(msg_causes[m]));
+    if (p.link == nullptr || !p.link->up()) continue;
+    ++stats_.messages_tx;
+    ++stats_.updates_tx;
+    (msg.IsWithdrawal() ? stats_.prefixes_withdrawn_tx
+                        : stats_.prefixes_announced_tx) += msg.count;
+    if (metrics_.messages_tx) metrics_.messages_tx->Add(1);
+    if (metrics_.updates_tx) metrics_.updates_tx->Add(1);
+    std::vector<std::uint8_t> bytes;
+    {
+      obs::ScopedTimer timer(&encode_site_);
+      bytes = packer_.Wire(msg, rib_.attrs());
+      timer.AddItems(bytes.size());
+    }
+    const std::span<const obs::CauseTag> causes = packer_.Causes(msg);
+    Transmit(p, std::move(bytes), /*priority=*/false,
+             obs::CauseVec(causes.begin(), causes.end()));
   }
 }
 

@@ -247,8 +247,13 @@ class Router : public LinkEndpoint {
   void FsmTimerFired(bgp::PeerId id);
   void OnSessionUp(bgp::PeerId id);
   void OnSessionDown(bgp::PeerId id);
-  void SendMessage(bgp::PeerId id, const bgp::Message& msg,
-                   bool priority = false, obs::CauseVec causes = {});
+  // Encodes and sends a session message (OPEN, KEEPALIVE, NOTIFICATION);
+  // UPDATEs leave through FlushPeer's packer. Nothing when the link is down.
+  void SendMessage(bgp::PeerId id, const bgp::Message& msg, bool priority);
+  // Hands encoded bytes to the peer's link: now, or — unless `priority` —
+  // behind the CPU backlog.
+  void Transmit(Peer& p, std::vector<std::uint8_t> bytes, bool priority,
+                obs::CauseVec causes);
 
   // --- provenance ---
   // The ambient cause at an injection entry point (null without a context).
@@ -318,11 +323,19 @@ class Router : public LinkEndpoint {
   // FlushPeer's buffers, reused across flushes (their capacity persists).
   std::vector<bgp::RouteOp> flush_ops_;
   std::vector<bgp::RouteOp> final_ops_;
-  // Receive-path decode scratch: every inbound UPDATE decodes into this one
-  // message, so its prefix/community buffers are allocated once per router
-  // instead of once per message. Safe because delivery is scheduler-driven
-  // (OnWireData never re-enters while an update is being processed).
-  bgp::UpdateMessage decode_scratch_;
+  bgp::UpdatePacker packer_;
+  // ProcessUpdate's prefixes whose best route changed, paired with the
+  // cause of the wire event that changed them; reused per UPDATE.
+  struct ChangedEntry {
+    Prefix prefix;
+    obs::CauseTag cause{};
+  };
+  std::vector<ChangedEntry> changed_;
+  // Receive-path decode scratch: every inbound UPDATE decodes into reused
+  // messages, so their buffers are allocated once per router instead of
+  // once per message. Safe because delivery is scheduler-driven (OnWireData
+  // never re-enters while an update is being processed).
+  bgp::UpdateDecoder decoder_;
   TimePoint busy_until_;
   bool crashed_ = false;
   Stats stats_;

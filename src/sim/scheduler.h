@@ -2,15 +2,24 @@
 //
 // A binary heap of trivially-copyable (time, sequence, slot) items over an
 // owned vector, with the closures parked in a side table the slot indexes —
-// heap sifts never move a std::function. The sequence number makes
-// simultaneous events FIFO, and the slot free list is recycled LIFO, so
-// together with the seeded RNGs whole scenarios are bit-for-bit
-// reproducible.
+// heap sifts never move a closure. The sequence number makes simultaneous
+// events FIFO, and the slot free list is recycled LIFO, so together with
+// the seeded RNGs whole scenarios are bit-for-bit reproducible.
+//
+// Slots hold their closures inline (Scheduler::Task), not in a
+// std::function: at paper scale every wire message is a link-delivery
+// closure owning its bytes, and a std::function's 16-byte buffer sent each
+// of them — millions per simulated day — to the heap. A slot has room for
+// the largest hot closure (link delivery, a delayed send, a Poisson
+// re-arm); a larger closure does not compile, and must box its state.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,9 +29,71 @@
 
 namespace iri::sim {
 
+// A move-only void() closure stored in place, in kCapacity bytes.
+class InlineTask {
+ public:
+  // Link::Send's delivery closure (link, side, epoch, bytes, causes) is
+  // the largest hot one.
+  static constexpr std::size_t kCapacity = 72;
+
+  InlineTask() = default;
+  template <typename F, typename Fn = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<Fn, InlineTask>>>
+  InlineTask(F&& fn) {  // NOLINT: implicit, as std::function's is
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "closure too large for a scheduler slot: box its state");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t));
+    static_assert(std::is_nothrow_move_constructible_v<Fn>);
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
+  InlineTask(InlineTask&& other) noexcept { MoveFrom(other); }
+  InlineTask& operator=(InlineTask&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      MoveFrom(other);
+    }
+    return *this;
+  }
+  InlineTask(const InlineTask&) = delete;
+  InlineTask& operator=(const InlineTask&) = delete;
+  ~InlineTask() { Reset(); }
+
+  void operator()() { ops_->invoke(buf_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    void (*relocate)(void* dst, void* src);  // move-construct, destroy src
+    void (*destroy)(void* self);
+  };
+  template <typename Fn>
+  static constexpr Ops kOps = {
+      [](void* self) { (*static_cast<Fn*>(self))(); },
+      [](void* dst, void* src) {
+        ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+        static_cast<Fn*>(src)->~Fn();
+      },
+      [](void* self) { static_cast<Fn*>(self)->~Fn(); },
+  };
+
+  void MoveFrom(InlineTask& other) {
+    ops_ = other.ops_;
+    if (ops_ != nullptr) ops_->relocate(buf_, other.buf_);
+    other.ops_ = nullptr;
+  }
+  void Reset() {
+    if (ops_ != nullptr) ops_->destroy(buf_);
+    ops_ = nullptr;
+  }
+
+  alignas(std::max_align_t) unsigned char buf_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
+
 class Scheduler {
  public:
-  using Task = std::function<void()>;
+  using Task = InlineTask;
 
   TimePoint Now() const { return now_; }
 
@@ -44,23 +115,27 @@ class Scheduler {
     run_until_site_ = obs::MakeProfileSite(*registry, "sched.run_until");
   }
 
-  // Schedules `task` at absolute time `t`. Scheduling in the past is a
-  // caller bug; the task runs immediately at Now() instead (never rewinds).
-  void At(TimePoint t, Task task) {
+  // Schedules `fn` (any void() callable that fits a Task) at absolute time
+  // `t`. Scheduling in the past is a caller bug; the task runs immediately
+  // at Now() instead (never rewinds).
+  template <typename F>
+  void At(TimePoint t, F&& fn) {
     if (t < now_) t = now_;
     // Slot indirection: the heap holds trivially-copyable (time, seq, slot)
     // items while the closures sit still in slots_. Heap sifts then move
-    // 24-byte PODs instead of std::function objects — at full paper scale
-    // the sift traffic (tens of millions of moves per simulated day) was a
-    // measurable slice of the profile.
+    // 24-byte PODs instead of closures — at full paper scale the sift
+    // traffic (tens of millions of moves per simulated day) was a
+    // measurable slice of the profile. The closure is built in its slot.
     std::uint32_t slot;
     if (free_slots_.empty()) {
       slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(std::move(task));
+      slots_.emplace_back(std::forward<F>(fn));
     } else {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      slots_[slot] = std::move(task);
+      // A free slot is empty (Step moved its closure out).
+      std::destroy_at(&slots_[slot]);
+      std::construct_at(&slots_[slot], std::forward<F>(fn));
     }
     heap_.push_back(Item{t, next_seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), RunsLater);
@@ -69,7 +144,10 @@ class Scheduler {
     }
   }
 
-  void After(Duration d, Task task) { At(now_ + d, std::move(task)); }
+  template <typename F>
+  void After(Duration d, F&& fn) {
+    At(now_ + d, std::forward<F>(fn));
+  }
 
   // Runs the earliest event. Returns false when the queue is empty.
   bool Step() {
@@ -82,7 +160,6 @@ class Scheduler {
     // Move the closure out before running it: the task may schedule into
     // the slot being recycled.
     Task task = std::move(slots_[item.slot]);
-    slots_[item.slot] = nullptr;
     free_slots_.push_back(item.slot);
     task();
     ++executed_;

@@ -160,24 +160,96 @@ TEST_P(NlriRoundTrip, Identity) {
 
 INSTANTIATE_TEST_SUITE_P(AllLengths, NlriRoundTrip, ::testing::Range(0, 33));
 
-TEST(MessageCodec, EstimateBoundsActualSize) {
+// EstimateUpdateSize is the packer's split metric, not a bound: it counts
+// 32 bytes for the fixed attributes, which encode to up to 45. A set with
+// MED, LOCAL_PREF, ATOMIC_AGGREGATE, AGGREGATOR, one community and one /8
+// NLRI is estimated at 68 bytes and encodes to 76; no UPDATE encodes more
+// than 13 bytes over its estimate (the packer's 64-byte margin covers it —
+// PackUpdates.WorstCaseSetsStayWithinMaxMessageSize). Encode allocates the
+// exact size either way.
+TEST(MessageCodec, EstimateUndercountsByAtMostThirteenBytes) {
+  UpdateMessage loaded;
+  loaded.attributes.as_path = AsPath::Sequence({701});
+  loaded.attributes.next_hop = IPv4Address(198, 32, 1, 10);
+  loaded.attributes.med = 1;
+  loaded.attributes.local_pref = 100;
+  loaded.attributes.atomic_aggregate = true;
+  loaded.attributes.aggregator = Aggregator{701, IPv4Address(10, 0, 0, 1)};
+  loaded.attributes.communities = {0x02BD0001};
+  loaded.nlri = {P("10.0.0.0/8")};
+  EXPECT_EQ(EstimateUpdateSize(loaded), 68u);
+  EXPECT_EQ(Encode(loaded).size(), 76u);
+
   Rng rng(3);
-  for (int trial = 0; trial < 200; ++trial) {
+  for (int trial = 0; trial < 500; ++trial) {
     UpdateMessage u;
     const int nw = static_cast<int>(rng.Below(40));
     for (int i = 0; i < nw; ++i) {
       u.withdrawn.push_back(Prefix(
           IPv4Address(static_cast<std::uint32_t>(rng.Next())),
-          static_cast<std::uint8_t>(rng.Range(8, 28))));
+          static_cast<std::uint8_t>(rng.Range(0, 32))));
     }
     const int na = static_cast<int>(rng.Below(40));
-    if (na > 0) u.attributes = SampleAttrs();
+    if (na > 0) {
+      u.attributes = SampleAttrs();
+      if (rng.Bernoulli(0.5)) u.attributes.local_pref = 100;
+      u.attributes.atomic_aggregate = rng.Bernoulli(0.5);
+      if (rng.Bernoulli(0.5)) {
+        u.attributes.aggregator = Aggregator{701, IPv4Address(10, 0, 0, 1)};
+      }
+      // Past 255 bytes, AS_PATH and COMMUNITY take the extended length.
+      if (rng.Bernoulli(0.3)) {
+        std::vector<Asn> path(200, 701);
+        u.attributes.as_path = AsPath::Sequence(std::move(path));
+      }
+      if (rng.Bernoulli(0.3)) {
+        u.attributes.communities.assign(80, 0x02BD0001);
+      }
+    }
     for (int i = 0; i < na; ++i) {
       u.nlri.push_back(Prefix(
           IPv4Address(static_cast<std::uint32_t>(rng.Next())),
-          static_cast<std::uint8_t>(rng.Range(8, 28))));
+          static_cast<std::uint8_t>(rng.Range(0, 32))));
     }
-    EXPECT_GE(EstimateUpdateSize(u), Encode(u).size());
+    const std::vector<std::uint8_t> wire = Encode(u);
+    EXPECT_LE(wire.size(), EstimateUpdateSize(u) + 13);
+    EXPECT_EQ(wire.capacity(), wire.size());
+  }
+}
+
+// The receive path's decoder agrees with Decode on a stream that mixes
+// withdrawal-only UPDATEs, announcements whose AS_PATHs grow and shrink,
+// and damaged frames.
+TEST(MessageCodec, UpdateDecoderMatchesDecodeOnMixedStream) {
+  Rng rng(11);
+  UpdateDecoder decoder;
+  for (int trial = 0; trial < 2000; ++trial) {
+    UpdateMessage u;
+    const int nw = static_cast<int>(rng.Below(4));
+    for (int i = 0; i < nw; ++i) {
+      u.withdrawn.push_back(Prefix(
+          IPv4Address(static_cast<std::uint32_t>(rng.Next())),
+          static_cast<std::uint8_t>(rng.Range(8, 32))));
+    }
+    if (rng.Bernoulli(0.6)) {
+      u.attributes = SampleAttrs();
+      std::vector<Asn> path(rng.Below(8), 701);
+      u.attributes.as_path = AsPath::Sequence(std::move(path));
+      if (rng.Bernoulli(0.2)) {
+        u.attributes.as_path.segments().push_back(
+            {AsPathSegment::Type::kSet, {1239, 3561}});
+      }
+      u.nlri.push_back(Prefix(
+          IPv4Address(static_cast<std::uint32_t>(rng.Next())), 24));
+    }
+    std::vector<std::uint8_t> wire = Encode(u);
+    if (rng.Bernoulli(0.1)) wire.resize(rng.Below(wire.size()));
+    const std::optional<Message> want = Decode(wire);
+    const UpdateMessage* got = decoder.Decode(wire);
+    ASSERT_EQ(got != nullptr, want.has_value()) << "trial " << trial;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, std::get<UpdateMessage>(*want)) << "trial " << trial;
+    }
   }
 }
 

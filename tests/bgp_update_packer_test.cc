@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 namespace iri::bgp {
 namespace {
@@ -26,6 +27,29 @@ AttrSetId Attrs(std::vector<Asn> path) {
 
 constexpr AttrSetId kWithdraw = kInvalidAttrSetId;
 
+// What UpdatePacker put on the wire for one batch: each message's bytes,
+// the same bytes decoded, and its cause sideband.
+struct WireBatch {
+  std::vector<std::vector<std::uint8_t>> wire;
+  std::vector<UpdateMessage> msgs;
+  std::vector<obs::CauseVec> causes;
+};
+
+WireBatch Pack(std::span<const RouteOp> ops, AttrTable& table) {
+  UpdatePacker packer;
+  WireBatch out;
+  for (const UpdatePacker::Packed& m : packer.Pack(ops, table)) {
+    out.wire.push_back(packer.Wire(m, table));
+    const std::optional<Message> decoded = Decode(out.wire.back());
+    EXPECT_TRUE(decoded.has_value());
+    out.msgs.push_back(decoded ? std::get<UpdateMessage>(*decoded)
+                               : UpdateMessage{});
+    const auto causes = packer.Causes(m);
+    out.causes.emplace_back(causes.begin(), causes.end());
+  }
+  return out;
+}
+
 std::vector<RouteOp> FlushOps(OutboundQueue& q, TimePoint now) {
   std::vector<RouteOp> out;
   q.Flush(now, out);
@@ -42,7 +66,7 @@ TEST(PackUpdates, GroupsAnnouncementsByAttributes) {
       {P("11.0.0.0/8"), Attrs({701})},
       {P("12.0.0.0/8"), Attrs({1239})},
   };
-  auto msgs = PackUpdates(ops, Table());
+  auto msgs = Pack(ops, Table()).msgs;
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].nlri.size(), 2u);
   EXPECT_EQ(msgs[1].nlri.size(), 1u);
@@ -54,7 +78,7 @@ TEST(PackUpdates, WithdrawalsPackedTogetherAndFirst) {
       {P("11.0.0.0/8"), kWithdraw},
       {P("12.0.0.0/8"), kWithdraw},
   };
-  auto msgs = PackUpdates(ops, Table());
+  auto msgs = Pack(ops, Table()).msgs;
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].withdrawn.size(), 2u);
   EXPECT_TRUE(msgs[0].nlri.empty());
@@ -67,12 +91,12 @@ TEST(PackUpdates, SplitsBelowMaxMessageSize) {
     ops.push_back({Prefix(IPv4Address((10u << 24) | (i << 8)), 24),
                    kWithdraw});
   }
-  auto msgs = PackUpdates(ops, Table());
-  EXPECT_GT(msgs.size(), 1u);
+  const WireBatch batch = Pack(ops, Table());
+  EXPECT_GT(batch.msgs.size(), 1u);
   std::size_t total = 0;
-  for (const auto& m : msgs) {
-    EXPECT_LE(Encode(m).size(), kMaxMessageSize);
-    total += m.withdrawn.size();
+  for (std::size_t m = 0; m < batch.msgs.size(); ++m) {
+    EXPECT_LE(batch.wire[m].size(), kMaxMessageSize);
+    total += batch.msgs[m].withdrawn.size();
   }
   EXPECT_EQ(total, 3000u);
 }
@@ -83,18 +107,19 @@ TEST(PackUpdates, LargeAnnouncementBatchSplits) {
     ops.push_back({Prefix(IPv4Address((10u << 24) | (i << 8)), 24),
                    Attrs({701, 1239})});
   }
-  auto msgs = PackUpdates(ops, Table());
-  EXPECT_GT(msgs.size(), 1u);
+  const WireBatch batch = Pack(ops, Table());
+  EXPECT_GT(batch.msgs.size(), 1u);
   std::size_t total = 0;
-  for (const auto& m : msgs) {
-    EXPECT_LE(Encode(m).size(), kMaxMessageSize);
-    total += m.nlri.size();
+  for (std::size_t m = 0; m < batch.msgs.size(); ++m) {
+    EXPECT_LE(batch.wire[m].size(), kMaxMessageSize);
+    total += batch.msgs[m].nlri.size();
   }
   EXPECT_EQ(total, 2000u);
 }
 
 TEST(PackUpdates, EmptyInputYieldsNothing) {
-  EXPECT_TRUE(PackUpdates({}, Table()).empty());
+  UpdatePacker packer;
+  EXPECT_TRUE(packer.Pack({}, Table()).empty());
 }
 
 TEST(OutboundQueue, LatestWinsPerPrefix) {
@@ -374,6 +399,39 @@ PathAttributes RandomPackerAttributes(Rng& rng) {
   return a;
 }
 
+// Packs `ops` with UpdatePacker and checks every message's bytes against
+// Encode of the reference grouping of `deep` (the same ops, by value), and
+// every cause sideband against the reference's.
+void ExpectMatchesReference(const std::vector<RouteOp>& ops,
+                            const std::vector<DeepOp>& deep, AttrTable& table,
+                            const std::string& label) {
+  const WireBatch got = Pack(ops, table);
+  std::vector<obs::CauseVec> want_causes;
+  const std::vector<UpdateMessage> want = ReferencePack(deep, want_causes);
+  ASSERT_EQ(got.wire.size(), want.size()) << label;
+  for (std::size_t m = 0; m < want.size(); ++m) {
+    EXPECT_EQ(got.wire[m], Encode(Message(want[m])))
+        << label << " message " << m;
+    ASSERT_EQ(got.causes[m].size(), want_causes[m].size())
+        << label << " message " << m;
+    for (std::size_t i = 0; i < want_causes[m].size(); ++i) {
+      EXPECT_TRUE(got.causes[m][i] == want_causes[m][i])
+          << label << " message " << m << " slot " << i;
+    }
+  }
+}
+
+std::size_t EncodedSize(const PathAttributes& attrs) {
+  ByteWriter out;
+  EncodeAttributes(attrs, out);
+  return out.size();
+}
+
+// A /24 under 10.0.0.0/8 (up to 65536 distinct).
+Prefix Slash24(std::uint32_t i) {
+  return Prefix(IPv4Address((10u << 24) | ((i & 0xFFFF) << 8)), 24);
+}
+
 TEST(PackUpdates, IdGroupingMatchesDeepEqualityReference) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
@@ -391,10 +449,7 @@ TEST(PackUpdates, IdGroupingMatchesDeepEqualityReference) {
     // Up to 1500 ops, so withdrawals and large groups both split.
     const std::size_t n = 1 + rng.Below(1500);
     for (std::size_t i = 0; i < n; ++i) {
-      const Prefix prefix(
-          IPv4Address((10u << 24) |
-                      (static_cast<std::uint32_t>(rng.Below(4096)) << 8)),
-          24);
+      const Prefix prefix = Slash24(static_cast<std::uint32_t>(rng.Below(4096)));
       const obs::CauseTag cause =
           prov.Allocate(obs::CauseKind::kCustomerFlap, TimePoint::Origin());
       if (rng.Bernoulli(0.4)) {
@@ -406,22 +461,122 @@ TEST(PackUpdates, IdGroupingMatchesDeepEqualityReference) {
         deep.push_back(DeepOp{prefix, copy, cause});
       }
     }
-    std::vector<obs::CauseVec> got_causes;
-    const std::vector<UpdateMessage> got = PackUpdates(ops, table, &got_causes);
-    std::vector<obs::CauseVec> want_causes;
-    const std::vector<UpdateMessage> want = ReferencePack(deep, want_causes);
-    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
-    ASSERT_EQ(got_causes.size(), want_causes.size()) << "seed " << seed;
-    for (std::size_t m = 0; m < got.size(); ++m) {
-      EXPECT_EQ(Encode(Message(got[m])), Encode(Message(want[m])))
-          << "seed " << seed << " message " << m;
-      ASSERT_EQ(got_causes[m].size(), want_causes[m].size())
-          << "seed " << seed << " message " << m;
-      for (std::size_t i = 0; i < got_causes[m].size(); ++i) {
-        EXPECT_TRUE(got_causes[m][i] == want_causes[m][i])
-            << "seed " << seed << " message " << m << " slot " << i;
+    ExpectMatchesReference(ops, deep, table, "seed " + std::to_string(seed));
+  }
+}
+
+// Two ids interleaved over 2000 announcements: each id's group crosses the
+// split boundary (795 prefixes fill a message under either set), so an op
+// must find its id's newest group with the other id's groups in between.
+TEST(PackUpdates, LargeGroupsSplitLikeTheReference) {
+  AttrTable table;
+  obs::ProvenanceContext prov;
+  PathAttributes a;
+  a.as_path = AsPath::Sequence({701});
+  a.next_hop = IPv4Address(10, 0, 0, 1);
+  PathAttributes b = a;
+  b.as_path = AsPath::Sequence({1239, 701});
+  std::vector<RouteOp> ops;
+  std::vector<DeepOp> deep;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const PathAttributes& attrs = (i % 2 == 0) ? b : a;
+    const obs::CauseTag cause =
+        prov.Allocate(obs::CauseKind::kPathChange, TimePoint::Origin());
+    ops.push_back(RouteOp{Slash24(i), table.Intern(attrs), false, cause});
+    deep.push_back(DeepOp{Slash24(i), attrs, cause});
+  }
+  const WireBatch batch = Pack(ops, table);
+  ASSERT_EQ(batch.msgs.size(), 4u);
+  for (std::size_t m = 0; m < 4; ++m) {
+    EXPECT_EQ(batch.msgs[m].nlri.size(), m < 2 ? 795u : 205u);
+    EXPECT_EQ(batch.msgs[m].attributes, m % 2 == 0 ? b : a);
+  }
+  ExpectMatchesReference(ops, deep, table, "two ids");
+}
+
+// Hundreds of distinct ids in one batch, with withdrawals mixed in: the
+// open-group index must keep every id's group apart.
+TEST(PackUpdates, HundredsOfDistinctIdsMatchTheReference) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    AttrTable table;
+    obs::ProvenanceContext prov;
+    std::vector<PathAttributes> palette;
+    for (int i = 0; i < 400; ++i) {
+      PathAttributes attrs = RandomPackerAttributes(rng);
+      attrs.med = static_cast<std::uint32_t>(i);  // all distinct
+      palette.push_back(std::move(attrs));
+    }
+    std::vector<RouteOp> ops;
+    std::vector<DeepOp> deep;
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+      const obs::CauseTag cause =
+          prov.Allocate(obs::CauseKind::kCustomerFlap, TimePoint::Origin());
+      if (rng.Bernoulli(0.2)) {
+        ops.push_back(RouteOp{Slash24(i), kInvalidAttrSetId, false, cause});
+        deep.push_back(DeepOp{Slash24(i), std::nullopt, cause});
+      } else {
+        const PathAttributes& attrs = palette[rng.Below(palette.size())];
+        ops.push_back(RouteOp{Slash24(i), table.Intern(attrs), false, cause});
+        deep.push_back(DeepOp{Slash24(i), attrs, cause});
       }
     }
+    ExpectMatchesReference(ops, deep, table, "seed " + std::to_string(seed));
+  }
+}
+
+// The worst case for EstimateUpdateSize, which undercounts a set carrying
+// every optional attribute with extended-length AS_PATH and COMMUNITY: the
+// 64-byte margin still keeps every packed message within kMaxMessageSize,
+// and each message is one exact-size allocation.
+TEST(PackUpdates, WorstCaseSetsStayWithinMaxMessageSize) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    AttrTable table;
+    std::vector<AttrSetId> ids;
+    for (int i = 0; i < 4; ++i) {
+      PathAttributes attrs;
+      std::vector<Asn> path;
+      const std::size_t len = 130 + rng.Below(120);  // > 255 bytes
+      for (std::size_t k = 0; k < len; ++k) {
+        path.push_back(static_cast<Asn>(1 + rng.Below(kMaxAsn)));
+      }
+      attrs.as_path = AsPath::Sequence(std::move(path));
+      attrs.next_hop = IPv4Address(192, 41, 177, static_cast<std::uint8_t>(i));
+      attrs.med = static_cast<std::uint32_t>(rng.Next());
+      attrs.local_pref = static_cast<std::uint32_t>(rng.Next());
+      attrs.atomic_aggregate = true;
+      attrs.aggregator = Aggregator{static_cast<Asn>(1 + rng.Below(kMaxAsn)),
+                                    IPv4Address(10, 0, 0, 1)};
+      const std::size_t communities = 64 + rng.Below(64);  // > 255 bytes
+      for (std::size_t k = 0; k < communities; ++k) {
+        attrs.communities.push_back(static_cast<Community>(rng.Next()));
+      }
+      std::sort(attrs.communities.begin(), attrs.communities.end());
+      ids.push_back(table.Intern(attrs));
+      // The estimate undercounts this set: the margin is what holds.
+      ASSERT_GT(EncodedSize(table.Get(ids.back())),
+                EstimateAttributesSize(table.Get(ids.back())));
+    }
+    std::vector<RouteOp> ops;
+    for (std::uint32_t i = 0; i < 2500; ++i) {
+      const auto length = static_cast<std::uint8_t>(rng.Range(8, 32));
+      const Prefix prefix(IPv4Address(static_cast<std::uint32_t>(rng.Next())),
+                          length);
+      const AttrSetId id =
+          rng.Bernoulli(0.3) ? kInvalidAttrSetId : ids[rng.Below(ids.size())];
+      ops.push_back(RouteOp{prefix, id});
+    }
+    UpdatePacker packer;
+    std::size_t prefixes = 0;
+    for (const UpdatePacker::Packed& m : packer.Pack(ops, table)) {
+      const std::vector<std::uint8_t> wire = packer.Wire(m, table);
+      EXPECT_LE(wire.size(), kMaxMessageSize) << "seed " << seed;
+      EXPECT_EQ(wire.capacity(), wire.size()) << "seed " << seed;
+      ASSERT_TRUE(Decode(wire).has_value()) << "seed " << seed;
+      prefixes += m.count;
+    }
+    EXPECT_EQ(prefixes, ops.size());
   }
 }
 

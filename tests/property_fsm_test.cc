@@ -134,7 +134,7 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueFuzz, ::testing::Values(10, 11, 12, 13));
 
-// Property: PackUpdates partitions ops exactly — every op appears in
+// Property: UpdatePacker partitions ops exactly — every op appears in
 // exactly one message, withdrawals as withdrawals, announcements under
 // their own attributes, and every message encodes within the size cap.
 class PackerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -160,10 +160,17 @@ TEST_P(PackerFuzz, PackingIsAPartition) {
     ops.push_back(op);
   }
 
-  const auto messages = PackUpdates(ops, table);
+  UpdatePacker packer;
+  std::vector<UpdateMessage> messages;
+  for (const UpdatePacker::Packed& m : packer.Pack(ops, table)) {
+    const std::vector<std::uint8_t> wire = packer.Wire(m, table);
+    EXPECT_LE(wire.size(), kMaxMessageSize);
+    const std::optional<Message> decoded = Decode(wire);
+    ASSERT_TRUE(decoded.has_value());
+    messages.push_back(std::get<UpdateMessage>(*decoded));
+  }
   std::set<Prefix> withdrawn_out, announced_out;
   for (const auto& msg : messages) {
-    EXPECT_LE(Encode(msg).size(), kMaxMessageSize);
     for (const auto& p : msg.withdrawn) {
       EXPECT_TRUE(withdrawn_out.insert(p).second);
     }

@@ -636,6 +636,53 @@ TEST(Router, UpdateTapSeesInboundUpdates) {
   EXPECT_EQ(tap_asns[0], 100u);
 }
 
+// The codec.encode profile site counts one call per message that goes out
+// on an up link, with the message's bytes as items: UPDATEs are framed only
+// for a peer whose link is up. To reach a flush for an established peer
+// behind a down link, A's side of the A–C link is handed to a silent
+// endpoint before the link fails, so A never hears of the loss.
+TEST(Router, EncodeSiteCountsOnlyMessagesOnUpLinks) {
+  struct Silent : LinkEndpoint {
+    void OnTransportUp(std::uint32_t) override {}
+    void OnTransportDown(std::uint32_t) override {}
+    void OnWireData(std::uint32_t, std::vector<std::uint8_t>,
+                    obs::CauseVec) override {}
+  };
+  Net net;
+  Router& a = net.AddRouter("A", 100);
+  Router& b = net.AddRouter("B", 200);
+  Router& c = net.AddRouter("C", 300);
+  net.Connect(a, b);
+  Link& to_c = net.Connect(a, c);
+  obs::Registry registry;
+  a.AttachObservability(&registry, nullptr);
+  net.Start();
+  ASSERT_EQ(a.PeerSessionState(1), bgp::SessionState::kEstablished);
+
+  Silent silent;
+  to_c.AttachA(&silent, 0);
+  to_c.Fail();
+  ASSERT_EQ(a.PeerSessionState(1), bgp::SessionState::kEstablished);
+
+  const obs::Counter& calls =
+      registry.GetCounter("profile.codec.encode.calls");
+  const obs::Counter& items =
+      registry.GetCounter("profile.codec.encode.items");
+  const std::uint64_t calls_before = calls.value();
+  const std::uint64_t items_before = items.value();
+  const std::uint64_t sent_before = a.stats().messages_tx;
+  const Link& to_b = *net.links[0];
+  const std::uint64_t bytes_before = to_b.bytes_carried();
+  a.Originate(LocalRoute("192.42.113.0/24"));
+  net.Settle(Duration::Seconds(2));  // one flush, before any keepalive
+
+  EXPECT_EQ(a.stats().messages_tx - sent_before, 1u);
+  EXPECT_EQ(calls.value() - calls_before, 1u) << "only B's UPDATE is encoded";
+  EXPECT_EQ(items.value() - items_before, to_b.bytes_carried() - bytes_before);
+  EXPECT_NE(b.rib().Best(P("192.42.113.0/24")), nullptr);
+  EXPECT_EQ(c.rib().Best(P("192.42.113.0/24")), nullptr);
+}
+
 // Differential check of the export memo: for every (policy, router mode)
 // pair, ExportMemo::Export must return the id a fresh ExportAttributes
 // returns, and that id must name exactly the set a deep rewrite written here
