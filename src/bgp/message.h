@@ -46,8 +46,6 @@ struct UpdateMessage {
   PathAttributes attributes;  // meaningful only when nlri is non-empty
   std::vector<Prefix> nlri;
 
-  bool HasAnnouncements() const { return !nlri.empty(); }
-
   friend bool operator==(const UpdateMessage&, const UpdateMessage&) = default;
 };
 

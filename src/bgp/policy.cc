@@ -4,59 +4,27 @@
 
 namespace iri::bgp {
 
-bool MatchSpec::Matches(const Route& route) const {
-  const Prefix& p = route.prefix;
-  if (exact && !(p == *exact)) return false;
-  if (covered_by && !covered_by->Covers(p)) return false;
-  if (p.length() < min_length || p.length() > max_length) return false;
-  if (path_contains && !route.attributes.as_path.Contains(*path_contains)) {
-    return false;
-  }
-  if (origin_as && route.attributes.as_path.OriginAsn() != *origin_as) {
-    return false;
-  }
-  if (neighbor_as && route.attributes.as_path.FirstAsn() != *neighbor_as) {
-    return false;
-  }
+bool MatchSpec::Matches(const PathAttributes& attrs) const {
+  if (neighbor_as && attrs.as_path.FirstAsn() != *neighbor_as) return false;
   if (has_community) {
-    const auto& cs = route.attributes.communities;
+    const auto& cs = attrs.communities;
     if (std::find(cs.begin(), cs.end(), *has_community) == cs.end()) {
       return false;
     }
   }
-  if (path_regex && !path_regex->Matches(route.attributes.as_path)) {
-    return false;
-  }
   return true;
 }
 
-void ActionSpec::ApplyTo(Route& route) const {
-  if (set_local_pref) route.attributes.local_pref = *set_local_pref;
-  if (set_med) route.attributes.med = *set_med;
-  if (clear_med) route.attributes.med.reset();
-  for (std::uint8_t i = 0; i < prepend_count; ++i) {
-    route.attributes.as_path.Prepend(prepend_asn);
-  }
-  if (strip_communities) route.attributes.communities.clear();
-  for (Community c : add_communities) {
-    auto& cs = route.attributes.communities;
-    if (std::find(cs.begin(), cs.end(), c) == cs.end()) cs.push_back(c);
-  }
-  std::sort(route.attributes.communities.begin(),
-            route.attributes.communities.end());
+void ActionSpec::ApplyTo(PathAttributes& attrs) const {
+  if (set_local_pref) attrs.local_pref = *set_local_pref;
+  if (strip_communities) attrs.communities.clear();
 }
 
-std::optional<Route> Policy::Apply(const Route& route) const {
-  Route out = route;
-  if (!ApplyInPlace(out)) return std::nullopt;
-  return out;
-}
-
-bool Policy::ApplyInPlace(Route& route) const {
+bool Policy::Apply(PathAttributes& attrs) const {
   for (const PolicyRule& rule : rules_) {
-    if (!rule.match.Matches(route)) continue;
+    if (!rule.match.Matches(attrs)) continue;
     if (rule.action.deny) return false;
-    rule.action.ApplyTo(route);
+    rule.action.ApplyTo(attrs);
     return true;
   }
   return default_accept_;

@@ -45,8 +45,6 @@ class Rib {
   // used for the final decision tie-break.
   void AddPeer(PeerId peer, IPv4Address router_id);
 
-  bool HasPeer(PeerId peer) const { return peers_.contains(peer); }
-
   // Resolves the rib.announce / rib.withdraw / rib.lookup profile sites
   // against a (partition-private) registry. Null detaches.
   void AttachProfile(obs::Registry* registry) {

@@ -28,22 +28,6 @@ struct Route {
   }
 };
 
-// The paper's forwarding tuple: (Prefix, NextHop, ASPATH). Two successive
-// announcements with equal ForwardingKeys are duplicates (AADup) unless some
-// other attribute changed (policy fluctuation). Hashable for the
-// classifier's per-route state tables.
-struct ForwardingKey {
-  Prefix prefix;
-  IPv4Address next_hop;
-  AsPath as_path;
-
-  static ForwardingKey Of(const Route& r) {
-    return {r.prefix, r.attributes.next_hop, r.attributes.as_path};
-  }
-
-  friend bool operator==(const ForwardingKey&, const ForwardingKey&) = default;
-};
-
 // (Prefix, peer) pair: the unit of Figures 7 and 8 ("Prefix+AS").
 struct PrefixPeer {
   Prefix prefix;
@@ -60,19 +44,6 @@ struct std::hash<iri::bgp::PrefixPeer> {
   std::size_t operator()(const iri::bgp::PrefixPeer& pp) const noexcept {
     std::uint64_t x = std::hash<iri::Prefix>{}(pp.prefix);
     x ^= pp.peer + 0x9E3779B97F4A7C15ULL + (x << 6) + (x >> 2);
-    return static_cast<std::size_t>(x);
-  }
-};
-
-template <>
-struct std::hash<iri::bgp::ForwardingKey> {
-  std::size_t operator()(const iri::bgp::ForwardingKey& k) const noexcept {
-    std::uint64_t x = std::hash<iri::Prefix>{}(k.prefix);
-    x = x * 1099511628211ULL ^ k.next_hop.bits();
-    for (const auto& seg : k.as_path.segments()) {
-      x = x * 1099511628211ULL ^ static_cast<std::uint64_t>(seg.type);
-      for (auto asn : seg.asns) x = x * 1099511628211ULL ^ asn;
-    }
     return static_cast<std::size_t>(x);
   }
 };

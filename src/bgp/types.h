@@ -100,17 +100,6 @@ class AsPath {
     return 0;
   }
 
-  // The origin AS (last AS of the last SEQUENCE), or 0 if the path ends in a
-  // SET (aggregated route with no single origin).
-  Asn OriginAsn() const {
-    if (segments_.empty()) return 0;
-    const auto& last = segments_.back();
-    if (last.type != AsPathSegment::Type::kSequence || last.asns.empty()) {
-      return 0;
-    }
-    return last.asns.back();
-  }
-
   bool empty() const { return segments_.empty(); }
   const std::vector<AsPathSegment>& segments() const { return segments_; }
   std::vector<AsPathSegment>& segments() { return segments_; }

@@ -95,14 +95,6 @@ class Rng {
     return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
   }
 
-  // Pareto (power-law) sample with minimum xm and shape alpha; models the
-  // heavy-tailed distribution of ISP sizes in the topology generator.
-  double Pareto(double xm, double alpha) {
-    double u = Uniform();
-    if (u <= 0.0) u = 0x1.0p-53;
-    return xm / std::pow(u, 1.0 / alpha);
-  }
-
  private:
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -57,56 +57,4 @@ void Link::Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
   });
 }
 
-void LineFailureProcess::Start() { ScheduleFailure(); }
-
-void LineFailureProcess::ScheduleFailure() {
-  const double m = rate_multiplier_ <= 0 ? 1e-6 : rate_multiplier_;
-  const Duration wait =
-      Duration::Seconds(rng_.Exponential(params_.mean_time_to_failure.ToSeconds() / m));
-  sched_.After(wait, [this] {
-    if (link_.up()) {
-      link_.Fail();
-      ++failures_;
-    }
-    ScheduleRepair();
-  });
-}
-
-void LineFailureProcess::ScheduleRepair() {
-  const Duration wait =
-      Duration::Seconds(rng_.Exponential(params_.mean_time_to_repair.ToSeconds()));
-  sched_.After(wait, [this] {
-    link_.Restore();
-    ScheduleFailure();
-  });
-}
-
-void CsuOscillator::Start() { ScheduleEpisode(); }
-
-void CsuOscillator::ScheduleEpisode() {
-  const Duration wait =
-      Duration::Seconds(rng_.Exponential(params_.mean_episode_gap.ToSeconds()));
-  sched_.After(wait, [this] {
-    ++episodes_;
-    Beat(sched_.Now() + params_.episode_length);
-  });
-}
-
-void CsuOscillator::Beat(TimePoint episode_end) {
-  if (sched_.Now() >= episode_end) {
-    link_.Restore();  // episode over; make sure the line is back up
-    ScheduleEpisode();
-    return;
-  }
-  ++beats_;
-  link_.Fail();
-  sched_.After(params_.carrier_loss, [this] { link_.Restore(); });
-  // Next beat: near-constant period with a small wobble (clock drift moves
-  // slowly, so successive beats stay phase-coherent).
-  const double wobble =
-      1.0 + params_.period_wobble * (2.0 * rng_.Uniform() - 1.0);
-  sched_.After(params_.beat_period * wobble,
-               [this, episode_end] { Beat(episode_end); });
-}
-
 }  // namespace iri::sim

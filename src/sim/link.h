@@ -1,19 +1,17 @@
 // Point-to-point link model connecting two router endpoints.
 //
 // Links carry encoded BGP messages (real wire bytes — every hop exercises
-// the codec) with a fixed propagation latency. A link can be failed and
-// restored by scenario code, by the leased-line failure process, or by the
-// CSU clock-drift oscillator (§4.2's "misconfigured CSUs ... cause the line
-// to oscillate"): router interface cards are "sensitive to millisecond loss
-// of line carrier", so even a brief carrier drop takes the BGP transport
-// down with it.
+// the codec) with a fixed propagation latency. Scenario code fails and
+// restores a link, for line failures and for CSU clock-drift episodes
+// (§4.2's "misconfigured CSUs ... cause the line to oscillate"): router
+// interface cards are "sensitive to millisecond loss of line carrier", so
+// even a brief carrier drop takes the BGP transport down with it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "netbase/rng.h"
 #include "netbase/time.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
@@ -104,78 +102,6 @@ class Link {
   obs::Counter* restores_ = nullptr;
   obs::Counter* messages_metric_ = nullptr;
   obs::Counter* bytes_metric_ = nullptr;
-};
-
-// Poisson leased-line failure process: exponentially distributed time to
-// failure and time to repair. Drives Fail/Restore on the link forever.
-// The rate can be modulated by scenario code (diurnal congestion raises the
-// effective failure rate — the paper's usage/instability correlation).
-class LineFailureProcess {
- public:
-  struct Params {
-    Duration mean_time_to_failure = Duration::Hours(24 * 14);
-    Duration mean_time_to_repair = Duration::Minutes(8);
-  };
-
-  LineFailureProcess(Scheduler& sched, Link& link, Params params,
-                     std::uint64_t seed)
-      : sched_(sched), link_(link), params_(params), rng_(seed) {}
-
-  // Starts the process (first failure scheduled from now).
-  void Start();
-
-  // Rate multiplier >= 0; 1.0 = nominal. Sampled when each next failure is
-  // scheduled, so scenario code can steer it over time.
-  void SetRateMultiplier(double m) { rate_multiplier_ = m; }
-  double rate_multiplier() const { return rate_multiplier_; }
-
-  std::uint64_t failures() const { return failures_; }
-
- private:
-  void ScheduleFailure();
-  void ScheduleRepair();
-
-  Scheduler& sched_;
-  Link& link_;
-  Params params_;
-  Rng rng_;
-  double rate_multiplier_ = 1.0;
-  std::uint64_t failures_ = 0;
-};
-
-// CSU clock-drift oscillator: while an episode is active the line flaps with
-// a beat period derived from the clock drift; episodes recur. Periods are
-// near-constant (clocks drift slowly), producing the periodic W/A update
-// trains the paper suspects behind some of the 30 s structure.
-class CsuOscillator {
- public:
-  struct Params {
-    Duration beat_period = Duration::Seconds(30);  // line drops every beat
-    Duration carrier_loss = Duration::Millis(800); // how long carrier drops
-    Duration episode_length = Duration::Minutes(3);
-    Duration mean_episode_gap = Duration::Hours(6);
-    double period_wobble = 0.02;  // ±2% beat-to-beat variation
-  };
-
-  CsuOscillator(Scheduler& sched, Link& link, Params params,
-                std::uint64_t seed)
-      : sched_(sched), link_(link), params_(params), rng_(seed) {}
-
-  void Start();
-
-  std::uint64_t episodes() const { return episodes_; }
-  std::uint64_t beats() const { return beats_; }
-
- private:
-  void ScheduleEpisode();
-  void Beat(TimePoint episode_end);
-
-  Scheduler& sched_;
-  Link& link_;
-  Params params_;
-  Rng rng_;
-  std::uint64_t episodes_ = 0;
-  std::uint64_t beats_ = 0;
 };
 
 }  // namespace iri::sim

@@ -3,46 +3,30 @@
 namespace iri::sim {
 
 bgp::AttrSetId ExportAttributes(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                                const Prefix& prefix,
                                 const bgp::Policy& policy,
                                 const RouterConfig& config) {
-  bgp::Route route{prefix, attrs.Get(best)};
-  if (!policy.ApplyInPlace(route)) return bgp::kInvalidAttrSetId;
+  bgp::PathAttributes out = attrs.Get(best);
+  if (!policy.Apply(out)) return bgp::kInvalidAttrSetId;
   if (!config.transparent) {
-    route.attributes.as_path.Prepend(config.asn);
-    route.attributes.next_hop = config.interface_addr;
+    out.as_path.Prepend(config.asn);
+    out.next_hop = config.interface_addr;
   }
-  route.attributes.local_pref.reset();
-  return attrs.Intern(route.attributes);
+  out.local_pref.reset();
+  return attrs.Intern(out);
 }
-
-namespace {
-
-// Sender-side loop avoidance (the receiver would reject a path through its
-// own AS anyway), then ExportAttributes.
-bgp::AttrSetId ExportToPeer(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                            const Prefix& prefix, bgp::Asn remote_asn,
-                            const bgp::Policy& policy,
-                            const RouterConfig& config) {
-  if (attrs.Get(best).as_path.Contains(remote_asn)) {
-    return bgp::kInvalidAttrSetId;
-  }
-  return ExportAttributes(attrs, best, prefix, policy, config);
-}
-
-}  // namespace
 
 bgp::AttrSetId ExportMemo::Export(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                                  const Prefix& prefix, bgp::Asn remote_asn,
+                                  bgp::Asn remote_asn,
                                   const bgp::Policy& policy,
                                   const RouterConfig& config) {
-  if (policy.ReadsPrefix()) {
-    return ExportToPeer(attrs, best, prefix, remote_asn, policy, config);
-  }
   if (best >= out_.size()) out_.resize(attrs.size());
   std::optional<bgp::AttrSetId>& memo = out_[best];
   if (!memo) {
-    memo = ExportToPeer(attrs, best, prefix, remote_asn, policy, config);
+    // Sender-side loop avoidance (the receiver would reject a path through
+    // its own AS anyway), then the rewrite.
+    memo = attrs.Get(best).as_path.Contains(remote_asn)
+               ? bgp::kInvalidAttrSetId
+               : ExportAttributes(attrs, best, policy, config);
   }
   return *memo;
 }
@@ -521,16 +505,24 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
     if (change.best_changed) changed_.push_back({w, cause});
   }
 
-  // The decoded attribute set is interned once per UPDATE. An identity
-  // import policy (the common case) lets every NLRI prefix share that id;
-  // any other policy may rewrite per prefix, and its output is interned.
-  const bool identity_import = p.import_policy.IsIdentity();
+  // The decoded attribute set passes the import policy and is interned
+  // once per UPDATE, and every NLRI prefix shares that id: policies read
+  // only attributes. An identity import policy (the common case) skips the
+  // copy; a denial withdraws each NLRI prefix from this peer, so no earlier
+  // route from it lingers.
+  bgp::AttrSetId attr_id = bgp::kInvalidAttrSetId;
   const bool looped = !update.nlri.empty() &&
                       update.attributes.as_path.Contains(config_.asn);
-  const bgp::AttrSetId shared_id =
-      identity_import && !looped && !update.nlri.empty()
-          ? rib_.attrs().Intern(update.attributes)
-          : bgp::kInvalidAttrSetId;
+  if (!looped && !update.nlri.empty()) {
+    if (p.import_policy.IsIdentity()) {
+      attr_id = rib_.attrs().Intern(update.attributes);
+    } else {
+      bgp::PathAttributes imported = update.attributes;
+      if (p.import_policy.Apply(imported)) {
+        attr_id = rib_.attrs().Intern(imported);
+      }
+    }
+  }
   for (const Prefix& nlri : update.nlri) {
     const obs::CauseTag cause = next_cause();
     ++stats_.prefixes_announced_rx;
@@ -538,17 +530,10 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
       ++stats_.loops_rejected;
       continue;
     }
-    bgp::AttrSetId attr_id = shared_id;
-    if (!identity_import) {
-      bgp::Route route{nlri, update.attributes};
-      if (!p.import_policy.ApplyInPlace(route)) {
-        // Denied by policy: make sure no earlier route from this peer
-        // lingers.
-        const bgp::RibChange change = rib_.Withdraw(from, nlri);
-        if (change.best_changed) changed_.push_back({nlri, cause});
-        continue;
-      }
-      attr_id = rib_.attrs().Intern(route.attributes);
+    if (attr_id == bgp::kInvalidAttrSetId) {  // denied by import policy
+      const bgp::RibChange change = rib_.Withdraw(from, nlri);
+      if (change.best_changed) changed_.push_back({nlri, cause});
+      continue;
     }
     if (config_.enable_dampening && DampenAnnounce(from, nlri, attr_id)) {
       if (rib_.Withdraw(from, nlri).best_changed) {
@@ -577,7 +562,7 @@ void Router::PropagateChange(const Prefix& prefix, const bgp::Candidate* best,
     Peer& p = peers_[id];
     if (!p.established) continue;
     const bgp::AttrSetId exported = best != nullptr
-                                        ? ExportCandidate(p, prefix, *best)
+                                        ? ExportCandidate(p, *best)
                                         : bgp::kInvalidAttrSetId;
     EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
   }
@@ -590,14 +575,14 @@ void Router::BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause) {
   }
 }
 
-bgp::AttrSetId Router::ExportCandidate(Peer& peer, const Prefix& prefix,
+bgp::AttrSetId Router::ExportCandidate(Peer& peer,
                                        const bgp::Candidate& best) {
   // Split horizon: never hand a route back to the peer it came from.
   if (best.peer != bgp::kLocalPeer && &peer == &peers_[best.peer]) {
     return bgp::kInvalidAttrSetId;
   }
-  return peer.export_memo.Export(rib_.attrs(), best.attr_id, prefix,
-                                peer.remote_asn, peer.export_policy, config_);
+  return peer.export_memo.Export(rib_.attrs(), best.attr_id, peer.remote_asn,
+                                peer.export_policy, config_);
 }
 
 void Router::EnqueueOp(bgp::PeerId id, bgp::RouteOp op) {
@@ -684,7 +669,7 @@ void Router::FullDump(bgp::PeerId id, obs::CauseTag cause) {
   Peer& p = peers_[id];
   std::uint64_t exported_count = 0;
   rib_.VisitBest([&](const Prefix& prefix, const bgp::Candidate& best) {
-    const bgp::AttrSetId exported = ExportCandidate(p, prefix, best);
+    const bgp::AttrSetId exported = ExportCandidate(p, best);
     if (exported != bgp::kInvalidAttrSetId) {
       ++exported_count;
       EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});

@@ -41,6 +41,7 @@
 #include "bgp/session.h"
 #include "bgp/update_packer.h"
 #include "netbase/probe_map.h"
+#include "netbase/rng.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/provenance.h"
@@ -82,31 +83,27 @@ struct RouterConfig {
 };
 
 // The attribute rewrite of a router configured by `config` exporting the
-// interned set `best` for `prefix` under `policy`: the export policy, then —
-// unless transparent — the AS prepend and NEXT_HOP rewrite, then LOCAL_PREF
-// cleared (it is iBGP-only; every peering here is external). Interns the
-// result into `attrs` and returns its id, or kInvalidAttrSetId when the
-// policy denies. Split horizon and loop avoidance are the caller's.
+// interned set `best` under `policy`: the export policy, then — unless
+// transparent — the AS prepend and NEXT_HOP rewrite, then LOCAL_PREF cleared
+// (it is iBGP-only; every peering here is external). Interns the result into
+// `attrs` and returns its id, or kInvalidAttrSetId when the policy denies.
+// Split horizon and loop avoidance are the caller's.
 bgp::AttrSetId ExportAttributes(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                                const Prefix& prefix,
                                 const bgp::Policy& policy,
                                 const RouterConfig& config);
 
 // The export to one peer, memoised per input id: kInvalidAttrSetId when the
 // set's AS path already holds `remote_asn` (sender-side loop avoidance),
-// else ExportAttributes. Under an export policy that never matches on the
-// prefix (the identity, or rules on communities and AS path only) the
-// result depends only on the input set, the peer's AS, the policy and the
-// router's config, so it is computed once per distinct set, however many
-// prefixes share it; under a policy that reads the prefix both the loop
-// check and the policy are applied afresh on every call. One memo belongs
-// to one (table, remote AS, policy, config) tuple: a router keeps one per
-// peer.
+// else ExportAttributes. Policies read only attributes, so the result
+// depends only on the input set, the peer's AS, the policy and the router's
+// config; it is computed once per distinct set, however many prefixes
+// share it. One memo belongs to one (table, remote AS, policy, config)
+// tuple: a router keeps one per peer.
 class ExportMemo {
  public:
   bgp::AttrSetId Export(bgp::AttrTable& attrs, bgp::AttrSetId best,
-                        const Prefix& prefix, bgp::Asn remote_asn,
-                        const bgp::Policy& policy, const RouterConfig& config);
+                        bgp::Asn remote_asn, const bgp::Policy& policy,
+                        const RouterConfig& config);
 
  private:
   // Input id -> exported id (kInvalidAttrSetId when looped or denied);
@@ -282,12 +279,11 @@ class Router : public LinkEndpoint {
   // Stateless pathology: spray a withdrawal at every established peer,
   // bypassing export policy and Adj-RIB-Out.
   void BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause);
-  // The interned set to announce to `peer` for `prefix` given its best
-  // candidate, or kInvalidAttrSetId when it must not be announced (split
-  // horizon, loop, policy deny). Callers resolve Best() once for a whole
-  // peer fan-out or Loc-RIB sweep.
-  bgp::AttrSetId ExportCandidate(Peer& peer, const Prefix& prefix,
-                                 const bgp::Candidate& best);
+  // The interned set to announce to `peer` given a prefix's best candidate,
+  // or kInvalidAttrSetId when it must not be announced (split horizon, loop,
+  // policy deny). Callers resolve Best() once for a whole peer fan-out or
+  // Loc-RIB sweep.
+  bgp::AttrSetId ExportCandidate(Peer& peer, const bgp::Candidate& best);
   void EnqueueOp(bgp::PeerId id, bgp::RouteOp op);
   void FlushPeer(bgp::PeerId id);
   void FullDump(bgp::PeerId id, obs::CauseTag cause);

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/monitor.h"
+#include "netbase/rng.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"

@@ -125,7 +125,6 @@ TEST(AsPath, PrependExtendsLeadingSequence) {
   p.Prepend(701);
   EXPECT_EQ(p.ToString(), "701 1239");
   EXPECT_EQ(p.FirstAsn(), 701u);
-  EXPECT_EQ(p.OriginAsn(), 1239u);
 }
 
 TEST(AsPath, PrependOntoEmptyCreatesSequence) {
@@ -164,15 +163,6 @@ TEST(AsPath, DecisionLengthCountsSetAsOne) {
   set_seg.asns = {1, 2, 3, 4};
   p.segments().push_back(set_seg);
   EXPECT_EQ(p.DecisionLength(), 3u);
-}
-
-TEST(AsPath, OriginAsnOfSetIsZero) {
-  AsPath p;
-  AsPathSegment set_seg;
-  set_seg.type = AsPathSegment::Type::kSet;
-  set_seg.asns = {1, 2};
-  p.segments().push_back(set_seg);
-  EXPECT_EQ(p.OriginAsn(), 0u);
 }
 
 TEST(AsPath, ToStringWithSet) {

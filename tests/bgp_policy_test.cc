@@ -2,145 +2,102 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace iri::bgp {
 namespace {
 
-Route MakeRoute(const std::string& prefix, std::vector<Asn> path,
-                std::vector<Community> communities = {}) {
-  Route r;
-  r.prefix = *Prefix::Parse(prefix);
-  r.attributes.as_path = AsPath::Sequence(std::move(path));
-  r.attributes.communities = std::move(communities);
-  std::sort(r.attributes.communities.begin(), r.attributes.communities.end());
-  return r;
+constexpr Community kTag = (65000u << 16) | 7;
+
+PathAttributes MakeAttrs(std::vector<Asn> path,
+                         std::vector<Community> communities = {}) {
+  PathAttributes a;
+  a.as_path = AsPath::Sequence(std::move(path));
+  a.communities = std::move(communities);
+  std::sort(a.communities.begin(), a.communities.end());
+  return a;
 }
 
 TEST(Policy, AcceptAllPassesUnmodified) {
   const auto policy = Policy::AcceptAll();
-  const Route r = MakeRoute("10.0.0.0/8", {701});
-  auto out = policy.Apply(r);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, r);
+  EXPECT_TRUE(policy.IsIdentity());
+  const PathAttributes in = MakeAttrs({701}, {kTag});
+  PathAttributes out = in;
+  EXPECT_TRUE(policy.Apply(out));
+  EXPECT_EQ(out, in);
 }
 
 TEST(Policy, DenyAllDropsEverything) {
   const auto policy = Policy::DenyAll();
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.0/8", {701})).has_value());
+  EXPECT_FALSE(policy.IsIdentity());
+  PathAttributes a = MakeAttrs({701});
+  EXPECT_FALSE(policy.Apply(a));
 }
 
 TEST(Policy, FirstMatchWins) {
   auto policy = Policy::AcceptAll();
   PolicyRule deny;
-  deny.match.covered_by = *Prefix::Parse("10.0.0.0/8");
+  deny.match.has_community = kTag;
   deny.action.deny = true;
   policy.Add(deny);
-  PolicyRule allow;  // would match too, but comes later
-  allow.match.covered_by = *Prefix::Parse("10.0.0.0/8");
-  policy.Add(allow);
+  PolicyRule prefer;  // would match too, but comes later
+  prefer.match.has_community = kTag;
+  prefer.action.set_local_pref = 200;
+  policy.Add(prefer);
+  EXPECT_FALSE(policy.IsIdentity());
 
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.1.0.0/16", {701})).has_value());
-  EXPECT_TRUE(policy.Apply(MakeRoute("11.0.0.0/8", {701})).has_value());
+  PathAttributes tagged = MakeAttrs({701}, {kTag});
+  EXPECT_FALSE(policy.Apply(tagged));
+  PathAttributes plain = MakeAttrs({701});
+  EXPECT_TRUE(policy.Apply(plain));
+  EXPECT_FALSE(plain.local_pref.has_value());
 }
 
-TEST(Policy, ExactPrefixMatch) {
-  auto policy = Policy::DenyAll();
-  PolicyRule rule;
-  rule.match.exact = *Prefix::Parse("192.42.113.0/24");
-  policy.Add(rule);
-  EXPECT_TRUE(policy.Apply(MakeRoute("192.42.113.0/24", {9})).has_value());
-  EXPECT_FALSE(policy.Apply(MakeRoute("192.42.0.0/16", {9})).has_value());
-}
-
-TEST(Policy, PrefixLengthFilter) {
-  // The paper's "draconian" stability enforcement: filter announcements
-  // longer than a given prefix length.
-  auto policy = Policy::AcceptAll();
-  PolicyRule rule;
-  rule.name = "filter-long-prefixes";
-  rule.match.min_length = 25;
-  rule.action.deny = true;
-  policy.Add(rule);
-  EXPECT_TRUE(policy.Apply(MakeRoute("10.0.0.0/24", {9})).has_value());
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.0/25", {9})).has_value());
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.1/32", {9})).has_value());
-}
-
-TEST(Policy, PathContainsMatch) {
-  auto policy = Policy::AcceptAll();
-  PolicyRule rule;
-  rule.match.path_contains = 666;
-  rule.action.deny = true;
-  policy.Add(rule);
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.0/8", {701, 666, 9})).has_value());
-  EXPECT_TRUE(policy.Apply(MakeRoute("10.0.0.0/8", {701, 9})).has_value());
-}
-
-TEST(Policy, OriginAndNeighborAsMatch) {
+TEST(Policy, NeighborAsMatch) {
   auto policy = Policy::DenyAll();
   PolicyRule rule;
   rule.match.neighbor_as = 701;
-  rule.match.origin_as = 9;
   policy.Add(rule);
-  EXPECT_TRUE(policy.Apply(MakeRoute("10.0.0.0/8", {701, 1239, 9})).has_value());
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.0/8", {1239, 9})).has_value());
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.0/8", {701, 1239})).has_value());
+  PathAttributes via_701 = MakeAttrs({701, 1239, 9});
+  EXPECT_TRUE(policy.Apply(via_701));
+  PathAttributes ends_in_701 = MakeAttrs({1239, 701});
+  EXPECT_FALSE(policy.Apply(ends_in_701));
 }
 
 TEST(Policy, CommunityMatch) {
-  constexpr Community kTag = (65000u << 16) | 7;
   auto policy = Policy::DenyAll();
   PolicyRule rule;
   rule.match.has_community = kTag;
   policy.Add(rule);
-  EXPECT_TRUE(policy.Apply(MakeRoute("10.0.0.0/8", {9}, {kTag})).has_value());
-  EXPECT_FALSE(policy.Apply(MakeRoute("10.0.0.0/8", {9})).has_value());
+  PathAttributes tagged = MakeAttrs({9}, {1, kTag});
+  EXPECT_TRUE(policy.Apply(tagged));
+  PathAttributes plain = MakeAttrs({9}, {1});
+  EXPECT_FALSE(policy.Apply(plain));
 }
 
-TEST(Policy, SetLocalPrefAndMed) {
+TEST(Policy, MatchersAreAConjunction) {
+  auto policy = Policy::DenyAll();
+  PolicyRule rule;
+  rule.match.neighbor_as = 701;
+  rule.match.has_community = kTag;
+  policy.Add(rule);
+  PathAttributes both = MakeAttrs({701, 9}, {kTag});
+  EXPECT_TRUE(policy.Apply(both));
+  PathAttributes neighbor_only = MakeAttrs({701, 9});
+  EXPECT_FALSE(policy.Apply(neighbor_only));
+  PathAttributes community_only = MakeAttrs({1239, 9}, {kTag});
+  EXPECT_FALSE(policy.Apply(community_only));
+}
+
+TEST(Policy, SetLocalPref) {
   auto policy = Policy::AcceptAll();
   PolicyRule rule;
-  rule.match.covered_by = *Prefix::Parse("10.0.0.0/8");
+  rule.match.neighbor_as = 701;
   rule.action.set_local_pref = 250;
-  rule.action.set_med = 5;
   policy.Add(rule);
-  auto out = policy.Apply(MakeRoute("10.1.0.0/16", {9}));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->attributes.local_pref, 250u);
-  EXPECT_EQ(out->attributes.med, 5u);
-}
-
-TEST(Policy, ClearMed) {
-  auto policy = Policy::AcceptAll();
-  PolicyRule rule;
-  rule.action.clear_med = true;
-  policy.Add(rule);
-  Route r = MakeRoute("10.0.0.0/8", {9});
-  r.attributes.med = 77;
-  auto out = policy.Apply(r);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_FALSE(out->attributes.med.has_value());
-}
-
-TEST(Policy, PrependAction) {
-  auto policy = Policy::AcceptAll();
-  PolicyRule rule;
-  rule.action.prepend_count = 3;
-  rule.action.prepend_asn = 701;
-  policy.Add(rule);
-  auto out = policy.Apply(MakeRoute("10.0.0.0/8", {9}));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->attributes.as_path.ToString(), "701 701 701 9");
-}
-
-TEST(Policy, AddCommunityIsIdempotent) {
-  constexpr Community kTag = (65000u << 16) | 3;
-  auto policy = Policy::AcceptAll();
-  PolicyRule rule;
-  rule.action.add_communities = {kTag};
-  policy.Add(rule);
-  auto out = policy.Apply(MakeRoute("10.0.0.0/8", {9}, {kTag}));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->attributes.communities.size(), 1u);
+  PathAttributes a = MakeAttrs({701, 9});
+  EXPECT_TRUE(policy.Apply(a));
+  EXPECT_EQ(a.local_pref, 250u);
 }
 
 TEST(Policy, StripCommunities) {
@@ -148,19 +105,23 @@ TEST(Policy, StripCommunities) {
   PolicyRule rule;
   rule.action.strip_communities = true;
   policy.Add(rule);
-  auto out = policy.Apply(MakeRoute("10.0.0.0/8", {9}, {1, 2, 3}));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_TRUE(out->attributes.communities.empty());
+  PathAttributes a = MakeAttrs({9}, {1, 2, 3});
+  EXPECT_TRUE(policy.Apply(a));
+  EXPECT_TRUE(a.communities.empty());
 }
 
-TEST(Policy, InputRouteIsNotMutated) {
+TEST(Policy, DenyLeavesAttributesUnmodified) {
   auto policy = Policy::AcceptAll();
   PolicyRule rule;
-  rule.action.set_med = 9;
+  rule.match.has_community = kTag;
+  rule.action.deny = true;
+  rule.action.set_local_pref = 9;  // never runs: deny short-circuits
+  rule.action.strip_communities = true;
   policy.Add(rule);
-  const Route r = MakeRoute("10.0.0.0/8", {9});
-  (void)policy.Apply(r);
-  EXPECT_FALSE(r.attributes.med.has_value());
+  const PathAttributes in = MakeAttrs({9}, {kTag});
+  PathAttributes out = in;
+  EXPECT_FALSE(policy.Apply(out));
+  EXPECT_EQ(out, in);
 }
 
 }  // namespace

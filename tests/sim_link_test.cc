@@ -112,69 +112,5 @@ TEST_F(LinkTest, CountsTraffic) {
   EXPECT_EQ(link.bytes_carried(), 5u);
 }
 
-TEST(LineFailureProcess, GeneratesFailuresAndRepairs) {
-  Scheduler sched;
-  Link link(sched, Duration::Millis(1));
-  FakeEndpoint a, b;
-  link.AttachA(&a, 0);
-  link.AttachB(&b, 0);
-  link.Restore();
-
-  LineFailureProcess::Params params;
-  params.mean_time_to_failure = Duration::Hours(2);
-  params.mean_time_to_repair = Duration::Minutes(5);
-  LineFailureProcess process(sched, link, params, /*seed=*/3);
-  process.Start();
-  sched.RunUntil(TimePoint::Origin() + Duration::Days(7));
-  // ~84 failures expected over a week; allow wide slack.
-  EXPECT_GT(process.failures(), 20u);
-  EXPECT_LT(process.failures(), 300u);
-  EXPECT_EQ(a.downs.size(), process.failures());
-  // Repairs happen: final few restores counted.
-  EXPECT_GE(a.ups.size(), a.downs.size() - 1);
-}
-
-TEST(LineFailureProcess, RateMultiplierSpeedsFailures) {
-  auto failures_with = [](double multiplier) {
-    Scheduler sched;
-    Link link(sched, Duration::Millis(1));
-    link.Restore();
-    LineFailureProcess::Params params;
-    params.mean_time_to_failure = Duration::Hours(6);
-    LineFailureProcess process(sched, link, params, 5);
-    process.SetRateMultiplier(multiplier);
-    process.Start();
-    sched.RunUntil(TimePoint::Origin() + Duration::Days(14));
-    return process.failures();
-  };
-  EXPECT_GT(failures_with(8.0), 2 * failures_with(1.0));
-}
-
-TEST(CsuOscillator, BeatsAtConfiguredPeriod) {
-  Scheduler sched;
-  Link link(sched, Duration::Millis(1));
-  FakeEndpoint a, b;
-  link.AttachA(&a, 0);
-  link.AttachB(&b, 0);
-  link.Restore();
-
-  CsuOscillator::Params params;
-  params.beat_period = Duration::Seconds(30);
-  params.carrier_loss = Duration::Millis(800);
-  params.episode_length = Duration::Minutes(3);
-  params.mean_episode_gap = Duration::Hours(2);
-  CsuOscillator csu(sched, link, params, /*seed=*/11);
-  csu.Start();
-  sched.RunUntil(TimePoint::Origin() + Duration::Days(2));
-
-  EXPECT_GT(csu.episodes(), 5u);
-  // ~6 beats per 3-minute episode at a 30 s period.
-  EXPECT_GT(csu.beats(), csu.episodes() * 4);
-  EXPECT_LT(csu.beats(), csu.episodes() * 9);
-  EXPECT_EQ(a.downs.size(), csu.beats());
-  // The line always comes back after an episode.
-  EXPECT_TRUE(link.up());
-}
-
 }  // namespace
 }  // namespace iri::sim

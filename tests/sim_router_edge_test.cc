@@ -22,13 +22,16 @@ RouterConfig Basic(const char* name, bgp::Asn asn, std::uint8_t id) {
   return cfg;
 }
 
+// A and B on one link, B applying `b_import` to A's routes; the session is
+// up on return.
 struct Pair {
-  Pair(RouterConfig a_cfg, RouterConfig b_cfg)
+  Pair(RouterConfig a_cfg, RouterConfig b_cfg,
+       bgp::Policy b_import = bgp::Policy::AcceptAll())
       : a(sched, std::move(a_cfg), 1),
         b(sched, std::move(b_cfg), 2),
         link(sched, Duration::Millis(1)) {
     a.AttachLink(link, true, b.config().asn);
-    b.AttachLink(link, false, a.config().asn);
+    b.AttachLink(link, false, a.config().asn, std::move(b_import));
     sched.At(TimePoint::Origin(), [this] { link.Restore(); });
     sched.RunUntil(TimePoint::Origin() + Duration::Seconds(3));
   }
@@ -68,28 +71,54 @@ TEST(RouterEdge, GarbageBytesAreCountedNotFatal) {
 }
 
 TEST(RouterEdge, ImportPolicyDenialRemovesStaleRoute) {
-  // B denies long prefixes on import; a route announced before the /25
-  // split must be withdrawn when the replacement is denied.
-  Scheduler sched;
-  Router a(sched, Basic("A", 100, 1), 1);
+  // B denies routes tagged kBlocked on import. A's re-announcement of an
+  // accepted prefix, now tagged, is an announcement, not a withdrawal, so
+  // only B's denial can remove the route B already holds.
+  constexpr bgp::Community kBlocked = (65000u << 16) | 66;
   bgp::Policy import = bgp::Policy::AcceptAll();
-  bgp::PolicyRule deny_long;
-  deny_long.match.min_length = 25;
-  deny_long.action.deny = true;
-  import.Add(deny_long);
-  Router b(sched, Basic("B", 200, 2), 2);
-  Link link(sched, Duration::Millis(1));
-  a.AttachLink(link, true, 200);
-  b.AttachLink(link, false, 100, std::move(import));
-  sched.At(TimePoint::Origin(), [&link] { link.Restore(); });
-  sched.RunUntil(TimePoint::Origin() + Duration::Seconds(3));
+  bgp::PolicyRule deny_blocked;
+  deny_blocked.match.has_community = kBlocked;
+  deny_blocked.action.deny = true;
+  import.Add(deny_blocked);
+  Pair net(Basic("A", 100, 1), Basic("B", 200, 2), std::move(import));
 
-  a.Originate({P("10.0.0.0/24"), {}});
-  sched.RunUntil(sched.Now() + Duration::Seconds(5));
-  EXPECT_NE(b.rib().Best(P("10.0.0.0/24")), nullptr);
-  a.Originate({P("10.0.0.0/25"), {}});  // denied on import at B
-  sched.RunUntil(sched.Now() + Duration::Seconds(5));
-  EXPECT_EQ(b.rib().Best(P("10.0.0.0/25")), nullptr);
+  net.a.Originate({P("10.0.0.0/24"), {}});
+  net.Settle();
+  ASSERT_NE(net.b.rib().Best(P("10.0.0.0/24")), nullptr);
+  bgp::PathAttributes tagged;
+  tagged.communities = {kBlocked};
+  net.a.Originate({P("10.0.0.0/24"), tagged});  // denied on import at B
+  net.Settle();
+  EXPECT_EQ(net.b.rib().Best(P("10.0.0.0/24")), nullptr);
+}
+
+TEST(RouterEdge, ImportPolicySharesOneSetAcrossAnUpdatesPrefixes) {
+  // A rewriting import policy runs once per UPDATE: every NLRI prefix of a
+  // multi-prefix UPDATE is installed under the one rewritten set.
+  bgp::Policy import = bgp::Policy::AcceptAll();
+  bgp::PolicyRule prefer_a;
+  prefer_a.match.neighbor_as = 100;
+  prefer_a.action.set_local_pref = 200;
+  import.Add(prefer_a);
+  Pair net(Basic("A", 100, 1), Basic("B", 200, 2), std::move(import));
+
+  bgp::UpdateMessage update;
+  update.attributes.as_path = bgp::AsPath::Sequence({100, 9});
+  update.attributes.next_hop = IPv4Address(10, 1, 0, 1);
+  update.nlri = {P("10.0.0.0/24"), P("10.0.1.0/24"), P("10.0.2.0/24")};
+  const std::size_t sets_before = net.b.rib().attrs().size();
+  net.b.OnWireData(0, bgp::Encode(bgp::Message{update}));
+  net.Settle();
+
+  EXPECT_EQ(net.b.rib().attrs().size(), sets_before + 1);
+  const bgp::Candidate* first = net.b.rib().Best(update.nlri[0]);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(net.b.rib().attrs().Get(first->attr_id).local_pref, 200u);
+  for (const Prefix& prefix : update.nlri) {
+    const bgp::Candidate* best = net.b.rib().Best(prefix);
+    ASSERT_NE(best, nullptr) << prefix.ToString();
+    EXPECT_EQ(best->attr_id, first->attr_id) << prefix.ToString();
+  }
 }
 
 TEST(RouterEdge, CrashedRouterIgnoresOriginationApis) {

@@ -687,46 +687,25 @@ TEST(Router, EncodeSiteCountsOnlyMessagesOnUpLinks) {
 // pair, ExportMemo::Export must return the id a fresh ExportAttributes
 // returns, and that id must name exactly the set a deep rewrite written here
 // produces, or kInvalidAttrSetId for a path through the receiving peer's AS.
-// The memo caches under the identity and under a policy that reads only
-// attributes, and must not under a policy that reads the prefix.
 TEST(ExportMemo, MatchesFreshExportAndDeepReference) {
   bgp::Policy identity = bgp::Policy::AcceptAll();
-  // Attribute-only rules, like the scenario's provider export policy.
+  // Attribute rules, like the scenario's provider export policy.
   bgp::Policy by_attributes = bgp::Policy::DenyAll();
   {
     bgp::PolicyRule deny_tagged;
     deny_tagged.match.has_community = 13;
     deny_tagged.action.deny = true;
     by_attributes.Add(deny_tagged);
-    bgp::PolicyRule prepend_via_701;
-    prepend_via_701.match.neighbor_as = 701;
-    prepend_via_701.action.prepend_count = 2;
-    prepend_via_701.action.prepend_asn = 65000;
-    prepend_via_701.action.set_med = 7;
-    by_attributes.Add(prepend_via_701);
+    bgp::PolicyRule strip_via_701;
+    strip_via_701.match.neighbor_as = 701;
+    strip_via_701.action.strip_communities = true;
+    strip_via_701.action.set_local_pref = 7;
+    by_attributes.Add(strip_via_701);
     bgp::PolicyRule allow_own;
     allow_own.match.has_community = 42;
     by_attributes.Add(allow_own);
   }
-  // Prefix-dependent rules: a memo keyed only by input id would give one
-  // prefix's answer to another.
-  bgp::Policy by_prefix = bgp::Policy::AcceptAll();
-  {
-    bgp::PolicyRule deny_long;
-    deny_long.match.covered_by = P("10.0.0.0/8");
-    deny_long.match.min_length = 25;
-    deny_long.action.deny = true;
-    by_prefix.Add(deny_long);
-    bgp::PolicyRule med_for_block;
-    med_for_block.match.covered_by = P("10.1.0.0/16");
-    med_for_block.action.set_med = 7;
-    med_for_block.action.add_communities = {42};
-    by_prefix.Add(med_for_block);
-  }
-  EXPECT_FALSE(identity.ReadsPrefix());
-  EXPECT_FALSE(by_attributes.ReadsPrefix());
-  EXPECT_TRUE(by_prefix.ReadsPrefix());
-  const bgp::Policy* policies[] = {&identity, &by_attributes, &by_prefix};
+  const bgp::Policy* policies[] = {&identity, &by_attributes};
   // The receiving peer's AS: a third of the input paths already hold it, so
   // the memo's loop check must deny them.
   constexpr bgp::Asn kRemoteAsn = 702;
@@ -750,32 +729,28 @@ TEST(ExportMemo, MatchesFreshExportAndDeepReference) {
         if (rng.Bernoulli(0.5)) in.communities.push_back(42);
         if (rng.Bernoulli(0.2)) in.communities.push_back(13);
         const bgp::AttrSetId in_id = table.Intern(in);
-        const Prefix prefix(
-            IPv4Address(10, static_cast<std::uint8_t>(rng.Below(3)),
-                        static_cast<std::uint8_t>(rng.Below(4)), 0),
-            static_cast<std::uint8_t>(rng.Bernoulli(0.8) ? 24 : 26));
 
         const bgp::AttrSetId memo_id =
-            memo.Export(table, in_id, prefix, kRemoteAsn, *policy, config);
+            memo.Export(table, in_id, kRemoteAsn, *policy, config);
         const bgp::AttrSetId fresh_id =
             in.as_path.Contains(kRemoteAsn)
                 ? bgp::kInvalidAttrSetId
-                : ExportAttributes(table, in_id, prefix, *policy, config);
+                : ExportAttributes(table, in_id, *policy, config);
         ASSERT_EQ(memo_id, fresh_id)
             << "step " << i << " transparent " << transparent;
 
-        bgp::Route want{prefix, in};
-        if (in.as_path.Contains(kRemoteAsn) || !policy->ApplyInPlace(want)) {
+        bgp::PathAttributes want = in;
+        if (in.as_path.Contains(kRemoteAsn) || !policy->Apply(want)) {
           EXPECT_EQ(memo_id, bgp::kInvalidAttrSetId) << "step " << i;
           continue;
         }
         if (!transparent) {
-          want.attributes.as_path.Prepend(config.asn);
-          want.attributes.next_hop = config.interface_addr;
+          want.as_path.Prepend(config.asn);
+          want.next_hop = config.interface_addr;
         }
-        want.attributes.local_pref.reset();
+        want.local_pref.reset();
         ASSERT_NE(memo_id, bgp::kInvalidAttrSetId) << "step " << i;
-        EXPECT_EQ(table.Get(memo_id), want.attributes) << "step " << i;
+        EXPECT_EQ(table.Get(memo_id), want) << "step " << i;
       }
     }
   }
