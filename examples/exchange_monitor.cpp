@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
     // Differential check on the instruments too: everything under
     // "monitor." is fed identically by the live tap and offline Replay.
     const bool metrics_match =
-        offline_metrics.SnapshotText(false, "monitor.") ==
-        ex.metrics.SnapshotText(false, "monitor.");
+        offline_metrics.SnapshotText("monitor.") ==
+        ex.metrics.SnapshotText("monitor.");
     std::printf("exchange %d: offline %s live (%llu events; monitor metrics "
                 "%s)\n",
                 ex.exchange, seg_match ? "matches" : "DIFFERS FROM",

@@ -1,7 +1,5 @@
 #include "core/monitor.h"
 
-#include <string>
-
 namespace iri::core {
 
 void ExchangeMonitor::Attach(sim::Router& route_server) {
@@ -18,32 +16,14 @@ void ExchangeMonitor::Attach(sim::Router& route_server) {
 void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
   if (registry == nullptr) {
     messages_metric_ = events_metric_ = mrt_records_metric_ = nullptr;
-    category_metrics_.fill(nullptr);
-    ingest_site_ = obs::ProfileSite{};
-    drain_site_ = obs::ProfileSite{};
+    ingest_site_ = drain_site_ = obs::ProfileSite{};
     return;
   }
   messages_metric_ = &registry->GetCounter("monitor.messages");
   events_metric_ = &registry->GetCounter("monitor.events");
   mrt_records_metric_ = &registry->GetCounter("mrt.records");
-  for (std::size_t i = 0; i < kNumCategories; ++i) {
-    category_metrics_[i] = &registry->GetCounter(
-        std::string("monitor.bin.") + ToString(static_cast<Category>(i)));
-  }
   ingest_site_ = obs::MakeProfileSite(*registry, "monitor.ingest");
-  // Hand-rolled kWallClock site (MakeProfileSite would register calls/items
-  // as deterministic): its counts are deterministic, but registering them so
-  // would add lines to the deterministic snapshots the golden digests hash.
-  // perfbench reads it as monitor.drain_s.
-  drain_site_.calls = &registry->GetCounter("profile.monitor.drain.calls",
-                                            obs::Stability::kWallClock);
-  drain_site_.items = &registry->GetCounter("profile.monitor.drain.items",
-                                            obs::Stability::kWallClock);
-  drain_site_.wall_ns =
-      registry->wall_clock_profiling()
-          ? &registry->GetCounter("profile.monitor.drain.wall_ns",
-                                  obs::Stability::kWallClock)
-          : nullptr;
+  drain_site_ = obs::MakeProfileSite(*registry, "monitor.drain");
 }
 
 void ExchangeMonitor::AttachTimeSeries(obs::SeriesFlusher* series,
@@ -60,9 +40,8 @@ void ExchangeMonitor::AttachTimeSeries(obs::SeriesFlusher* series,
   // Events exploded per UPDATE message, over the last 6 windows: a live view
   // of packing density (withdrawal sprays arrive hundreds to the message).
   static constexpr std::int64_t kPerMsgEdges[] = {1, 2, 4, 8, 16, 32, 128};
-  events_per_msg_series_ =
-      &series->GetHistogram("monitor.events_per_msg", kPerMsgEdges,
-                            /*window_ticks=*/6);
+  events_per_msg_series_ = &series->GetWindowedHistogram(
+      "monitor.events_per_msg", kPerMsgEdges, /*window_ticks=*/6);
 }
 
 void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
@@ -108,10 +87,7 @@ void ExchangeMonitor::Drain() {
   for (const UpdateEvent& ev : pending_) {
     const Verdict v = classifier_.ClassifyVerdict(ev);
     ++events_seen_;
-    if (events_metric_ != nullptr) {
-      events_metric_->Add(1);
-      category_metrics_[static_cast<std::size_t>(v.category)]->Add(1);
-    }
+    if (events_metric_ != nullptr) events_metric_->Add(1);
     if (updates_series_ != nullptr) {
       updates_series_->Add(1);
       if (v.category == Category::kWWDup) wwdup_series_->Add(1);

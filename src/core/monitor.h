@@ -15,7 +15,6 @@
 // (workload/multi_exchange_runner.h, DESIGN.md §8).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -52,8 +51,9 @@ class ExchangeMonitor {
   // an external call is a no-op.
   void Drain();
 
-  // Attaches the monitor.* instruments (message/event counters, one counter
-  // per taxonomy bin, the monitor.ingest/monitor.drain profile sites).
+  // Attaches the monitor.* instruments (message/event counters, the
+  // monitor.ingest/monitor.drain profile sites). The per-bin counts live in
+  // classifier().totals() and the digest's bin.* lines.
   // Every counter the live tap feeds is also fed by offline Replay(), so a
   // live run and its MRT replay produce identical "monitor."-prefixed
   // snapshots — the replay-differential test's contract. MRT record
@@ -110,10 +110,9 @@ class ExchangeMonitor {
   obs::Counter* messages_metric_ = nullptr;
   obs::Counter* events_metric_ = nullptr;
   obs::Counter* mrt_records_metric_ = nullptr;
-  std::array<obs::Counter*, kNumCategories> category_metrics_{};
   obs::ProfileSite ingest_site_;
   // Times classification plus analysis of each UPDATE's events (nested in
-  // monitor.ingest; the scaling bench's drain_wall_ns_sum).
+  // monitor.ingest; perfbench's monitor.drain_s).
   obs::ProfileSite drain_site_;
   obs::WindowedCounter* updates_series_ = nullptr;
   obs::WindowedCounter* wwdup_series_ = nullptr;

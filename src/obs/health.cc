@@ -41,8 +41,6 @@ HealthMonitor::HealthMonitor(HealthConfig config, Duration tick,
   flap_bursts_ = &registry->GetCounter("health.flap.bursts");
   // Peak/score gauges merge by maximum across exchanges: "worst partition"
   // is the operator-facing reading, a sum of peaks is not.
-  storm_active_gauge_ = &registry->GetGauge(
-      "health.storm.active", Stability::kDeterministic, GaugeMerge::kMax);
   storm_peak_gauge_ = &registry->GetGauge(
       "health.storm.peak_window", Stability::kDeterministic, GaugeMerge::kMax);
   periodicity_a_gauge_ = &registry->GetGauge(
@@ -140,7 +138,6 @@ void HealthMonitor::ObserveTick(TimePoint now, std::uint64_t updates,
     storm_peak_gauge_->RaiseTo(static_cast<std::int64_t>(storm_peak_));
     if (p < exit_bar) {
       storm_active_ = false;
-      storm_active_gauge_->Set(0);
       IRI_TRACE(trace_, now, "storm_end",
                 .U64("peak_window", storm_peak_)
                     .I64("duration_ns", (now - storm_start_).nanos()));
@@ -155,7 +152,6 @@ void HealthMonitor::ObserveTick(TimePoint now, std::uint64_t updates,
         storm_peak_ = patho_sum_;
         over_ticks_ = 0;
         storm_starts_->Add(1);
-        storm_active_gauge_->Set(1);
         storm_peak_gauge_->RaiseTo(static_cast<std::int64_t>(storm_peak_));
         IRI_TRACE(trace_, now, "storm_start",
                   .U64("window", patho_sum_)
@@ -226,7 +222,6 @@ void HealthMonitor::Finalize(TimePoint now) {
   }
   if (storm_active_) {
     storm_active_ = false;
-    storm_active_gauge_->Set(0);
     IRI_TRACE(trace_, now, "storm_end",
               .U64("peak_window", storm_peak_)
                   .I64("duration_ns", (now - storm_start_).nanos()));

@@ -148,7 +148,6 @@ class HealthMonitor {
   Counter* storm_ticks_ = nullptr;
   Counter* periodicity_alerts_ = nullptr;
   Counter* flap_bursts_ = nullptr;
-  Gauge* storm_active_gauge_ = nullptr;
   Gauge* storm_peak_gauge_ = nullptr;
   Gauge* periodicity_a_gauge_ = nullptr;
   Gauge* periodicity_b_gauge_ = nullptr;

@@ -1,12 +1,12 @@
-// Deterministic self-measurement: a metrics registry of named counters,
-// gauges and fixed-bucket histograms.
+// Deterministic self-measurement: a metrics registry of named counters and
+// gauges.
 //
 // The paper's whole contribution is measurement — tap the route servers,
 // count and classify everything, mine the streams for structure (§2–§4).
 // This registry is the same discipline turned inward on the simulator
 // itself: every hot path (RIB, classifier ingest, wire codec, scheduler)
 // and every fault path (crashes, link drops, session resets) feeds named
-// instruments, snapshottable to stable-ordered text and JSON.
+// instruments, snapshottable to stable-ordered text.
 //
 // Determinism contract (the property every consumer leans on):
 //   * instruments hold plain integers fed only by simulation events, so a
@@ -14,24 +14,22 @@
 //     placement or wall time;
 //   * snapshots iterate a name-ordered std::map — output bytes are stable
 //     across libstdc++ versions and across runs;
-//   * Merge() folds another registry in by name (counters and gauges add,
-//     histograms add bucket-wise), mirroring core::CategoryCounts::Merge —
+//   * Merge() folds another registry in by name (counters add, gauges follow
+//     their GaugeMerge policy), mirroring core::CategoryCounts::Merge —
 //     the partitioned multi-exchange runner merges per-exchange registries
 //     in fixed exchange order, so merged output is bit-identical at any
 //     worker-thread count (locked by tests/golden_run_test.cc).
 //
-// The one sanctioned nondeterministic exception: instruments registered
-// with Stability::kWallClock (the profiling layer's optional wall-time
-// counters). They are excluded from snapshots unless explicitly requested
-// and never belong in a golden digest.
+// The one sanctioned exception: instruments registered with
+// Stability::kWallClock — the opt-in profiling layer's counters
+// (obs/profile.h). Snapshots never include them, so no golden digest can
+// see whether a run was profiled.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/invariants.h"
 
@@ -60,35 +58,9 @@ class Gauge {
   std::int64_t value_ = 0;
 };
 
-// Fixed-bucket histogram: `upper_edges` are ascending inclusive upper
-// bounds; one overflow bucket catches everything beyond the last edge.
-// Buckets are fixed at registration so merged histograms always align.
-class Histogram {
- public:
-  explicit Histogram(std::span<const std::int64_t> upper_edges);
-
-  void Observe(std::int64_t v);
-
-  std::uint64_t count() const { return count_; }
-  std::int64_t sum() const { return sum_; }
-  std::span<const std::int64_t> edges() const { return edges_; }
-  // buckets()[i] counts observations <= edges()[i]; the final element is
-  // the overflow bucket.
-  std::span<const std::uint64_t> buckets() const { return buckets_; }
-
-  // Bucket-wise sum; edge vectors must be identical.
-  void Merge(const Histogram& other);
-
- private:
-  std::vector<std::int64_t> edges_;
-  std::vector<std::uint64_t> buckets_;  // edges_.size() + 1 (overflow last)
-  std::uint64_t count_ = 0;
-  std::int64_t sum_ = 0;
-};
-
-// Whether an instrument participates in deterministic snapshots (and hence
-// golden digests). kWallClock marks the profiling layer's wall-time
-// counters, which vary run to run by construction.
+// Whether an instrument participates in snapshots (and hence golden
+// digests). kWallClock marks the profiling layer's counters: their wall
+// times vary run to run, and none of them may move a digest.
 enum class Stability : std::uint8_t { kDeterministic, kWallClock };
 
 // How Merge() folds a gauge across partitions. kSum suits level-style
@@ -120,41 +92,35 @@ class Registry {
   Gauge& GetGauge(const std::string& name,
                   Stability stability = Stability::kDeterministic,
                   GaugeMerge merge = GaugeMerge::kSum);
-  Histogram& GetHistogram(const std::string& name,
-                          std::span<const std::int64_t> upper_edges,
-                          Stability stability = Stability::kDeterministic);
 
-  // Opt-in for the profiling layer's wall-clock mode (obs/profile.h). Set
-  // before components attach; per-registry so concurrent partitions never
-  // share the flag.
+  // Opt-in for the profiling layer (obs/profile.h): without it no profile
+  // site resolves. Set before components attach; per-registry so concurrent
+  // partitions never share the flag.
   void SetWallClockProfiling(bool on) { wall_clock_profiling_ = on; }
   bool wall_clock_profiling() const { return wall_clock_profiling_; }
 
   // Folds `other` into this registry by instrument name, creating missing
-  // instruments. Counters add; histograms add bucket-wise (edges must
-  // match); gauges follow their registered GaugeMerge policy — kSum gauges
-  // add, kMax gauges keep the maximum across partitions (DESIGN.md §9).
+  // instruments. Counters add; gauges follow their registered GaugeMerge
+  // policy — kSum gauges add, kMax gauges keep the maximum across
+  // partitions (DESIGN.md §9).
   void Merge(const Registry& other);
 
-  // Stable text snapshot, one line per instrument in name order:
+  // Stable text snapshot of the kDeterministic instruments, one line per
+  // instrument in name order:
   //   counter <name> <value>
   //   gauge <name> <value>
-  //   hist <name> count=<n> sum=<s> le<edge>=<n>... inf=<n>
-  // Only names starting with `prefix` are emitted (empty = all). kWallClock
-  // instruments are skipped unless `include_wall_clock`.
-  std::string SnapshotText(bool include_wall_clock = false,
-                           const std::string& prefix = std::string()) const;
+  // Only names starting with `prefix` are emitted (empty = all).
+  std::string SnapshotText(const std::string& prefix = std::string()) const;
 
   std::size_t size() const { return instruments_.size(); }
 
  private:
   struct Instrument {
-    enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram } kind;
+    enum class Kind : std::uint8_t { kCounter, kGauge } kind;
     Stability stability = Stability::kDeterministic;
     GaugeMerge gauge_merge = GaugeMerge::kSum;
     Counter counter;
     Gauge gauge;
-    std::unique_ptr<Histogram> histogram;
   };
 
   Instrument& Register(const std::string& name, Instrument::Kind kind,

@@ -3,14 +3,12 @@
 namespace iri::obs {
 
 ProfileSite MakeProfileSite(Registry& registry, const std::string& name) {
-  ProfileSite site;
-  site.calls = &registry.GetCounter("profile." + name + ".calls");
-  site.items = &registry.GetCounter("profile." + name + ".items");
-  if (registry.wall_clock_profiling()) {
-    site.wall_ns = &registry.GetCounter("profile." + name + ".wall_ns",
-                                        Stability::kWallClock);
-  }
-  return site;
+  if (!registry.wall_clock_profiling()) return ProfileSite{};
+  const std::string stem = "profile." + name;
+  return ProfileSite{
+      &registry.GetCounter(stem + ".calls", Stability::kWallClock),
+      &registry.GetCounter(stem + ".items", Stability::kWallClock),
+      &registry.GetCounter(stem + ".wall_ns", Stability::kWallClock)};
 }
 
 }  // namespace iri::obs

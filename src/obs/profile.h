@@ -1,14 +1,15 @@
 // Scoped-timer profiling hooks for the hot paths (RIB insert/lookup,
 // classifier Ingest, wire codec, Scheduler::RunUntil).
 //
-// The primary measurements are deterministic: every timed scope counts
-// calls and items (events, routes, bytes — whatever the site's unit is),
-// which depend only on (seed, config) and therefore belong in golden
-// digests. Wall-clock time is the opt-in exception: when a registry has
-// SetWallClockProfiling(true), sites additionally accumulate a wall_ns
-// counter registered as Stability::kWallClock, which snapshots exclude by
-// default. The only wall-clock read goes through iri::WallClockNanos()
-// (netbase/time.cc), the single file the lint's wall-clock rule exempts.
+// Profiling is one opt-in layer that no snapshot sees. A site resolves only
+// when its registry has SetWallClockProfiling(true) (set from
+// ScenarioConfig::profile_wall_clock); it then counts calls, items (events,
+// routes, bytes — whatever the site's unit is) and wall nanoseconds, all
+// registered as Stability::kWallClock. Snapshots skip kWallClock
+// instruments, so a profiled run's golden digest equals an unprofiled one's
+// and a change that only saves calls never moves a digest. The only
+// wall-clock read goes through iri::WallClockNanos() (netbase/time.cc), the
+// single file the lint's wall-clock rule exempts.
 //
 // Usage: resolve a ProfileSite once at attach time (name lookups are a
 // std::map walk, too slow for per-event work), keep it by value, and open a
@@ -18,9 +19,8 @@
 //   ...
 //   obs::ScopedTimer timer(&site_, nlri.size());
 //
-// A default-constructed (unresolved) site makes ScopedTimer a no-op, so
-// components instrumented but not attached to a registry pay two pointer
-// tests per scope and nothing else.
+// An unresolved site (default-constructed, or made without profiling) makes
+// ScopedTimer a no-op that costs one pointer test on entry and one on exit.
 #pragma once
 
 #include <cstdint>
@@ -31,41 +31,37 @@
 
 namespace iri::obs {
 
-// Cached instrument pointers for one timed site. Plain value type: copy it
-// into the owning component at attach time. Registry instruments never move
-// once created, so the pointers stay valid for the registry's lifetime.
+// Cached instrument pointers for one timed site: all three set, or all null.
+// Plain value type: copy it into the owning component at attach time.
+// Registry instruments never move once created, so the pointers stay valid
+// for the registry's lifetime.
 struct ProfileSite {
   Counter* calls = nullptr;
   Counter* items = nullptr;
-  Counter* wall_ns = nullptr;  // non-null only in wall-clock mode
+  Counter* wall_ns = nullptr;
 };
 
-// Registers (or re-finds) "profile.<name>.calls" / ".items" and, when the
-// registry has wall-clock profiling enabled, ".wall_ns" (kWallClock).
+// With the registry's profiling on, registers (or re-finds)
+// "profile.<name>.calls" / ".items" / ".wall_ns", all kWallClock; without
+// it, returns an unresolved site and registers nothing.
 ProfileSite MakeProfileSite(Registry& registry, const std::string& name);
 
-// Counts one call (plus `items` units of work) against a site; measures
-// wall time only when the site was resolved in wall-clock mode. Use
-// AddItems() when the unit count is only known inside the scope. Fully
-// inline: unattached sites cost two pointer tests, attached ones two
-// increments — these sit inside Rib::Announce and Scheduler::Step, where
-// an out-of-line call pair is measurable (~4% on ScenarioSimulatedHour).
+// Counts one call (plus `items` units of work) and its wall time against a
+// resolved site. Use AddItems() when the unit count is only known inside
+// the scope. Fully inline: these sit inside Rib::Announce and
+// Scheduler::RunUntil, where an out-of-line call pair is measurable.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const ProfileSite* site, std::uint64_t items = 0)
       : site_(site), items_(items) {
-    if (site_ != nullptr && site_->wall_ns != nullptr) {
-      start_ns_ = WallClockNanos();
-    }
+    if (site_->wall_ns != nullptr) start_ns_ = WallClockNanos();
   }
   ~ScopedTimer() {
-    if (site_ == nullptr || site_->calls == nullptr) return;
+    if (site_->wall_ns == nullptr) return;
     site_->calls->Add(1);
     site_->items->Add(items_);
-    if (site_->wall_ns != nullptr) {
-      site_->wall_ns->Add(
-          static_cast<std::uint64_t>(WallClockNanos() - start_ns_));
-    }
+    site_->wall_ns->Add(
+        static_cast<std::uint64_t>(WallClockNanos() - start_ns_));
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

@@ -81,7 +81,7 @@ WindowedCounter& SeriesFlusher::GetCounter(const std::string& name) {
   return *inst.counter;
 }
 
-WindowedHistogram& SeriesFlusher::GetHistogram(
+WindowedHistogram& SeriesFlusher::GetWindowedHistogram(
     const std::string& name, std::span<const std::int64_t> upper_edges,
     int window_ticks) {
   Instrument& inst = instruments_[name];
@@ -104,7 +104,7 @@ void SeriesFlusher::Flush(TimePoint now) {
     if (inst.counter != nullptr) {
       WindowedCounter& c = *inst.counter;
       const std::uint64_t window = c.window();
-      c.CloseWindow(ewma_alpha_);
+      c.CloseWindow();
       scratch_ += ",\"window\":";
       AppendU64(scratch_, window);
       scratch_ += ",\"total\":";

@@ -6,7 +6,7 @@
 // still going" — the live signal the Routing Arbiter operators would have
 // needed during the events of §5–§6 instead of a post-mortem snapshot.
 //
-// Determinism contract, identical to SnapshotText's:
+// Determinism contract, identical to Registry::SnapshotText's:
 //   * instruments are fed only by simulation events and flushed only by a
 //     sim-time scheduler tick, so the record stream is a pure function of
 //     (seed, config);
@@ -45,6 +45,9 @@ namespace iri::obs {
 // like registry counters.
 class WindowedCounter {
  public:
+  // EWMA smoothing of every counter series (the golden series CRCs pin it).
+  static constexpr double kEwmaAlpha = 0.3;
+
   void Add(std::uint64_t n = 1) {
     window_ += n;
     total_ += n;
@@ -58,9 +61,9 @@ class WindowedCounter {
 
   // Closes the window: folds it into the EWMA and resets it to zero. The
   // first window seeds the EWMA directly.
-  void CloseWindow(double alpha) {
+  void CloseWindow() {
     const double w = static_cast<double>(window_);
-    ewma_ = seeded_ ? alpha * w + (1.0 - alpha) * ewma_ : w;
+    ewma_ = seeded_ ? kEwmaAlpha * w + (1.0 - kEwmaAlpha) * ewma_ : w;
     seeded_ = true;
     window_ = 0;
   }
@@ -73,9 +76,9 @@ class WindowedCounter {
 };
 
 // A sliding-window histogram: fixed buckets (ascending inclusive upper
-// edges plus an overflow bucket, like obs::Histogram) over the last
-// `window_ticks` flush windows. Each flush retires the oldest window from a
-// ring of per-window bucket arrays.
+// edges plus an overflow bucket) over the last `window_ticks` flush
+// windows. Each flush retires the oldest window from a ring of per-window
+// bucket arrays.
 class WindowedHistogram {
  public:
   WindowedHistogram(std::span<const std::int64_t> upper_edges,
@@ -128,15 +131,12 @@ class SeriesFlusher {
   SeriesFlusher(SeriesFlusher&&) = default;
   SeriesFlusher& operator=(SeriesFlusher&&) = default;
 
-  // EWMA smoothing for every counter series; set before the first flush.
-  void SetEwmaAlpha(double alpha) { ewma_alpha_ = alpha; }
-
   // Registration returns stable references (instruments never move);
   // re-registering a name returns the existing instrument.
   WindowedCounter& GetCounter(const std::string& name);
-  WindowedHistogram& GetHistogram(const std::string& name,
-                                  std::span<const std::int64_t> upper_edges,
-                                  int window_ticks);
+  WindowedHistogram& GetWindowedHistogram(
+      const std::string& name, std::span<const std::int64_t> upper_edges,
+      int window_ticks);
 
   // Where each flush's text goes; without a sink it is only counted.
   void SetSink(Sink sink) { sink_ = std::move(sink); }
@@ -166,7 +166,6 @@ class SeriesFlusher {
   std::uint64_t bytes_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t flushes_ = 0;
-  double ewma_alpha_ = 0.3;
 };
 
 }  // namespace iri::obs

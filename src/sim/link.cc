@@ -43,7 +43,6 @@ void Link::Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
   if (!up_) return;
   const Side* dst = (from == a_.endpoint) ? &b_ : &a_;
   if (dst->endpoint == nullptr) return;
-  ++messages_carried_;
   bytes_carried_ += bytes.size();
   if (messages_metric_) {
     messages_metric_->Add(1);

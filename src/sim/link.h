@@ -64,7 +64,6 @@ class Link {
   obs::CauseTag transition_cause() const { return transition_cause_; }
 
   bool up() const { return up_; }
-  std::uint64_t messages_carried() const { return messages_carried_; }
   std::uint64_t bytes_carried() const { return bytes_carried_; }
 
   // Brings the link (and transport) up; notifies both endpoints.
@@ -92,7 +91,6 @@ class Link {
   Side a_, b_;
   bool up_ = false;
   std::uint64_t epoch_ = 0;  // bumped on every Fail; stale deliveries dropped
-  std::uint64_t messages_carried_ = 0;
   std::uint64_t bytes_carried_ = 0;
   std::string name_;
   obs::Tracer* tracer_ = nullptr;

@@ -492,7 +492,6 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
 
   for (const Prefix& w : update.withdrawn) {
     const obs::CauseTag cause = next_cause();
-    ++stats_.prefixes_withdrawn_rx;
     if (config_.enable_dampening) {
       dampener_.OnWithdraw({w, from}, sched_.Now());
     }
@@ -525,7 +524,6 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
   }
   for (const Prefix& nlri : update.nlri) {
     const obs::CauseTag cause = next_cause();
-    ++stats_.prefixes_announced_rx;
     if (looped) {
       ++stats_.loops_rejected;
       continue;
@@ -642,8 +640,6 @@ void Router::FlushPeer(bgp::PeerId id) {
     if (p.link == nullptr || !p.link->up()) continue;
     ++stats_.messages_tx;
     ++stats_.updates_tx;
-    (msg.IsWithdrawal() ? stats_.prefixes_withdrawn_tx
-                        : stats_.prefixes_announced_tx) += msg.count;
     if (metrics_.messages_tx) metrics_.messages_tx->Add(1);
     if (metrics_.updates_tx) metrics_.updates_tx->Add(1);
     std::vector<std::uint8_t> bytes;

@@ -118,10 +118,6 @@ class Router : public LinkEndpoint {
     std::uint64_t messages_tx = 0;
     std::uint64_t updates_rx = 0;
     std::uint64_t updates_tx = 0;
-    std::uint64_t prefixes_announced_rx = 0;
-    std::uint64_t prefixes_withdrawn_rx = 0;
-    std::uint64_t prefixes_announced_tx = 0;
-    std::uint64_t prefixes_withdrawn_tx = 0;
     std::uint64_t loops_rejected = 0;
     std::uint64_t decode_failures = 0;
     std::uint64_t session_ups = 0;

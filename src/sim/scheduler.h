@@ -97,21 +97,16 @@ class Scheduler {
 
   TimePoint Now() const { return now_; }
 
-  // Attaches this scheduler's instruments to a (partition-private) registry:
-  // sched.tasks counts executed events, sched.peak_pending tracks the
-  // high-water backlog, and the sched.run_until profile site times the
-  // drain loop. Null detaches.
+  // Attaches this scheduler's profiling instruments to a (partition-private)
+  // registry: with the registry's profiling on, sched.tasks counts executed
+  // events and the sched.run_until profile site times the drain loop, all
+  // kWallClock (obs/profile.h); otherwise nothing registers. executed() is
+  // the always-on count. Null detaches.
   void AttachMetrics(obs::Registry* registry) {
-    if (registry == nullptr) {
-      tasks_ = nullptr;
-      peak_pending_ = nullptr;
-      run_until_site_ = obs::ProfileSite{};
-      return;
-    }
-    tasks_ = &registry->GetCounter("sched.tasks");
-    peak_pending_ = &registry->GetGauge("sched.peak_pending",
-                                        obs::Stability::kDeterministic,
-                                        obs::GaugeMerge::kMax);
+    tasks_ = nullptr;
+    run_until_site_ = obs::ProfileSite{};
+    if (registry == nullptr || !registry->wall_clock_profiling()) return;
+    tasks_ = &registry->GetCounter("sched.tasks", obs::Stability::kWallClock);
     run_until_site_ = obs::MakeProfileSite(*registry, "sched.run_until");
   }
 
@@ -139,9 +134,6 @@ class Scheduler {
     }
     heap_.push_back(Item{t, next_seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), RunsLater);
-    if (peak_pending_ != nullptr) {
-      peak_pending_->RaiseTo(static_cast<std::int64_t>(heap_.size()));
-    }
   }
 
   template <typename F>
@@ -209,7 +201,6 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   obs::Counter* tasks_ = nullptr;
-  obs::Gauge* peak_pending_ = nullptr;
   obs::ProfileSite run_until_site_;
 };
 

@@ -50,9 +50,9 @@ std::string MultiExchangeResult::Digest(
   }
   add("announcements", combined.announcements);
   add("withdrawals", combined.withdrawals);
-  // Deterministic metrics snapshot (wall-clock instruments are excluded by
-  // SnapshotText's default): any drift in the merged registry fails the
-  // golden comparison just like a classifier bin would.
+  // Metrics snapshot (profiling's kWallClock instruments never appear in
+  // it): any drift in the merged registry fails the golden comparison just
+  // like a classifier bin would.
   out += "metrics.begin\n";
   out += metrics.SnapshotText();
   out += "metrics.end\n";
@@ -136,7 +136,6 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     run.classifier_totals = scenario.monitor().classifier().totals();
     run.messages = scenario.monitor().messages_seen();
     run.events = scenario.monitor().events_seen();
-    run.tasks_executed = scenario.scheduler().executed();
     run.mrt = writer.TakeBuffer();
     // Copy the partition's registry out before the scenario (and the cached
     // instrument pointers inside it) is destroyed. Runs on the worker that

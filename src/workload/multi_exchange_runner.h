@@ -57,7 +57,6 @@ struct ExchangeRun {
   std::array<std::uint64_t, core::kNumCategories> classifier_totals{};
   std::uint64_t messages = 0;        // UPDATE messages tapped at the monitor
   std::uint64_t events = 0;          // per-prefix events classified
-  std::uint64_t tasks_executed = 0;  // this partition's scheduler events
   std::vector<std::uint8_t> mrt;     // this exchange's MRT byte stream
   // This partition's metrics registry, copied (via Merge into an empty
   // registry) on the worker that owns the exchange. Only deterministic
@@ -84,9 +83,8 @@ struct MultiExchangeResult {
   core::CategoryCounts combined;
   std::array<std::uint64_t, core::kNumCategories> combined_classifier_totals{};
   // Per-exchange registries merged on the calling thread in exchange order
-  // (the CategoryCounts::Merge pattern): counters and histograms sum, gauges
-  // add — so a merged peak gauge is the sum of per-exchange peaks, not a
-  // global peak. Snapshot bytes are identical at any worker count.
+  // (the CategoryCounts::Merge pattern): counters sum, gauges follow their
+  // GaugeMerge policy. Snapshot bytes are identical at any worker count.
   obs::Registry metrics;
   std::uint64_t total_series_records = 0;
   std::uint64_t total_messages = 0;

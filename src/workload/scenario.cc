@@ -64,7 +64,6 @@ void ExchangeScenario::Build() {
   // same windows for the health feed — so the caches below and the
   // monitor's caches alias by name.
   if (config_.series_flush_interval.nanos() > 0) {
-    series_.SetEwmaAlpha(config_.series_ewma_alpha);
     health_ = std::make_unique<obs::HealthMonitor>(
         config_.health, config_.series_flush_interval, &trace_, &metrics_);
     series_updates_ = &series_.GetCounter("monitor.updates");
@@ -567,17 +566,6 @@ void ExchangeScenario::ScheduleMidnight(int day) {
 
 void ExchangeScenario::ScheduleDaily(std::function<void(int day)> fn) {
   daily_hooks_.push_back(std::move(fn));
-}
-
-void ExchangeScenario::RunUntil(TimePoint t) {
-  sched_.RunUntil(t);
-  const obs::ShardProvenance& observed = monitor_->classifier().provenance();
-  metrics_.GetGauge("provenance.causes")
-      .Set(static_cast<std::int64_t>(prov_.Count()));
-  metrics_.GetGauge("provenance.events_attributed")
-      .Set(static_cast<std::int64_t>(observed.attributed()));
-  metrics_.GetGauge("provenance.events_unattributed")
-      .Set(static_cast<std::int64_t>(observed.unattributed()));
 }
 
 double ExchangeScenario::TableShare(int provider) const {

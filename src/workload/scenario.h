@@ -137,9 +137,9 @@ struct ScenarioConfig {
   bgp::DampeningParams dampening;
   Duration link_latency = Duration::Millis(2);
 
-  // Opt-in wall-clock profiling (obs/profile.h): adds nondeterministic
-  // profile.*.wall_ns counters, excluded from snapshots by default. Never
-  // enable for runs whose snapshots feed golden digests.
+  // Opt-in profiling (obs/profile.h): resolves the profile.* sites and
+  // sched.tasks, all kWallClock instruments that no snapshot includes, so
+  // the run's digest is the same with it on or off.
   bool profile_wall_clock = false;
 
   // --- streaming telemetry (obs/timeseries.h, obs/health.h) ---
@@ -150,8 +150,6 @@ struct ScenarioConfig {
   // watches for the periodicity score to see them (10 s against 30 s/60 s by
   // default).
   Duration series_flush_interval = Duration::Seconds(10);
-  // EWMA smoothing for the counter series' per-window averages.
-  double series_ewma_alpha = 0.3;
   // Detector thresholds (Goertzel periodicity, WWDup/AADup storm,
   // flap-burst sessionizer).
   obs::HealthConfig health;
@@ -165,7 +163,7 @@ class ExchangeScenario {
   // Runs bootstrap (links up, sessions established, initial table dumped)
   // plus the whole configured duration.
   void Run() { RunUntil(TimePoint::Origin() + config_.duration); }
-  void RunUntil(TimePoint t);
+  void RunUntil(TimePoint t) { sched_.RunUntil(t); }
 
   // Registers `fn(day)` to run just before each midnight rollover.
   void ScheduleDaily(std::function<void(int day)> fn);

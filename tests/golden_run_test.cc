@@ -140,8 +140,14 @@ TEST_P(GoldenRun, MatchesCommittedDigestAtEveryThreadCount) {
       << c.name << ": digest lost its metrics section";
   EXPECT_NE(serial.find("counter monitor.messages "), std::string::npos)
       << c.name << ": monitor instruments missing from the merged snapshot";
-  EXPECT_NE(serial.find("counter sched.tasks "), std::string::npos)
-      << c.name << ": scheduler instruments missing from the merged snapshot";
+  EXPECT_NE(serial.find("counter link.messages "), std::string::npos)
+      << c.name << ": link instruments missing from the merged snapshot";
+  // Profiling's kWallClock instruments (profile.*, sched.tasks) never reach
+  // a snapshot: the digest pins behaviour, not simulator cost.
+  EXPECT_EQ(serial.find("profile."), std::string::npos)
+      << c.name << ": a profile site leaked into the digest";
+  EXPECT_EQ(serial.find("sched.tasks"), std::string::npos)
+      << c.name << ": sched.tasks leaked into the digest";
 
   // The streaming-telemetry section (series record count/bytes/CRC) and the
   // health detectors' instruments ride in the same digest: series JSONL and

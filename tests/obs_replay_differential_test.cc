@@ -41,7 +41,7 @@ TEST(ReplayDifferential, OfflineReplayReproducesLiveMonitorState) {
   EXPECT_GT(scenario.trace().events(), 0u);
   EXPECT_NE(scenario.trace().buffer().find("\"ev\":\"fsm\""), std::string::npos);
   const std::string live_snapshot =
-      scenario.metrics().SnapshotText(false, "monitor.");
+      scenario.metrics().SnapshotText("monitor.");
   ASSERT_NE(live_snapshot.find("counter monitor.messages "), std::string::npos);
 
   // Offline: a fresh monitor + registry fed only by the MRT log.
@@ -68,7 +68,7 @@ TEST(ReplayDifferential, OfflineReplayReproducesLiveMonitorState) {
   // Metrics snapshots: everything under "monitor." must match byte for
   // byte. ("mrt.records" sits outside the prefix precisely because the
   // offline path has no MRT writer.)
-  EXPECT_EQ(replay_metrics.SnapshotText(false, "monitor."), live_snapshot);
+  EXPECT_EQ(replay_metrics.SnapshotText("monitor."), live_snapshot);
 }
 
 TEST(ReplayDifferential, ReplayOfReplayIsAFixedPoint) {
@@ -94,8 +94,8 @@ TEST(ReplayDifferential, ReplayOfReplayIsAFixedPoint) {
   second.Replay(reader2);
 
   EXPECT_EQ(second.messages_seen(), first.messages_seen());
-  EXPECT_EQ(second_metrics.SnapshotText(false, "monitor."),
-            first_metrics.SnapshotText(false, "monitor."));
+  EXPECT_EQ(second_metrics.SnapshotText("monitor."),
+            first_metrics.SnapshotText("monitor."));
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ TEST(WindowedCounter, WindowResetsAndTotalAccumulates) {
   c.Add(2);
   EXPECT_EQ(c.window(), 5u);
   EXPECT_EQ(c.total(), 5u);
-  c.CloseWindow(0.5);
+  c.CloseWindow();
   EXPECT_EQ(c.window(), 0u);
   EXPECT_EQ(c.total(), 5u);
   c.Add(7);
@@ -33,13 +33,13 @@ TEST(WindowedCounter, WindowResetsAndTotalAccumulates) {
 TEST(WindowedCounter, EwmaSeedsOnFirstWindowThenBlends) {
   WindowedCounter c;
   c.Add(10);
-  c.CloseWindow(0.5);
+  c.CloseWindow();
   EXPECT_DOUBLE_EQ(c.ewma(), 10.0);  // first window seeds directly
   c.Add(20);
-  c.CloseWindow(0.5);
-  EXPECT_DOUBLE_EQ(c.ewma(), 15.0);  // 0.5*20 + 0.5*10
-  c.CloseWindow(0.5);                // empty window decays toward zero
-  EXPECT_DOUBLE_EQ(c.ewma(), 7.5);
+  c.CloseWindow();
+  EXPECT_DOUBLE_EQ(c.ewma(), 13.0);  // 0.3*20 + 0.7*10
+  c.CloseWindow();                   // empty window decays toward zero
+  EXPECT_DOUBLE_EQ(c.ewma(), 9.1);   // 0.7*13
 }
 
 TEST(WindowedHistogram, BucketsByInclusiveUpperEdgeWithOverflow) {
@@ -89,12 +89,11 @@ TEST(SeriesFlusher, EmitsExactJsonlBytesInNameOrder) {
     text += flush;
     ++sink_calls;
   });
-  flusher.SetEwmaAlpha(0.5);
   // Registered out of name order on purpose: flush order must sort.
   WindowedCounter& wwdup = flusher.GetCounter("monitor.wwdup");
   constexpr std::array<std::int64_t, 2> edges = {2, 8};
   WindowedHistogram& per_msg =
-      flusher.GetHistogram("monitor.events_per_msg", edges, 2);
+      flusher.GetWindowedHistogram("monitor.events_per_msg", edges, 2);
   WindowedCounter& updates = flusher.GetCounter("monitor.updates");
 
   updates.Add(4);
@@ -119,9 +118,9 @@ TEST(SeriesFlusher, EmitsExactJsonlBytesInNameOrder) {
       "{\"t_ns\":20000000000,\"series\":\"monitor.events_per_msg\","
       "\"count\":2,\"sum\":11,\"buckets\":[1,0,1]}\n"
       "{\"t_ns\":20000000000,\"series\":\"monitor.updates\",\"window\":2,"
-      "\"total\":6,\"ewma\":3.000000}\n"
+      "\"total\":6,\"ewma\":3.400000}\n"
       "{\"t_ns\":20000000000,\"series\":\"monitor.wwdup\",\"window\":0,"
-      "\"total\":1,\"ewma\":0.500000}\n");
+      "\"total\":1,\"ewma\":0.700000}\n");
   // The running checksum covers exactly the text the sink received.
   EXPECT_EQ(flusher.bytes(), text.size());
   EXPECT_EQ(flusher.crc32(),

@@ -636,9 +636,9 @@ TEST(Router, UpdateTapSeesInboundUpdates) {
   EXPECT_EQ(tap_asns[0], 100u);
 }
 
-// The codec.encode profile site counts one call per message that goes out
-// on an up link, with the message's bytes as items: UPDATEs are framed only
-// for a peer whose link is up. To reach a flush for an established peer
+// The codec.encode profile site (resolved under profiling) counts one call
+// per message that goes out on an up link, with the message's bytes as
+// items: UPDATEs are framed only for a peer whose link is up. To reach a flush for an established peer
 // behind a down link, A's side of the A–C link is handed to a silent
 // endpoint before the link fails, so A never hears of the loss.
 TEST(Router, EncodeSiteCountsOnlyMessagesOnUpLinks) {
@@ -655,6 +655,7 @@ TEST(Router, EncodeSiteCountsOnlyMessagesOnUpLinks) {
   net.Connect(a, b);
   Link& to_c = net.Connect(a, c);
   obs::Registry registry;
+  registry.SetWallClockProfiling(true);
   a.AttachObservability(&registry, nullptr);
   net.Start();
   ASSERT_EQ(a.PeerSessionState(1), bgp::SessionState::kEstablished);

@@ -68,10 +68,30 @@ TEST(MultiExchangeRunner, ThreadCountDoesNotChangeAnyByte) {
     for (std::size_t e = 0; e < serial.exchanges.size(); ++e) {
       EXPECT_EQ(parallel.exchanges[e].mrt, serial.exchanges[e].mrt)
           << "exchange " << e << " threads=" << threads;
-      EXPECT_EQ(parallel.exchanges[e].tasks_executed,
-                serial.exchanges[e].tasks_executed);
     }
   }
+}
+
+// Profiling is invisible to the digest: a profiled run resolves the
+// profile.* sites and sched.tasks (all kWallClock), an unprofiled run
+// leaves them unregistered, and both digests are byte-identical.
+TEST(MultiExchangeRunner, ProfilingNeverChangesTheDigest) {
+  MultiExchangeConfig plain_cfg = SmallConfig(2);
+  plain_cfg.scenario.duration = Duration::Hours(1);
+  MultiExchangeConfig profiled_cfg = plain_cfg;
+  profiled_cfg.scenario.profile_wall_clock = true;
+  MultiExchangeResult plain = MultiExchangeRunner(std::move(plain_cfg)).Run();
+  MultiExchangeResult profiled =
+      MultiExchangeRunner(std::move(profiled_cfg)).Run();
+
+  EXPECT_EQ(profiled.Digest("t"), plain.Digest("t"));
+  const auto count = [](obs::Registry& reg, const char* name) {
+    return reg.GetCounter(name, obs::Stability::kWallClock).value();
+  };
+  EXPECT_GT(count(profiled.metrics, "profile.rib.announce.calls"), 0u);
+  EXPECT_GT(count(profiled.metrics, "sched.tasks"), 0u);
+  EXPECT_EQ(count(plain.metrics, "profile.rib.announce.calls"), 0u);
+  EXPECT_EQ(count(plain.metrics, "sched.tasks"), 0u);
 }
 
 TEST(MultiExchangeRunner, MergePreservesFixedExchangeOrder) {

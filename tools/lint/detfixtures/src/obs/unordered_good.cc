@@ -10,13 +10,13 @@ namespace iri::obs {
 class FxOrderedTally {
  public:
   void Bump(int key) { ++counts_[key]; }
-  std::string SnapshotJson() const;
+  std::string SnapshotText() const;
 
  private:
   std::map<int, long> counts_;
 };
 
-std::string FxOrderedTally::SnapshotJson() const {
+std::string FxOrderedTally::SnapshotText() const {
   std::string out = "{";
   for (const auto& kv : counts_) {
     out += std::to_string(kv.first) + ":" + std::to_string(kv.second) + ",";

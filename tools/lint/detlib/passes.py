@@ -59,7 +59,7 @@ class DetConfig:
     # in a file matching sink_file_re (whole-file sinks: the MRT writer, the
     # trace/series emitters, the classic report/snapshot formatters).
     sink_name_re: re.Pattern = re.compile(
-        r"::(SnapshotText|SnapshotJson|Digest|EncodeRecord|LogMessage"
+        r"::(SnapshotText|Digest|EncodeRecord|LogMessage"
         r"|Append|Flush|Merge|FormatCategoryReport|FormatTable)$")
     sink_file_re: re.Pattern = re.compile(
         r"^src/(mrt/|obs/trace\.|obs/timeseries\.|core/(report|snapshot)\.)")
@@ -76,9 +76,8 @@ class DetConfig:
 
     # Functions where taint propagation stops: the profiling layer reads the
     # wall clock but records it only into Stability::kWallClock instruments,
-    # which every snapshot excludes by default (obs/profile.h).
-    taint_allow_qname_re: re.Pattern = re.compile(
-        r"(^|::)ScopedTimer(::|$)|::EnableWallClockProfile$")
+    # which no snapshot includes (obs/profile.h).
+    taint_allow_qname_re: re.Pattern = re.compile(r"(^|::)ScopedTimer(::|$)")
     taint_allow_file_re: re.Pattern = re.compile(r"^src/obs/profile\.")
 
     # Construct kind -> the only files it may appear in: the seeded

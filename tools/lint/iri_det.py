@@ -10,9 +10,9 @@ determinism contract (DESIGN.md §11):
                        series-JSONL sink (Stability::kWallClock instruments
                        in obs/profile.* are the one allowlisted source).
   unordered-in-output  no std::unordered_{map,set} iteration in any function
-                       reachable from SnapshotText/SnapshotJson, digest
-                       writers, MRT/trace/series emitters or the fixed-order
-                       merge code.
+                       reachable from SnapshotText, digest writers,
+                       MRT/trace/series emitters or the fixed-order merge
+                       code.
   rng-discipline       every RNG draw goes through the seeded SplitMix64 /
                        Xoshiro streams (netbase/rng.h + ExchangeSubSeed);
                        no ad-hoc std::mt19937 / rand() / random() / <random>.
