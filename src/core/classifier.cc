@@ -7,7 +7,7 @@
 namespace iri::core {
 
 // The taxonomy's two super-classes must partition: no category is both
-// instability and pathology (checked for every bin at compile time).
+// instability and pathology (asserted for every bin at compile time).
 template <std::size_t... I>
 constexpr bool PartitionsAreDisjoint(std::index_sequence<I...>) {
   return ((!(IsInstability(static_cast<Category>(I)) &&

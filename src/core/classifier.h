@@ -111,7 +111,7 @@ class Classifier {
 
   // Attribution aggregate: pathology class x root cause kind, fed at
   // verdict time from each event's provenance tag. Category indices fit
-  // ShardProvenance's class axis (kNumCategories <= kMaxClasses, checked
+  // ShardProvenance's class axis (kNumCategories <= kMaxClasses, asserted
   // below).
   const obs::ShardProvenance& provenance() const { return prov_; }
 

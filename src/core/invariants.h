@@ -6,18 +6,20 @@
 // scheduler audit their own invariants in every build, with a policy knob so
 // tests can observe failures without dying:
 //
-//   IRI_ASSERT(cond, "message")   checked in every build (unless compiled
-//                                 out with IRI_DISABLE_INVARIANTS); on
-//                                 failure consults the global policy:
-//                                 abort (default) or log-and-continue.
+//   IRI_ASSERT(cond, "message")   runs in every build: evaluates `cond`
+//                                 once and, on failure, consults the global
+//                                 policy: abort (default) or log-and-continue.
 //   IRI_DCHECK(cond, "message")   as IRI_ASSERT, but compiled to nothing in
-//                                 NDEBUG builds; for O(n) audits too slow
-//                                 for release hot paths.
+//                                 NDEBUG builds (the condition is not
+//                                 evaluated); for O(n) audits too slow for
+//                                 release hot paths.
 //
-// Every evaluation and every failure is counted (relaxed atomics; the
-// counters are observable via InvariantStats() and exercised by the unit
-// tests). When compiled out, the macros expand to `(void)0` — zero cost, and
-// the condition expression is not evaluated.
+// Only failures are counted, on the cold path in invariants.cc
+// (FailureCount()); a passing check writes no memory. The macros run tens of
+// millions of times per simulated campaign on every partition worker, so a
+// shared evaluation counter would be one cache line bouncing between cores.
+// The failure count and the policy live in invariants.cc, and iri_det keeps
+// every atomic out of headers (DESIGN.md §7, §8).
 //
 // This header is deliberately self-contained (standard library only) so any
 // layer — netbase excepted, which stays dependency-free — can include it
@@ -25,7 +27,6 @@
 // (`iri_invariants`) at the bottom of the link order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace iri::inv {
@@ -33,52 +34,29 @@ namespace iri::inv {
 // What to do when an invariant fails.
 enum class Policy : std::uint8_t {
   kAbort,  // print expr/file/line to stderr, then std::abort() (default)
-  kLog,    // print to stderr, bump the counter, continue
+  kLog,    // print to stderr, count the failure, continue
 };
 
-struct Counters {
-  std::atomic<std::uint64_t> checked{0};  // evaluations (pass or fail)
-  std::atomic<std::uint64_t> failed{0};   // failures observed
-};
+// Sets the process-wide failure policy.
+void SetPolicy(Policy p);
 
-// Process-wide counters. Inline so every TU shares one instance without a
-// link-time dependency for the fast path.
-inline Counters& InvariantStats() {
-  static Counters counters;
-  return counters;
-}
+// Failures observed since start-up or the last ResetForTest(), summed over
+// every thread.
+std::uint64_t FailureCount();
 
-inline std::atomic<Policy>& GlobalPolicy() {
-  static std::atomic<Policy> policy{Policy::kAbort};
-  return policy;
-}
-
-inline void SetPolicy(Policy p) {
-  GlobalPolicy().store(p, std::memory_order_relaxed);
-}
-
-// Resets counters and restores the abort policy; tests use this to isolate
-// their observations.
+// Resets the failure count and restores the abort policy; tests use this to
+// isolate their observations.
 void ResetForTest();
 
 // Cold path: records the failure and applies the policy. Returns only under
-// Policy::kLog. Defined in invariants.cc.
+// Policy::kLog.
 void InvariantFailed(const char* expr, const char* file, int line,
                      const char* message);
 
 }  // namespace iri::inv
 
-#if defined(IRI_DISABLE_INVARIANTS)
-
-#define IRI_ASSERT(cond, message) ((void)0)
-#define IRI_DCHECK(cond, message) ((void)0)
-
-#else
-
 #define IRI_ASSERT(cond, message)                                          \
   do {                                                                     \
-    ::iri::inv::InvariantStats().checked.fetch_add(                        \
-        1, std::memory_order_relaxed);                                     \
     if (!(cond)) {                                                         \
       ::iri::inv::InvariantFailed(#cond, __FILE__, __LINE__, (message));   \
     }                                                                      \
@@ -89,5 +67,3 @@ void InvariantFailed(const char* expr, const char* file, int line,
 #else
 #define IRI_DCHECK(cond, message) IRI_ASSERT(cond, message)
 #endif
-
-#endif  // IRI_DISABLE_INVARIANTS

@@ -2,11 +2,12 @@
 //
 // The hot exact-match indexes in this codebase — the RIB's prefix index,
 // the classifier's (Prefix, peer) state table, the outbound packer's
-// per-window dedup — share one access pattern: try_emplace / find / clear,
-// never iterate, never erase single keys. std::unordered_map serves them
-// with a heap node per entry, a prime-modulo bucket step and a pointer
-// chase per probe; at full-paper scale those indexes are the top lines of
-// the profile.
+// per-window dedup, each router's per-peer Adj-RIB-Out — share one access
+// pattern: try_emplace / find / clear, never iterate, never erase single
+// keys (a user that forgets a key stores a sentinel value instead).
+// std::unordered_map serves them with a heap node per entry, a prime-modulo
+// bucket step and a pointer chase per probe; at full-paper scale those
+// indexes are the top lines of the profile.
 //
 // ProbeMap replaces them with a single flat array of (key, value) slots,
 // power-of-two sized, linear probing, capacity-doubling at 7/8 load. No

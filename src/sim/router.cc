@@ -416,7 +416,7 @@ void Router::OnSessionUp(bgp::PeerId id) {
 
 void Router::OnSessionDown(bgp::PeerId id) {
   Peer& p = peers_[id];
-  p.adj_rib_out.clear();
+  p.adj_rib_out.Clear();
   const obs::CauseTag cause =
       SessionCause(id, obs::CauseKind::kSessionReset);
   // Everything learned from this peer is gone: a genuine topology change.
@@ -614,16 +614,18 @@ void Router::FlushPeer(bgp::PeerId id) {
       final_ops_.push_back(op);
       continue;
     }
-    auto it = p.adj_rib_out.find(op.prefix);
     if (op.IsWithdraw()) {
-      if (it == p.adj_rib_out.end()) continue;  // never told them: suppress
-      p.adj_rib_out.erase(it);
-    } else if (it == p.adj_rib_out.end()) {
-      p.adj_rib_out.emplace(op.prefix, op.attr_id);
-    } else if (it->second == op.attr_id) {
-      continue;  // peer already has exactly this route: suppress duplicate
+      bgp::AttrSetId* told = p.adj_rib_out.Find(op.prefix);
+      if (told == nullptr || *told == bgp::kInvalidAttrSetId) {
+        continue;  // never told them, or already withdrawn: suppress
+      }
+      *told = bgp::kInvalidAttrSetId;
     } else {
-      it->second = op.attr_id;
+      const auto [told, inserted] = p.adj_rib_out.TryEmplace(op.prefix);
+      if (!inserted && *told == op.attr_id) {
+        continue;  // peer already has exactly this route: suppress duplicate
+      }
+      *told = op.attr_id;
     }
     final_ops_.push_back(op);
   }
@@ -717,7 +719,7 @@ void Router::Crash() {
     bgp::SessionFsm::Actions ignored;
     p.fsm.Stop(sched_.Now(), ignored);  // discard actions: a dead box is mute
     p.established = false;
-    p.adj_rib_out.clear();
+    p.adj_rib_out.Clear();
     p.timer_armed = TimePoint::Max();  // cancel outstanding timer polls
   }
   // Drop every learned route; local (customer) routes survive on NVRAM.

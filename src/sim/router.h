@@ -31,7 +31,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/dampening.h"
@@ -216,7 +215,9 @@ class Router : public LinkEndpoint {
     bgp::Policy import_policy;
     bgp::Policy export_policy;
     ExportMemo export_memo;  // for export_policy
-    std::unordered_map<Prefix, bgp::AttrSetId> adj_rib_out;
+    // Adj-RIB-Out: what this peer was last told per prefix;
+    // kInvalidAttrSetId once withdrawn (ProbeMap has no single-key erase).
+    ProbeMap<Prefix, bgp::AttrSetId> adj_rib_out;
     bool established = false;
     bool flush_scheduled = false;
     // Earliest pending FSM-timer poll, TimePoint::Max() when none. The FSM's

@@ -373,6 +373,30 @@ TEST(Router, StatefulSuppressesDuplicateAnnouncements) {
   EXPECT_EQ(b_tap.announced, first);
 }
 
+TEST(Router, StatefulReannouncesSameRouteAfterWithdrawal) {
+  // A withdrawal leaves a "not told" sentinel in the Adj-RIB-Out, so the
+  // same attribute set announced again is news to the peer: it must go
+  // out, not be suppressed as a duplicate of what was told before.
+  Net net;
+  Router& a = net.AddRouter("A", 100);
+  Router& b = net.AddRouter("B", 200);
+  net.Connect(a, b);
+  net.Start();
+  TapCounter b_tap;
+  b_tap.Attach(b);
+
+  for (std::uint64_t cycle = 1; cycle <= 2; ++cycle) {
+    a.Originate(LocalRoute("192.42.113.0/24"));
+    net.Settle();
+    EXPECT_EQ(b_tap.announced, cycle);
+    EXPECT_NE(b.rib().Best(P("192.42.113.0/24")), nullptr);
+    a.WithdrawLocal(P("192.42.113.0/24"));
+    net.Settle();
+    EXPECT_EQ(b_tap.withdrawn, cycle);
+    EXPECT_EQ(b.rib().Best(P("192.42.113.0/24")), nullptr);
+  }
+}
+
 TEST(Router, StatelessEmitsDuplicateAfterA1A2A1Oscillation) {
   // The paper's §4.2 sequence: announcements A1, A2, A1 inside one flush
   // window net out to A1 — which a stateless router re-sends even though

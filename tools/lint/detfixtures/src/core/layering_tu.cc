@@ -5,6 +5,7 @@
 
 #include "bgp/cycle_a.h"
 #include "bgp/guard_bad.h"
+#include "core/atomic_header_bad.h"
 #include "netbase/layering_bad.h"
 #include "netbase/layering_good.h"
 
@@ -19,6 +20,7 @@ unsigned FxUseLayers() {
   bgp::FxCycleB b;
   bgp::FxUnguarded unguarded;
   sim::FxLink link;
+  FxCountCheck();
   unsigned sum = FxPrefixBits(route) + FxHostBits(route.length);
   sum += obs::FxInstrument(route.length);
   sum += static_cast<unsigned>(a.a + b.b + unguarded.value);

@@ -21,7 +21,8 @@ determinism contract (DESIGN.md §11):
                        gettimeofday, localtime, ...) outside
                        netbase/time.{h,cc}, whether or not it reaches a sink.
   thread-confinement   std::thread/std::async/mutexes/atomics only in
-                       src/sim/parallel.cc (atomics also core/invariants.h).
+                       src/sim/parallel.cc (atomics also core/invariants.cc;
+                       never in a header).
   include-layering     the netbase -> obs -> bgp -> {sim,mrt,topology,
                        analysis,igp} -> core -> workload layer order holds
                        over the full include DAG, and the DAG is acyclic.
