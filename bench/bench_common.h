@@ -9,9 +9,13 @@
 // and prints the paper-comparable rows for its table/figure. Absolute
 // magnitudes are reported both raw and extrapolated to paper scale
 // (multiplied by N); shapes are scale-invariant. A --scale, --days,
-// --providers or --seed value out of range ends the bench with exit code 2.
+// --providers or --seed value out of range, or a flag the program does not
+// know, ends the run with exit code 2. tools/iri_simulate parses its flags
+// here too, so `iri_simulate --seed=S` and a bench at --seed=S share a
+// universe.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -19,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -88,9 +93,14 @@ struct Flags {
   int providers = 16;
   std::uint64_t seed = 1996;
 
+  // `extra` names the caller's own flags, which Parse accepts and leaves to
+  // the caller: a name ending in '=' takes a value ("--threads="), any other
+  // must match exactly ("--attribution"). Any other argument ends the run
+  // with exit code 2, naming it.
   static Flags Parse(int argc, char** argv, double default_days,
                      double default_scale_denominator = 64,
-                     int default_providers = 16) {
+                     int default_providers = 16,
+                     std::initializer_list<std::string_view> extra = {}) {
     Flags flags;
     flags.days = default_days;
     flags.scale_denominator = default_scale_denominator;
@@ -105,18 +115,29 @@ struct Flags {
         }
         return nullptr;
       };
-      if (const char* v = value("--scale")) {
-        flags.scale_denominator = PositiveNumber("--scale", v);
-      } else if (const char* v = value("--days")) {
-        flags.days = PositiveNumber("--days", v);
-      } else if (const char* v = value("--providers")) {
-        flags.providers = ProviderCount(v);
-      } else if (const char* v = value("--seed")) {
-        flags.seed = SeedValue(v);
+      if (const char* scale = value("--scale")) {
+        flags.scale_denominator = PositiveNumber("--scale", scale);
+      } else if (const char* days = value("--days")) {
+        flags.days = PositiveNumber("--days", days);
+      } else if (const char* count = value("--providers")) {
+        flags.providers = ProviderCount(count);
+      } else if (const char* text = value("--seed")) {
+        flags.seed = SeedValue(text);
       } else if (arg == "--help") {
-        std::printf(
-            "flags: --scale=N --days=D --providers=P --seed=S\n");
+        std::printf("flags: --scale=N --days=D --providers=P --seed=S");
+        for (const std::string_view name : extra) {
+          std::printf(" %.*s", static_cast<int>(name.size()), name.data());
+        }
+        std::printf("\n");
         std::exit(0);
+      } else if (std::none_of(extra.begin(), extra.end(),
+                              [&arg](std::string_view name) {
+                                return name.back() == '='
+                                           ? arg.starts_with(name)
+                                           : arg == name;
+                              })) {
+        std::fprintf(stderr, "%s: unknown flag\n", arg.c_str());
+        std::exit(2);
       }
     }
     return flags;

@@ -21,9 +21,9 @@
 
 int main(int argc, char** argv) {
   using namespace iri;
-  auto flags = bench::Flags::Parse(argc, argv, /*days=*/1,
-                                   /*scale_denominator=*/1,
-                                   /*providers=*/16);
+  auto flags = bench::Flags::Parse(
+      argc, argv, /*days=*/1, /*scale_denominator=*/1, /*providers=*/16,
+      {"--threads=", "--attribution", "--attribution="});
   int threads = 1;
   bool attribution = false;
   std::string attribution_path;

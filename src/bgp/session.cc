@@ -7,6 +7,8 @@
 namespace iri::bgp {
 
 namespace {
+constexpr Duration kConnectRetry = Duration::Seconds(30);  // Connect re-arm
+
 // kLegal[from][to]: transitions one public event handler may perform.
 // Self-loops are always legal (no-op events). The forbidden cells are the
 // ones a state-machine bug would most plausibly produce: entering
@@ -67,7 +69,7 @@ void SessionFsm::Stop(TimePoint now, Actions& out) {
 
 void SessionFsm::EnterConnect(TimePoint now) {
   state_ = SessionState::kConnect;
-  connect_retry_deadline_ = now + config_.connect_retry;
+  connect_retry_deadline_ = now + kConnectRetry;
   hold_deadline_ = keepalive_deadline_ = TimePoint::Max();
 }
 
@@ -181,7 +183,7 @@ void SessionFsm::OnTimer(TimePoint now, Actions& out) {
   if (state_ == SessionState::kConnect && now >= connect_retry_deadline_) {
     // Transport still not up; keep waiting another interval. The simulator
     // decides when OnTransportUp happens; this just re-arms the deadline.
-    connect_retry_deadline_ = now + config_.connect_retry;
+    connect_retry_deadline_ = now + kConnectRetry;
   }
   if ((state_ == SessionState::kOpenSent ||
        state_ == SessionState::kOpenConfirm ||

@@ -42,7 +42,6 @@ struct SessionConfig {
   Asn local_asn = 0;
   IPv4Address router_id;
   std::uint16_t hold_time_s = 90;  // proposed; negotiated down to peer's
-  Duration connect_retry = Duration::Seconds(30);
 };
 
 class SessionFsm {

@@ -112,7 +112,8 @@ TimePoint OutboundQueue::ComputeDeadline(TimePoint now) {
     const std::int64_t k = now.nanos() / interval + 1;
     return TimePoint::FromNanos(k * interval);
   }
-  const double spread = 1.0 + config_.jitter * (2.0 * rng_.Uniform() - 1.0);
+  constexpr double kJitter = 0.25;  // flush after interval*(1±kJitter)
+  const double spread = 1.0 + kJitter * (2.0 * rng_.Uniform() - 1.0);
   return now + config_.interval * spread;
 }
 

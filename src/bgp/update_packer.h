@@ -10,7 +10,7 @@
 // Two timer disciplines are modeled:
 //  - kUnjittered: flushes at fixed wall-phase multiples of the interval
 //    (every router on the same phase — the self-synchronization substrate).
-//  - kJittered: flushes interval*(1 ± jitter) after the first enqueued
+//  - kJittered: flushes interval*(1 ± 0.25) after the first enqueued
 //    change, per the route-dampening draft's recommendation.
 #pragma once
 
@@ -119,7 +119,6 @@ enum class TimerDiscipline : std::uint8_t { kUnjittered, kJittered };
 struct PackerConfig {
   Duration interval = Duration::Seconds(30);
   TimerDiscipline discipline = TimerDiscipline::kUnjittered;
-  double jitter = 0.25;  // kJittered: flush after interval*(1±jitter)
 };
 
 // Per-peer outbound queue. Latest-wins per prefix: an announce queued after

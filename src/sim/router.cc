@@ -35,7 +35,6 @@ Router::Router(Scheduler& sched, RouterConfig config, std::uint64_t seed)
     : sched_(sched),
       config_(std::move(config)),
       rng_(seed),
-      dampener_(config_.dampening),
       busy_until_(TimePoint::Origin()) {
   rib_.AddPeer(bgp::kLocalPeer, IPv4Address(0));
 }
@@ -279,8 +278,10 @@ void Router::OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
     return;
   }
 
-  // Charge the CPU for receive processing.
-  Duration cost = config_.cost_per_message;
+  // Charge the CPU for receive processing: a fixed decode overhead per
+  // message plus RouterConfig::cost_per_prefix per prefix.
+  constexpr Duration kCostPerMessage = Duration::Micros(60);
+  Duration cost = kCostPerMessage;
   if (update != nullptr) {
     cost += config_.cost_per_prefix *
             static_cast<double>(update->withdrawn.size() +

@@ -68,12 +68,10 @@ struct RouterConfig {
   bgp::PackerConfig packer;    // flush-timer discipline (30 s unjittered ...)
   std::uint16_t hold_time_s = 90;
 
-  bool enable_dampening = false;
-  bgp::DampeningParams dampening;
+  bool enable_dampening = false;  // RFC 2439, default DampeningParams
 
   // CPU model.
   Duration cost_per_prefix = Duration::Micros(150);   // per prefix processed
-  Duration cost_per_message = Duration::Micros(60);   // fixed decode overhead
   bool bgp_priority_queuing = false;  // vendor fix: keepalives bypass backlog
   // Backlog beyond which the router crashes outright (0 disables). The paper
   // measured ~300 updates/s crashing "a widely deployed, high-end" router.

@@ -10,6 +10,15 @@
 namespace iri::topology {
 namespace {
 
+// Zipf exponent for provider table shares (6-8 ISPs dominate).
+constexpr double kProviderZipfExponent = 1.1;
+
+// Fraction of visible prefixes that are chronically flappy.
+constexpr double kFlappyFraction = 0.12;
+
+// Single-homed customers with an AS of their own (older allocations).
+constexpr double kSinglehomedOwnAsnProb = 0.01;
+
 // Provider address space: /16 blocks carved out of 204.0.0.0/6-ish space
 // (post-CIDR allocations); the pre-CIDR swamp lives in 192.0.0.0/8 and
 // 193.0.0.0/8 as scattered /24s, mirroring the historical allocation mess.
@@ -73,9 +82,9 @@ Universe GenerateUniverse(const TopologyConfig& config,
     p.interface_addr =
         IPv4Address(198, 32, 1, static_cast<std::uint8_t>(10 + i));
     p.table_weight =
-        1.0 / std::pow(static_cast<double>(i + 1), config.provider_zipf_exponent);
+        1.0 / std::pow(static_cast<double>(i + 1), kProviderZipfExponent);
     weight_sum += p.table_weight;
-    p.stateless_bgp = rng.Uniform() < config.stateless_fraction;
+    p.stateless_bgp = rng.Uniform() < kStatelessFraction;
     p.unjittered_timer = rng.Uniform() < config.unjittered_fraction;
     // Churn character is drawn independently of size: log-normal-ish spread.
     p.customer_flap_multiplier = std::exp(rng.Normal(0.0, 0.7));
@@ -100,9 +109,6 @@ Universe GenerateUniverse(const TopologyConfig& config,
     cumulative.push_back(acc);
   }
 
-  const double mh_start = config.multihomed_fraction_start;
-  const double mh_end = config.multihomed_fraction_end;
-
   for (int i = 0; i < num_prefixes; ++i) {
     CustomerPrefix c;
     const double r = rng.Uniform();
@@ -118,26 +124,26 @@ Universe GenerateUniverse(const TopologyConfig& config,
 
     // Multihoming: only visible (non-aggregated) prefixes can be multihomed
     // (they need global visibility — the paper's aggregation-erosion story).
-    if (!c.aggregated && rng.Uniform() < mh_end) {
+    if (!c.aggregated && rng.Uniform() < kMultihomedFractionEnd) {
       // Pick a distinct backup provider, weighted uniformly.
       c.backup_provider = static_cast<int>(rng.Below(u.providers.size()));
       if (c.backup_provider == c.primary_provider) {
         c.backup_provider =
             (c.backup_provider + 1) % static_cast<int>(u.providers.size());
       }
-      // A share mh_start/mh_end is multihomed from the start; the rest come
+      // A share start/end is multihomed from the start; the rest come
       // online uniformly through the scenario (linear growth, Figure 10).
-      if (rng.Uniform() < mh_start / mh_end) {
+      if (rng.Uniform() < kMultihomedFractionStart / kMultihomedFractionEnd) {
         c.multihomed_since = TimePoint::Origin();
       } else {
         c.multihomed_since =
             TimePoint::Origin() + scenario_length * rng.Uniform();
       }
-      if (rng.Uniform() < config.multihomed_own_asn_prob) {
+      if (rng.Uniform() < kMultihomedOwnAsnProb) {
         c.customer_asn = next_customer_asn++;
       }
     } else if (!c.aggregated &&
-               rng.Uniform() < config.singlehomed_own_asn_prob) {
+               rng.Uniform() < kSinglehomedOwnAsnProb) {
       // Single-homed with its own AS (older allocations).
       c.customer_asn = next_customer_asn++;
     }
@@ -145,7 +151,7 @@ Universe GenerateUniverse(const TopologyConfig& config,
     // Some visible prefixes have an indirect transit path inside the
     // provider (AADiff oscillation substrate).
     c.has_alternate_path = !c.aggregated && rng.Uniform() < 0.55;
-    c.flappy = !c.aggregated && rng.Uniform() < config.flappy_fraction;
+    c.flappy = !c.aggregated && rng.Uniform() < kFlappyFraction;
 
     // Address: swamp /24 for ~30% of visible prefixes (pre-CIDR space),
     // provider-block carve-outs otherwise.

@@ -8,8 +8,8 @@
 // growth — Figure 10).
 //
 // Provider behavioural archetypes carry the paper's implementation findings:
-// a configurable fraction run "stateless BGP" border routers and unjittered
-// 30-second flush timers; per-provider churn multipliers are drawn
+// a fixed fraction run "stateless BGP" border routers and a configurable one
+// unjittered 30-second flush timers; per-provider churn multipliers are drawn
 // independently of provider size, so instability does NOT correlate with
 // routing-table share (Figure 6's central negative result).
 #pragma once
@@ -27,6 +27,22 @@ namespace iri::topology {
 // Most providers one exchange can hold: provider i's router id and
 // interface address end in octet 10 + i.
 inline constexpr int kMaxProviders = 246;
+
+// Multi-homing: fraction of *visible* prefixes multihomed at scenario
+// start and end (linear ramp between; "more than 25 percent of prefixes
+// are currently multi-homed" with "a relatively steep linear rate of
+// growth").
+inline constexpr double kMultihomedFractionStart = 0.18;
+inline constexpr double kMultihomedFractionEnd = 0.28;
+
+// Fraction of providers running stateless BGP.
+inline constexpr double kStatelessFraction = 0.5;
+
+// AS-number allocation: most 1996 customers used provider-assigned space
+// with no AS of their own (the paper's table had only ~1,300 ASes for
+// 42,000 prefixes). Multihomed sites need global visibility but often
+// still announced through both providers without a registered ASN.
+inline constexpr double kMultihomedOwnAsnProb = 0.12;
 
 struct TopologyConfig {
   // Fraction of the paper's universe (42,000 prefixes / 1,300 ASes) to
@@ -46,29 +62,8 @@ struct TopologyConfig {
   // withdrawal pathology).
   double aggregated_fraction = 0.55;
 
-  // Multi-homing: fraction of *visible* prefixes multihomed at scenario
-  // start and end (linear ramp between; "more than 25 percent of prefixes
-  // are currently multi-homed" with "a relatively steep linear rate of
-  // growth").
-  double multihomed_fraction_start = 0.18;
-  double multihomed_fraction_end = 0.28;
-
-  // Behavioural archetypes.
-  double stateless_fraction = 0.5;   // providers running stateless BGP
-  double unjittered_fraction = 0.85; // providers with fixed-phase 30s timer
-
-  // Zipf exponent for provider table shares (6-8 ISPs dominate).
-  double provider_zipf_exponent = 1.1;
-
-  // Fraction of visible prefixes that are chronically flappy.
-  double flappy_fraction = 0.12;
-
-  // AS-number allocation: most 1996 customers used provider-assigned space
-  // with no AS of their own (the paper's table had only ~1,300 ASes for
-  // 42,000 prefixes). Multihomed sites need global visibility but often
-  // still announced through both providers without a registered ASN.
-  double multihomed_own_asn_prob = 0.12;
-  double singlehomed_own_asn_prob = 0.01;
+  // Behavioural archetype: providers with a fixed-phase 30 s timer.
+  double unjittered_fraction = 0.85;
 
   std::uint64_t seed = 1996;
 };

@@ -61,23 +61,18 @@ std::string MultiExchangeResult::Digest(
   // texts concatenated in exchange order — one flipped byte in any flush
   // record (ordering, formatting, values) fails the comparison. The CRC is
   // combined from each exchange's running CRC; the text is never joined.
-  // A run with telemetry disabled (series_flush_interval zero) omits the
-  // section entirely, so its digest is byte-identical to a build that never
-  // had the subsystem.
   std::uint32_t series_crc = 0;
   std::uint64_t series_bytes = 0;
   for (const ExchangeRun& run : exchanges) {
     series_crc = Crc32Combine(series_crc, run.series_crc32, run.series_bytes);
     series_bytes += run.series_bytes;
   }
-  if (total_series_records != 0 || series_bytes != 0) {
-    out += "timeseries.begin\n";
-    add("records", total_series_records);
-    add("bytes", series_bytes);
-    std::snprintf(line, sizeof(line), "crc32=0x%08X\n", series_crc);
-    out += line;
-    out += "timeseries.end\n";
-  }
+  out += "timeseries.begin\n";
+  add("records", total_series_records);
+  add("bytes", series_bytes);
+  std::snprintf(line, sizeof(line), "crc32=0x%08X\n", series_crc);
+  out += line;
+  out += "timeseries.end\n";
   // Causal attribution rollup, merged in exchange order (the fixed-order
   // contract: ShardProvenance::Merge is an iri_det aggregation sink). The
   // matrix lines iterate (category, kind) in enum order and skip zero cells,

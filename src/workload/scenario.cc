@@ -12,6 +12,60 @@ namespace {
 
 constexpr Duration kDay = Duration::Days(1);
 
+// --- legitimate instability ---
+constexpr Duration kMeanRepairTime = Duration::Seconds(75);
+constexpr Duration kMeanFailoverRepair = Duration::Minutes(8);
+
+// --- oscillation episodes ---
+// Episode *targets* are drawn provider-first (uniformly across ASes, not
+// across prefixes), which decorrelates update share from routing-table
+// share — Figure 6's central negative result. The flappy subset gets
+// most episodes and much longer ones (Figure 7's heavy tails; the
+// paper's Provider-E pattern of a few prefixes updating all day).
+constexpr double kEpisodeFlappyBias = 0.6;
+constexpr Duration kMeanEpisodeLength = Duration::Minutes(4);
+constexpr Duration kMaxEpisodeLength = Duration::Hours(4);
+constexpr double kFlappyEpisodeMultiplier = 8.0;  // length multiplier
+// Chance that a CSU line recovery comes back via the indirect transit
+// path (turns a WADup into a WADiff at the collector).
+constexpr double kCsuPathToggleProb = 0.6;
+
+// --- pathological mechanisms ---
+constexpr double kInternalResetBeatsMean = 5.0;  // resets per episode
+// Fraction of the provider's own routes behind the flapping internal
+// adjacency (each beat re-dirties a fresh sample).
+constexpr double kInternalResetDirtyFraction = 0.3;
+
+// --- maintenance windows (Figure 3's ~10:00 ridge) ---
+constexpr double kMaintenanceHour = 10.0;
+constexpr double kMaintenanceWindowH = 0.5;
+constexpr double kMaintenanceBoost = 5.0;  // flap-rate boost in window
+
+// --- Saturday spikes ---
+constexpr double kSaturdaySpikeBoost = 6.0;
+constexpr Duration kSaturdaySpikeLength = Duration::Hours(1.5);
+
+// --- the upgrade incident (Figure 3 / Figure 10) ---
+constexpr double kUpgradeFlapMultiplier = 10.0;
+constexpr int kUpgradeProvider = 0;  // index; 0 is the largest ISP
+
+// --- the pathological small-ISP incident (Table 1's ISP-I) ---
+// Fraction of the universe in its table. At 1.0 every customer is in it,
+// but the per-customer draw stays: the RNG stream depends on it.
+constexpr double kPathoTableFraction = 1.0;
+
+// --- routers and links ---
+// The paper's 30 s flush timer (unjittered at most providers).
+constexpr Duration kFlushInterval = Duration::Seconds(30);
+constexpr Duration kLinkLatency = Duration::Millis(2);
+
+// --- streaming telemetry (obs/timeseries.h, obs/health.h) ---
+// Period of the sim-time flush event that drains the series instruments
+// into JSONL records and feeds the health detectors. Must divide the timer
+// periods HealthConfig watches for the periodicity score to see them (10 s
+// against 30 s/60 s by default).
+constexpr Duration kSeriesFlushInterval = Duration::Seconds(10);
+
 int DayIndex(TimePoint t) {
   return static_cast<int>(t.nanos() / kDay.nanos());
 }
@@ -26,7 +80,8 @@ ExchangeScenario::ExchangeScenario(ScenarioConfig config,
                                    topology::Universe universe)
     : config_(std::move(config)),
       universe_(std::move(universe)),
-      usage_(config_.usage),
+      usage_(UsageConfig{}),
+      health_(obs::HealthConfig{}, kSeriesFlushInterval, &trace_, &metrics_),
       rng_(config_.seed) {
   IRI_ASSERT(config_.num_exchanges == 1,
              "ExchangeScenario is one exchange point; run K exchanges "
@@ -63,25 +118,17 @@ void ExchangeScenario::Build() {
   // The monitor feeds the named instruments, and the flush tick samples the
   // same windows for the health feed — so the caches below and the
   // monitor's caches alias by name.
-  if (config_.series_flush_interval.nanos() > 0) {
-    health_ = std::make_unique<obs::HealthMonitor>(
-        config_.health, config_.series_flush_interval, &trace_, &metrics_);
-    series_updates_ = &series_.GetCounter("monitor.updates");
-    series_wwdup_ = &series_.GetCounter("monitor.wwdup");
-    series_aadup_ = &series_.GetCounter("monitor.aadup");
-    monitor_->AttachTimeSeries(&series_, health_.get());
-  }
+  series_updates_ = &series_.GetCounter("monitor.updates");
+  series_wwdup_ = &series_.GetCounter("monitor.wwdup");
+  series_aadup_ = &series_.GetCounter("monitor.aadup");
+  monitor_->AttachTimeSeries(&series_, &health_);
 
-  // --- pathological provider selection: smallest table weight ---
-  patho_provider_ = config_.patho_provider;
-  if (config_.patho_enabled && patho_provider_ < 0) {
-    patho_provider_ = static_cast<int>(universe_.providers.size()) - 1;
-  }
+  // --- the pathological provider: the smallest table weight (providers
+  // are in Zipf order, so the last one) ---
   if (config_.patho_enabled) {
     // The incident requires the stateless implementation (the spray is a
     // no-op through a stateful border router).
-    universe_.providers[static_cast<std::size_t>(patho_provider_)]
-        .stateless_bgp = true;
+    universe_.providers.back().stateless_bgp = true;
   }
 
   // --- provider border routers + their exchange links ---
@@ -93,13 +140,12 @@ void ExchangeScenario::Build() {
     cfg.interface_addr = spec.interface_addr;
     cfg.stateless_bgp = spec.stateless_bgp && !config_.force_all_stateful;
     cfg.hold_time_s = 90;
-    cfg.packer.interval = config_.flush_interval;
+    cfg.packer.interval = kFlushInterval;
     cfg.packer.discipline =
         (spec.unjittered_timer && !config_.force_all_jittered)
             ? bgp::TimerDiscipline::kUnjittered
             : bgp::TimerDiscipline::kJittered;
     cfg.enable_dampening = config_.providers_dampen;
-    cfg.dampening = config_.dampening;
     auto router = std::make_unique<sim::Router>(sched_, cfg, rng_.Next());
 
     // Export policy toward the exchange: own routes only, and never the
@@ -118,7 +164,7 @@ void ExchangeScenario::Build() {
       exp.Add(std::move(allow_own));
     }
 
-    auto link = std::make_unique<sim::Link>(sched_, config_.link_latency);
+    auto link = std::make_unique<sim::Link>(sched_, kLinkLatency);
     router->AttachObservability(&metrics_, &trace_);
     router->SetProvenance(&prov_);
     link->AttachObservability(&metrics_, &trace_, cfg.name);
@@ -168,7 +214,7 @@ void ExchangeScenario::Build() {
   if (config_.patho_enabled) {
     for (std::size_t i = 0; i < universe_.customers.size(); ++i) {
       if (universe_.customers[i].aggregated) continue;
-      if (rng_.Uniform() < config_.patho_table_fraction) {
+      if (rng_.Uniform() < kPathoTableFraction) {
         patho_table_.push_back(static_cast<int>(i));
       }
     }
@@ -291,15 +337,15 @@ void ExchangeScenario::SchedulePoisson(double events_per_day,
 double ExchangeScenario::FlapBoost(TimePoint t, int provider) const {
   double boost = 1.0;
   const double hour = UsageModel::HourOfDay(t);
-  if (hour >= config_.maintenance_hour &&
-      hour < config_.maintenance_hour + config_.maintenance_window_h) {
-    boost *= config_.maintenance_boost;
+  if (hour >= kMaintenanceHour &&
+      hour < kMaintenanceHour + kMaintenanceWindowH) {
+    boost *= kMaintenanceBoost;
   }
   if (t < saturday_boost_end_) boost *= saturday_boost_;
-  if (config_.upgrade_enabled && provider == config_.upgrade_provider) {
+  if (config_.upgrade_enabled && provider == kUpgradeProvider) {
     const int day = DayIndex(t);
     if (day >= config_.upgrade_start_day && day <= config_.upgrade_end_day) {
-      boost *= config_.upgrade_flap_multiplier;
+      boost *= kUpgradeFlapMultiplier;
     }
   }
   return boost;
@@ -308,8 +354,8 @@ double ExchangeScenario::FlapBoost(TimePoint t, int provider) const {
 void ExchangeScenario::ScheduleProcesses() {
   const double env_usage = usage_.MaxLevel(config_.duration);
   const double max_boost =
-      std::max({config_.maintenance_boost, config_.saturday_spike_boost,
-                config_.upgrade_enabled ? config_.upgrade_flap_multiplier : 1.0});
+      std::max({kMaintenanceBoost, kSaturdaySpikeBoost,
+                config_.upgrade_enabled ? kUpgradeFlapMultiplier : 1.0});
   const double env_flap = env_usage * max_boost;
 
   const int n_customers = universe_.TotalPrefixes();
@@ -400,7 +446,7 @@ void ExchangeScenario::ScheduleProcesses() {
       config_.csu_episode_rate * std::max(1, n_visible), env_flap,
       [this, visible_by, flappy_by, pick_provider_first, accept_boosted] {
         const int ci = pick_provider_first(visible_by, flappy_by,
-                                           config_.episode_flappy_bias);
+                                           kEpisodeFlappyBias);
         if (ci >= 0 && accept_boosted(ci)) StartCsuEpisode(ci);
       });
 
@@ -409,7 +455,7 @@ void ExchangeScenario::ScheduleProcesses() {
       config_.oscillation_episode_rate * std::max(1, n_alternate), env_flap,
       [this, alternates_by, flappy_by, pick_provider_first, accept_boosted] {
         const int ci = pick_provider_first(alternates_by, flappy_by,
-                                           config_.episode_flappy_bias);
+                                           kEpisodeFlappyBias);
         if (ci >= 0 && accept_boosted(ci)) StartOscillationEpisode(ci);
       });
 
@@ -446,8 +492,7 @@ void ExchangeScenario::ScheduleProcesses() {
   }
 
   // The pathological small-ISP incident: private upstream flaps.
-  if (config_.patho_enabled && patho_provider_ >= 0 &&
-      !patho_table_.empty()) {
+  if (config_.patho_enabled && !patho_table_.empty()) {
     SchedulePoisson(config_.patho_spray_rate, env_usage, [this, env_usage] {
       if (rng_.Uniform() * env_usage > usage_.Level(sched_.Now())) return;
       PathoSpray();
@@ -467,10 +512,8 @@ void ExchangeScenario::ScheduleProcesses() {
   // The telemetry flush tick chain. Each tick reschedules the next from
   // inside its own handler, so the end-of-run finalize (same timestamp as
   // the last flush) runs after it rather than racing it on scheduler seq.
-  if (config_.series_flush_interval.nanos() > 0) {
-    sched_.At(TimePoint::Origin() + config_.series_flush_interval,
-              [this] { SeriesTick(); });
-  }
+  sched_.At(TimePoint::Origin() + kSeriesFlushInterval,
+            [this] { SeriesTick(); });
 
   ScheduleMidnight(0);
   // Day 0's maintenance/Saturday decisions.
@@ -482,21 +525,21 @@ void ExchangeScenario::SeriesTick() {
   const TimePoint now = sched_.Now();
   // Feed the detectors the windows being closed by this flush (window()
   // still holds the last interval's counts until Flush resets it).
-  health_->ObserveTick(
+  health_.ObserveTick(
       now, static_cast<std::uint64_t>(series_updates_->window()),
       static_cast<std::uint64_t>(series_wwdup_->window()),
       static_cast<std::uint64_t>(series_aadup_->window()));
   series_.Flush(now);
-  const TimePoint next = now + config_.series_flush_interval;
+  const TimePoint next = now + kSeriesFlushInterval;
   if (next <= TimePoint::Origin() + config_.duration) {
     sched_.At(next, [this] { SeriesTick(); });
   } else {
-    health_->Finalize(now);
+    health_.Finalize(now);
   }
 }
 
 void ExchangeScenario::StartUpgradeIncident() {
-  const int upg = config_.upgrade_provider;
+  const int upg = kUpgradeProvider;
   // One cause covers the whole multi-day incident: the emergency-transit
   // announcements, every session bounce, and the end-of-window withdrawals
   // all trace back to this allocation.
@@ -594,7 +637,7 @@ void ExchangeScenario::CustomerFlap(int customer, bool failover) {
     WithdrawAt(c.primary_provider, c.prefix);
   }
   const Duration mean =
-      failover ? config_.mean_failover_repair : config_.mean_repair_time;
+      failover ? kMeanFailoverRepair : kMeanRepairTime;
   Duration repair = Duration::Seconds(
       std::max(5.0, rng_.Exponential(mean.ToSeconds())));
   sched_.After(repair, [this, customer, cause] {
@@ -605,7 +648,7 @@ void ExchangeScenario::CustomerFlap(int customer, bool failover) {
     // Repairs frequently converge onto a different internal path first
     // (WADiff rather than WADup at the collector).
     if (cust.has_alternate_path &&
-        rng_.Uniform() < config_.csu_path_toggle_prob) {
+        rng_.Uniform() < kCsuPathToggleProb) {
       state.on_alternate = !state.on_alternate;
     }
     obs::CauseScope scope(&prov_, cause);
@@ -635,7 +678,7 @@ void ExchangeScenario::PathChangeBurst(int customer, int flips_left,
   if (flips_left > 1) {
     // The settle transient re-flips on the next flush tick or two.
     const double multiple = rng_.Bernoulli(0.7) ? 1.0 : 2.0;
-    sched_.After(config_.flush_interval * multiple,
+    sched_.After(kFlushInterval * multiple,
                  [this, customer, flips_left, cause] {
                    PathChangeBurst(customer, flips_left - 1, cause);
                  });
@@ -658,9 +701,9 @@ void ExchangeScenario::StartCsuEpisode(int customer) {
     st.episode_up_frac = 0.9 + 0.2 * rng_.Uniform();
   }
   const auto& cust = universe_.customers[static_cast<std::size_t>(customer)];
-  const double mean_s = config_.mean_episode_length.ToSeconds() *
-                        (cust.flappy ? config_.flappy_episode_multiplier : 1.0);
-  const double len_s = std::min(config_.max_episode_length.ToSeconds(),
+  const double mean_s = kMeanEpisodeLength.ToSeconds() *
+                        (cust.flappy ? kFlappyEpisodeMultiplier : 1.0);
+  const double len_s = std::min(kMaxEpisodeLength.ToSeconds(),
                                 std::max(45.0, rng_.Exponential(mean_s)));
   CsuBeat(customer, sched_.Now() + Duration::Seconds(len_s), /*down=*/true);
 }
@@ -690,7 +733,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
     }
     // Carrier loss duration follows the episode's beat profile (slight
     // per-beat wobble models the clock drift).
-    const Duration off = config_.flush_interval * st.episode_down_frac *
+    const Duration off = kFlushInterval * st.episode_down_frac *
                          (0.95 + 0.1 * rng_.Uniform());
     sched_.After(off, [this, customer, episode_end] {
       CsuBeat(customer, episode_end, /*down=*/false);
@@ -701,7 +744,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
       // re-announcement differs from the withdrawn route (WADiff, not
       // WADup, at the collector).
       if (c.has_alternate_path &&
-          rng_.Uniform() < config_.csu_path_toggle_prob) {
+          rng_.Uniform() < kCsuPathToggleProb) {
         st.on_alternate = !st.on_alternate;
       }
       OriginateAt(c.primary_provider,
@@ -712,7 +755,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
     // Carrier holds per the beat profile before the next drop; the full
     // beat period is ~1-2 flush intervals, putting successive visible
     // re-announcements 30-60 s apart (Figure 8's dominant bins).
-    const Duration on = config_.flush_interval * st.episode_up_frac *
+    const Duration on = kFlushInterval * st.episode_up_frac *
                         (0.95 + 0.1 * rng_.Uniform());
     sched_.After(on, [this, customer, episode_end] {
       CsuBeat(customer, episode_end, /*down=*/true);
@@ -727,9 +770,9 @@ void ExchangeScenario::StartOscillationEpisode(int customer) {
   st.episode_cause =
       prov_.Allocate(obs::CauseKind::kOscillation, sched_.Now());
   const auto& cust = universe_.customers[static_cast<std::size_t>(customer)];
-  const double mean_s = config_.mean_episode_length.ToSeconds() *
-                        (cust.flappy ? config_.flappy_episode_multiplier : 1.0);
-  const double len_s = std::min(config_.max_episode_length.ToSeconds(),
+  const double mean_s = kMeanEpisodeLength.ToSeconds() *
+                        (cust.flappy ? kFlappyEpisodeMultiplier : 1.0);
+  const double len_s = std::min(kMaxEpisodeLength.ToSeconds(),
                                 std::max(60.0, rng_.Exponential(mean_s)));
   OscillationBeat(customer, sched_.Now() + Duration::Seconds(len_s));
 }
@@ -753,7 +796,7 @@ void ExchangeScenario::OscillationBeat(int customer, TimePoint episode_end) {
   // IGP timers run on multiples of ~30 s, unjittered: alternate paths come
   // back every one or two flush intervals (30 s and 60 s gaps in Fig. 8).
   const double multiple = rng_.Bernoulli(0.7) ? 1.0 : 2.0;
-  sched_.After(config_.flush_interval * multiple,
+  sched_.After(kFlushInterval * multiple,
                [this, customer, episode_end] {
                  OscillationBeat(customer, episode_end);
                });
@@ -772,7 +815,7 @@ void ExchangeScenario::PolicyFluctuate(int customer) {
 
 void ExchangeScenario::StartInternalResetEpisode(int provider) {
   const int beats =
-      1 + static_cast<int>(rng_.Exponential(config_.internal_reset_beats_mean));
+      1 + static_cast<int>(rng_.Exponential(kInternalResetBeatsMean));
   InternalResetBeat(
       provider, beats,
       prov_.Allocate(obs::CauseKind::kInternalReset, sched_.Now()));
@@ -783,7 +826,7 @@ void ExchangeScenario::InternalResetBeat(int provider, int beats_left,
   if (beats_left <= 0) return;
   obs::CauseScope scope(&prov_, cause);
   sim::Router& border = *borders_[static_cast<std::size_t>(provider)];
-  border.InternalReset(config_.internal_reset_dirty_fraction);
+  border.InternalReset(kInternalResetDirtyFraction);
   // The reset also tears through routes learned *from* the exchange: the
   // stateless router withdraws them toward everyone, including providers
   // that are their only origin (pure WWDup at the collector). The leak set
@@ -798,7 +841,7 @@ void ExchangeScenario::InternalResetBeat(int provider, int beats_left,
     }
     border.SprayWithdrawals(sample);
   }
-  sched_.After(config_.flush_interval, [this, provider, beats_left, cause] {
+  sched_.After(kFlushInterval, [this, provider, beats_left, cause] {
     InternalResetBeat(provider, beats_left - 1, cause);
   });
 }
@@ -807,12 +850,12 @@ void ExchangeScenario::MaintenanceWindow(int day) {
   // Providers occasionally bounce their exchange sessions inside the
   // morning maintenance window (Figure 3's 10:00 ridge).
   const TimePoint base = TimePoint::Origin() + kDay * day +
-                         Duration::Hours(config_.maintenance_hour);
+                         Duration::Hours(kMaintenanceHour);
   if (base > TimePoint::Origin() + config_.duration) return;
   for (std::size_t i = 0; i < links_.size(); ++i) {
     if (rng_.Uniform() >= config_.maintenance_reset_prob) continue;
     const Duration offset =
-        Duration::Hours(config_.maintenance_window_h) * rng_.Uniform();
+        Duration::Hours(kMaintenanceWindowH) * rng_.Uniform();
     sched_.At(base + offset, [this, i] {
       // Minted at fire time (not scheduling time) so the injection
       // timestamp matches the fault, and captured so the restore half of
@@ -841,8 +884,8 @@ void ExchangeScenario::SaturdaySpike(int day) {
   const TimePoint start = TimePoint::Origin() + kDay * day +
                           Duration::Hours(8 + 12 * rng_.Uniform());
   sched_.At(start, [this] {
-    saturday_boost_ = config_.saturday_spike_boost;
-    saturday_boost_end_ = sched_.Now() + config_.saturday_spike_length;
+    saturday_boost_ = kSaturdaySpikeBoost;
+    saturday_boost_end_ = sched_.Now() + kSaturdaySpikeLength;
   });
 }
 
@@ -860,8 +903,7 @@ void ExchangeScenario::PathoSpray() {
     }
   }
   obs::CauseScope scope(&prov_, obs::CauseKind::kPathoSpray, sched_.Now());
-  borders_[static_cast<std::size_t>(patho_provider_)]->SprayWithdrawals(
-      prefixes);
+  borders_.back()->SprayWithdrawals(prefixes);
 }
 
 std::uint64_t ExchangeSubSeed(std::uint64_t scenario_seed, int exchange) {

@@ -55,7 +55,6 @@ struct ScenarioConfig {
   topology::TopologyConfig topology;
   Duration duration = Duration::Days(7);
   std::uint64_t seed = 42;
-  UsageConfig usage;
 
   // Exchange points. The paper instrumented five (Mae-East, AADS, Sprint,
   // PacBell, Mae-West). This is the partition count MultiExchangeRunner
@@ -65,9 +64,7 @@ struct ScenarioConfig {
 
   // --- legitimate instability (per-day rates at usage level 1.0) ---
   double customer_flap_rate = 0.15;   // per customer prefix
-  Duration mean_repair_time = Duration::Seconds(75);
   double failover_rate = 0.04;        // extra flaps for multihomed customers
-  Duration mean_failover_repair = Duration::Minutes(8);
 
   // Background path changes: a route converges onto its alternate path with
   // a short settle burst of 1-5 AADiffs spaced at the flush interval (BGP
@@ -76,83 +73,42 @@ struct ScenarioConfig {
   double path_change_rate = 0.35;  // per alternate-path customer
 
   // --- oscillation episodes ---
-  // Episode *targets* are drawn provider-first (uniformly across ASes, not
-  // across prefixes), which decorrelates update share from routing-table
-  // share — Figure 6's central negative result. The flappy subset gets
-  // most episodes and much longer ones (Figure 7's heavy tails; the
-  // paper's Provider-E pattern of a few prefixes updating all day).
   double csu_episode_rate = 0.18;           // per visible customer
   double oscillation_episode_rate = 0.05;   // per alternate-path customer
-  double episode_flappy_bias = 0.6;
-  Duration mean_episode_length = Duration::Minutes(4);
-  Duration max_episode_length = Duration::Hours(4);
-  double flappy_episode_multiplier = 8.0;  // length multiplier for flappy
-  // Chance that a CSU line recovery comes back via the indirect transit
-  // path (turns a WADup into a WADiff at the collector).
-  double csu_path_toggle_prob = 0.6;
 
   // --- policy fluctuation ---
   double policy_fluctuation_rate = 0.1;  // per visible customer
 
   // --- pathological mechanisms ---
   double internal_reset_episode_rate = 4.0;  // per stateless provider
-  double internal_reset_beats_mean = 5.0;    // resets per episode
-  // Fraction of the provider's own routes behind the flapping internal
-  // adjacency (each beat re-dirties a fresh sample).
-  double internal_reset_dirty_fraction = 0.3;
   // Each reset also sprays withdrawals for this fraction of *foreign*
   // (exchange-learned) prefixes — the paper's ISP-Y, withdrawing routes
   // "announced only by ISP-X" that it never announced itself.
   double internal_reset_foreign_fraction = 0.05;
 
-  // --- maintenance windows ---
-  double maintenance_hour = 10.0;
-  double maintenance_window_h = 0.5;
-  double maintenance_boost = 5.0;            // flap-rate boost in window
-  double maintenance_reset_prob = 0.2;       // per provider per day
-
-  // --- Saturday spikes ---
+  // --- maintenance windows and Saturday spikes ---
+  double maintenance_reset_prob = 0.2;  // per provider per day
   double saturday_spike_prob = 0.5;
-  double saturday_spike_boost = 6.0;
-  Duration saturday_spike_length = Duration::Hours(1.5);
 
-  // --- the upgrade incident (Figure 3 / Figure 10) ---
+  // --- the upgrade incident (Figure 3 / Figure 10), at the largest ISP ---
   bool upgrade_enabled = false;
   int upgrade_start_day = 55;
   int upgrade_end_day = 62;
-  double upgrade_flap_multiplier = 10.0;
-  int upgrade_provider = 0;  // index; 0 is the largest ISP
 
-  // --- the pathological small-ISP incident (Table 1's ISP-I) ---
+  // --- the pathological small-ISP incident (Table 1's ISP-I), at the
+  // smallest provider ---
   bool patho_enabled = false;
-  int patho_provider = -1;  // -1: pick the smallest provider
   double patho_spray_rate = 80.0;  // upstream flaps per day during incident
-  double patho_table_fraction = 1.0;  // fraction of universe in its table
 
   // --- router & exchange knobs (ablation switches) ---
-  Duration flush_interval = Duration::Seconds(30);
   bool force_all_jittered = false;   // ablation: jitter every flush timer
   bool force_all_stateful = false;   // ablation: the vendor software fix
   bool providers_dampen = false;     // RFC 2439 at provider borders
-  bgp::DampeningParams dampening;
-  Duration link_latency = Duration::Millis(2);
 
   // Opt-in profiling (obs/profile.h): resolves the profile.* sites and
   // sched.tasks, all kWallClock instruments that no snapshot includes, so
   // the run's digest is the same with it on or off.
   bool profile_wall_clock = false;
-
-  // --- streaming telemetry (obs/timeseries.h, obs/health.h) ---
-  // Period of the sim-time flush event that drains the series instruments
-  // into JSONL records and feeds the health detectors. Zero (or negative)
-  // disables the whole telemetry path: no flush events, no per-event series
-  // cost beyond a null check. Must divide the timer periods HealthConfig
-  // watches for the periodicity score to see them (10 s against 30 s/60 s by
-  // default).
-  Duration series_flush_interval = Duration::Seconds(10);
-  // Detector thresholds (Goertzel periodicity, WWDup/AADup storm,
-  // flap-burst sessionizer).
-  obs::HealthConfig health;
 };
 
 class ExchangeScenario {
@@ -188,11 +144,10 @@ class ExchangeScenario {
   const obs::Tracer& trace() const { return trace_; }
   // The streaming telemetry pipeline: windowed series records drained by a
   // periodic sim-time flush, and the online health detectors fed from the
-  // same ticks. health() is null when series_flush_interval disables the
-  // telemetry path.
+  // same ticks.
   obs::SeriesFlusher& series() { return series_; }
   const obs::SeriesFlusher& series() const { return series_; }
-  const obs::HealthMonitor* health() const { return health_.get(); }
+  const obs::HealthMonitor& health() const { return health_; }
   // The partition's cause allocator: fault handlers scope causes here, and
   // every router and link holds a pointer. Exposed so the runner can join
   // the cause table with the classifier's attribution matrix.
@@ -232,8 +187,8 @@ class ExchangeScenario {
   // health detectors, drains the series instruments into JSONL records and
   // reschedules itself while the next tick stays inside the configured
   // duration (finalizing the detectors on the last tick). Never draws from
-  // rng_ and never touches routers or links: disabling telemetry must not
-  // move a single simulation byte.
+  // rng_ and never touches routers or links, so the ticks cannot move a
+  // single simulation byte.
   void SeriesTick();
 
   // Event-process machinery: schedules the next arrival of a thinned
@@ -285,7 +240,7 @@ class ExchangeScenario {
   // (routers and links cache a pointer to it).
   obs::ProvenanceContext prov_;
   obs::SeriesFlusher series_;
-  std::unique_ptr<obs::HealthMonitor> health_;
+  obs::HealthMonitor health_;
   // Cached series instruments the flush tick samples for the health feed.
   obs::WindowedCounter* series_updates_ = nullptr;
   obs::WindowedCounter* series_wwdup_ = nullptr;
@@ -316,7 +271,6 @@ class ExchangeScenario {
   // every bounce and by the cleanup at incident end.
   obs::CauseTag upgrade_cause_;
   std::vector<int> patho_table_;   // customer indices the patho ISP carries
-  int patho_provider_ = -1;
   double saturday_boost_ = 1.0;    // active spike multiplier
   TimePoint saturday_boost_end_;
   std::vector<std::function<void(int)>> daily_hooks_;

@@ -179,13 +179,12 @@ TEST(OutboundQueue, JitteredSpreadsDeadlines) {
   PackerConfig cfg;
   cfg.interval = Duration::Seconds(30);
   cfg.discipline = TimerDiscipline::kJittered;
-  cfg.jitter = 0.25;
   std::vector<TimePoint> deadlines;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     OutboundQueue q(cfg, seed);
     q.Enqueue(T(0), {P("10.0.0.0/8"), Attrs({701})});
     deadlines.push_back(q.NextFlush());
-    // All within interval*(1±jitter).
+    // All within interval*(1±0.25).
     EXPECT_GE(deadlines.back(), T(30 * 0.75));
     EXPECT_LE(deadlines.back(), T(30 * 1.25));
   }

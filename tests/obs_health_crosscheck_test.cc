@@ -75,10 +75,10 @@ RunResult RunScenario(bool jittered) {
       [&series](std::string_view flush) { series += flush; });
   scenario.Run();
   RunResult r;
-  const obs::HealthMonitor* health = scenario.health();
-  r.ppm_a = health->periodicity_ppm_a();
-  r.ppm_b = health->periodicity_ppm_b();
-  r.threshold_ppm = cfg.health.periodicity_threshold * 1e6;
+  const obs::HealthMonitor& health = scenario.health();
+  r.ppm_a = health.periodicity_ppm_a();
+  r.ppm_b = health.periodicity_ppm_b();
+  r.threshold_ppm = obs::HealthConfig{}.periodicity_threshold * 1e6;
   r.windows = UpdateWindows(series);
   return r;
 }

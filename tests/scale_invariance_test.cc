@@ -30,7 +30,6 @@ Shares RunShares(double scale_denominator) {
   cfg.topology.seed = 1996;
   cfg.seed = 1997;
   cfg.duration = Duration::Days(1);
-  cfg.series_flush_interval = Duration();  // pure classification run
   workload::ExchangeScenario scenario(cfg);
   scenario.Run();
 

@@ -109,8 +109,8 @@ TEST(Universe, MultihomingRampMatchesConfiguredFractions) {
   const double at_end =
       static_cast<double>(u.MultihomedAt(TimePoint::Origin() + length)) /
       visible;
-  EXPECT_NEAR(at_start, u.config.multihomed_fraction_start, 0.05);
-  EXPECT_NEAR(at_end, u.config.multihomed_fraction_end, 0.05);
+  EXPECT_NEAR(at_start, kMultihomedFractionStart, 0.05);
+  EXPECT_NEAR(at_end, kMultihomedFractionEnd, 0.05);
   EXPECT_GT(at_end, at_start);
 }
 
@@ -138,7 +138,7 @@ TEST(Universe, BackupProviderAlwaysDiffersFromPrimary) {
   // the rest announce provider-origin routes through both providers.
   ASSERT_GT(multihomed, 0);
   EXPECT_NEAR(static_cast<double>(with_asn) / multihomed,
-              u.config.multihomed_own_asn_prob, 0.15);
+              kMultihomedOwnAsnProb, 0.15);
 }
 
 TEST(Universe, BehaviouralFractionsRoughlyRespected) {
@@ -150,7 +150,7 @@ TEST(Universe, BehaviouralFractionsRoughlyRespected) {
     stateless += p.stateless_bgp ? 1 : 0;
     unjittered += p.unjittered_timer ? 1 : 0;
   }
-  EXPECT_NEAR(stateless / 40.0, cfg.stateless_fraction, 0.25);
+  EXPECT_NEAR(stateless / 40.0, kStatelessFraction, 0.25);
   EXPECT_NEAR(unjittered / 40.0, cfg.unjittered_fraction, 0.2);
 }
 

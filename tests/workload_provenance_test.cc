@@ -6,8 +6,7 @@
 //   2. cause-id stability — the attribution JSON (ids, kinds, matrix) is
 //      byte-identical at any exchange thread count;
 //   3. the surfaces: the provenance digest section and cause_injected
-//      trace events are present, and series_flush_interval = Duration()
-//      omits the timeseries digest section entirely;
+//      trace events are present;
 //   4. offline MRT replay has no cause sideband, so everything it
 //      classifies lands unattributed (the replay-differential contract).
 #include <gtest/gtest.h>
@@ -108,24 +107,6 @@ TEST(Provenance, DigestSectionIsPresent) {
   const std::string digest = result.Digest("section");
   EXPECT_NE(digest.find("provenance.begin\n"), std::string::npos);
   EXPECT_NE(digest.find("provenance.end\n"), std::string::npos);
-}
-
-TEST(Provenance, DisabledSeriesOmitsTimeseriesDigestSection) {
-  MultiExchangeConfig cfg = PathologicalDay();
-  cfg.scenario.duration = Duration::Minutes(30);
-  cfg.scenario.series_flush_interval = Duration();  // disables telemetry
-
-  MultiExchangeRunner runner(std::move(cfg));
-  const MultiExchangeResult result = runner.Run();
-
-  // A disabled flush interval produces zero records, so the digest must not
-  // carry an empty timeseries section.
-  for (const auto& run : result.exchanges) {
-    EXPECT_EQ(run.series_records, 0u);
-    EXPECT_EQ(run.series_bytes, 0u);
-  }
-  EXPECT_EQ(result.Digest("series_off").find("timeseries.begin"),
-            std::string::npos);
 }
 
 TEST(Provenance, CauseAllocationsEmitTraceEvents) {
