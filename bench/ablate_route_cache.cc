@@ -110,8 +110,10 @@ RunResult Run(sim::ForwardingArchitecture arch, double updates_per_second,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = bench::Flags::Parse(argc, argv, /*days=*/0,
-                                   /*scale_denominator=*/1, /*providers=*/0);
+  // A fixed 4096-prefix table and traffic mix: only --seed applies.
+  auto flags = bench::Flags::Parse(argc, argv, /*days=*/std::nullopt,
+                                   /*scale_denominator=*/std::nullopt,
+                                   /*providers=*/std::nullopt);
   bench::PrintHeader(
       "Ablation: route-cache vs full-table forwarding under update load",
       flags);

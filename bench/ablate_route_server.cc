@@ -181,8 +181,10 @@ FabricResult RunRouteServer(int n, int prefixes_per_provider) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = iri::bench::Flags::Parse(argc, argv, /*days=*/0,
-                                        /*scale_denominator=*/1,
+  // A fixed 40 prefixes per provider, run to convergence: --providers and
+  // --seed apply.
+  auto flags = iri::bench::Flags::Parse(argc, argv, /*days=*/std::nullopt,
+                                        /*scale_denominator=*/std::nullopt,
                                         /*providers=*/12);
   iri::bench::PrintHeader(
       "Ablation: full-mesh bilateral peering vs a route server", flags);

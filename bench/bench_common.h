@@ -6,13 +6,14 @@
 //   --days=D       simulated days
 //   --providers=P  exchange peers
 //   --seed=S
+// (a bench that does not read --scale, --days or --providers refuses it)
 // and prints the paper-comparable rows for its table/figure. Absolute
 // magnitudes are reported both raw and extrapolated to paper scale
 // (multiplied by N); shapes are scale-invariant. A --scale, --days,
 // --providers or --seed value out of range, or a flag the program does not
-// know, ends the run with exit code 2. tools/iri_simulate parses its flags
-// here too, so `iri_simulate --seed=S` and a bench at --seed=S share a
-// universe.
+// know or does not read, ends the run with exit code 2. tools/iri_simulate
+// parses its flags here too, so `iri_simulate --seed=S` and a bench at
+// --seed=S share a universe.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -92,19 +94,30 @@ struct Flags {
   double days = 7;
   int providers = 16;
   std::uint64_t seed = 1996;
+  // Which of --scale, --days and --providers the program reads.
+  bool reads_scale = true;
+  bool reads_days = true;
+  bool reads_providers = true;
 
-  // `extra` names the caller's own flags, which Parse accepts and leaves to
-  // the caller: a name ending in '=' takes a value ("--threads="), any other
-  // must match exactly ("--attribution"). Any other argument ends the run
-  // with exit code 2, naming it.
-  static Flags Parse(int argc, char** argv, double default_days,
-                     double default_scale_denominator = 64,
-                     int default_providers = 16,
+  // A std::nullopt default marks a flag the program does not read: Parse
+  // refuses it like an unknown one (a value that would change nothing must
+  // not look accepted) and PrintHeader leaves it out. `extra` names the
+  // caller's own flags, which Parse accepts and leaves to the caller: a
+  // name ending in '=' takes a value ("--threads="), any other must match
+  // exactly ("--attribution"). Any other argument ends the run with exit
+  // code 2, naming it.
+  static Flags Parse(int argc, char** argv,
+                     std::optional<double> default_days,
+                     std::optional<double> default_scale_denominator = 64,
+                     std::optional<int> default_providers = 16,
                      std::initializer_list<std::string_view> extra = {}) {
     Flags flags;
-    flags.days = default_days;
-    flags.scale_denominator = default_scale_denominator;
-    flags.providers = default_providers;
+    flags.reads_days = default_days.has_value();
+    flags.reads_scale = default_scale_denominator.has_value();
+    flags.reads_providers = default_providers.has_value();
+    flags.days = default_days.value_or(0);
+    flags.scale_denominator = default_scale_denominator.value_or(1);
+    flags.providers = default_providers.value_or(0);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto value = [&arg](const char* name) -> const char* {
@@ -115,16 +128,23 @@ struct Flags {
         }
         return nullptr;
       };
-      if (const char* scale = value("--scale")) {
+      // An unread --scale, --days or --providers falls through to the
+      // unknown-flag check below.
+      if (const char* scale = value("--scale"); scale && flags.reads_scale) {
         flags.scale_denominator = PositiveNumber("--scale", scale);
-      } else if (const char* days = value("--days")) {
+      } else if (const char* days = value("--days");
+                 days && flags.reads_days) {
         flags.days = PositiveNumber("--days", days);
-      } else if (const char* count = value("--providers")) {
+      } else if (const char* count = value("--providers");
+                 count && flags.reads_providers) {
         flags.providers = ProviderCount(count);
       } else if (const char* text = value("--seed")) {
         flags.seed = SeedValue(text);
       } else if (arg == "--help") {
-        std::printf("flags: --scale=N --days=D --providers=P --seed=S");
+        std::printf("flags:%s%s%s --seed=S",
+                    flags.reads_scale ? " --scale=N" : "",
+                    flags.reads_days ? " --days=D" : "",
+                    flags.reads_providers ? " --providers=P" : "");
         for (const std::string_view name : extra) {
           std::printf(" %.*s", static_cast<int>(name.size()), name.data());
         }
@@ -154,14 +174,17 @@ struct Flags {
   }
 };
 
+// The title and the flags the program reads, e.g. "scale 1/64 of paper
+// universe | 7 day(s) | 16 providers | seed 1996".
 inline void PrintHeader(const char* title, const Flags& flags) {
   std::printf("==================================================\n");
   std::printf("%s\n", title);
-  std::printf(
-      "scale 1/%.0f of paper universe | %.0f day(s) | %d providers | seed "
-      "%llu\n",
-      flags.scale_denominator, flags.days, flags.providers,
-      static_cast<unsigned long long>(flags.seed));
+  if (flags.reads_scale) {
+    std::printf("scale 1/%.0f of paper universe | ", flags.scale_denominator);
+  }
+  if (flags.reads_days) std::printf("%.0f day(s) | ", flags.days);
+  if (flags.reads_providers) std::printf("%d providers | ", flags.providers);
+  std::printf("seed %llu\n", static_cast<unsigned long long>(flags.seed));
   std::printf("==================================================\n");
 }
 

@@ -57,8 +57,11 @@ sim::Router* MakeBorderRouter(sim::Scheduler& sched, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // One ISP's two border routers at two exchanges: --providers does not
+  // apply.
   auto flags = bench::Flags::Parse(argc, argv, /*days=*/1.0,
-                                   /*scale_denominator=*/16, /*providers=*/2);
+                                   /*scale_denominator=*/16,
+                                   /*providers=*/std::nullopt);
   bench::PrintHeader(
       "§4.2: the stateful software fix, measured at two exchanges at once",
       flags);

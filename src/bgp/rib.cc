@@ -7,15 +7,24 @@
 namespace iri::bgp {
 
 void Rib::AddPeer(PeerId peer, IPv4Address router_id) {
-  peers_[peer] = router_id;
-  if (peer != kLocalPeer && peer >= peer_route_counts_.size()) {
-    peer_route_counts_.resize(static_cast<std::size_t>(peer) + 1, 0);
+  if (peer == kLocalPeer) {
+    local_router_id_ = router_id;
+    return;
   }
+  if (peer >= peer_route_counts_.size()) {
+    peer_route_counts_.resize(static_cast<std::size_t>(peer) + 1, 0);
+    peer_router_ids_.resize(peer_route_counts_.size());
+  }
+  peer_router_ids_[peer] = router_id;
 }
 
 RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   obs::ScopedTimer timer(&announce_site_, 1);
-  IRI_ASSERT(peers_.contains(peer),
+  const std::optional<IPv4Address>& router_id =
+      peer == kLocalPeer               ? local_router_id_
+      : peer < peer_router_ids_.size() ? peer_router_ids_[peer]
+                                       : kUnregistered;
+  IRI_ASSERT(router_id.has_value(),
              "Announce from a peer never registered with AddPeer");
   IRI_ASSERT(attrs_.Contains(attrs), "Announce of an id not from attrs()");
   auto [slot, fresh] = index_.TryEmplace(prefix);
@@ -43,7 +52,7 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   if (own == nullptr) {
     own = &entry->candidates.emplace_back();
     own->peer = peer;
-    own->peer_router_id = peers_[peer];
+    own->peer_router_id = *router_id;
     ++RouteCount(peer);
     ++num_routes_;
   }

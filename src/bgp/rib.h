@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "bgp/decision.h"
@@ -178,7 +178,12 @@ class Rib {
   std::vector<Entry> entries_;
   ProbeMap<Prefix, std::uint32_t> index_;
   mutable std::vector<std::uint32_t> address_order_;
-  std::unordered_map<PeerId, IPv4Address> peers_;
+  // Router ids (the decision's final tie-break) of the peers registered by
+  // AddPeer, indexed by PeerId, and of kLocalPeer; nullopt until registered.
+  // Announce reads one per call, so this is an index, not a hash lookup.
+  std::vector<std::optional<IPv4Address>> peer_router_ids_;
+  std::optional<IPv4Address> local_router_id_;
+  static constexpr std::optional<IPv4Address> kUnregistered{};
   // Routes held per registered peer id, and from kLocalPeer.
   std::vector<std::size_t> peer_route_counts_;
   std::size_t local_route_count_ = 0;

@@ -1,24 +1,8 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
+#include "obs/format.h"
 
 namespace iri::obs {
-
-namespace {
-
-void AppendU64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void AppendI64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-}  // namespace
 
 Registry::Instrument& Registry::Register(const std::string& name,
                                          Instrument::Kind kind,

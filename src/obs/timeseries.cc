@@ -1,33 +1,11 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "netbase/crc32.h"
+#include "obs/format.h"
 
 namespace iri::obs {
-
-namespace {
-
-void AppendU64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void AppendI64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-void AppendF64(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  out += buf;
-}
-
-}  // namespace
 
 WindowedHistogram::WindowedHistogram(std::span<const std::int64_t> upper_edges,
                                      int window_ticks)
@@ -110,7 +88,7 @@ void SeriesFlusher::Flush(TimePoint now) {
       scratch_ += ",\"total\":";
       AppendU64(scratch_, c.total());
       scratch_ += ",\"ewma\":";
-      AppendF64(scratch_, c.ewma());
+      AppendFixed6(scratch_, c.ewma());
     } else {
       WindowedHistogram& h = *inst.histogram;
       scratch_ += ",\"count\":";

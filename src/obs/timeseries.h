@@ -19,9 +19,9 @@
 //     digest's timeseries section is the CRC of the concatenated text at any
 //     worker thread count (locked by tests/golden_run_test.cc).
 //
-// EWMA values are doubles formatted with a fixed "%.6f"; the arithmetic is
-// a fixed sequence of IEEE-754 operations per partition, so the formatted
-// bytes cannot vary with thread placement.
+// EWMA values are doubles formatted as "%.6f" would (obs/format.h); the
+// arithmetic is a fixed sequence of IEEE-754 operations per partition, so
+// the formatted bytes cannot vary with thread placement.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include "obs/format.h"
 
 namespace iri::obs {
 
@@ -26,27 +26,17 @@ void AppendEscaped(std::string& out, std::string_view s) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          // "\u%04x" of a control character: 00 then two hex digits.
+          constexpr char kHex[] = "0123456789abcdef";
+          const auto byte = static_cast<unsigned char>(c);
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xF];
         } else {
           out += c;
         }
     }
   }
-}
-
-void AppendU64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void AppendI64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
 }
 
 }  // namespace

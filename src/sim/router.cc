@@ -98,47 +98,55 @@ void Router::AttachObservability(obs::Registry* registry,
   }
 }
 
+bgp::AttrSetId Router::InternLocal(const bgp::PathAttributes& attrs) {
+  // The scratch member keeps its buffer capacity across calls.
+  originate_scratch_ = attrs;
+  originate_scratch_.local_pref = 1000;
+  return rib_.attrs().Intern(originate_scratch_);
+}
+
 void Router::Originate(const bgp::Route& route) {
   if (crashed_) return;
+  Originate(route.prefix, InternLocal(route.attributes));
+}
+
+void Router::Originate(const Prefix& prefix, bgp::AttrSetId attr_id) {
+  if (crashed_) return;
+  IRI_DCHECK(rib_.attrs().Contains(attr_id) &&
+                 rib_.attrs().Get(attr_id).local_pref == 1000,
+             "Originate takes an attribute set from InternLocal");
   // Injection entry point: ops emitted for this change carry the ambient cause.
   const obs::CauseTag cause = AmbientCause();
-  // Local routes win the decision against any learned path. The scratch
-  // member keeps its buffer capacity across the scenario's hundreds of
-  // thousands of Originate calls.
-  originate_scratch_ = route.attributes;
-  originate_scratch_.local_pref = 1000;
-  const bgp::AttrSetId attr_id = rib_.attrs().Intern(originate_scratch_);
   // Border dampening (RFC 2439 deployed at the provider edge): flapping
   // customer routes accumulate penalty and, once suppressed, are installed
   // locally but NOT advertised until the reuse timer releases them.
   bool suppressed = false;
   if (config_.enable_dampening) {
-    const std::uint32_t* prev = local_index_.Find(route.prefix);
+    const std::uint32_t* prev = local_index_.Find(prefix);
     const bool exists = prev != nullptr && *prev != kNoLocalRoute;
     const bool attr_change =
         exists && !rib_.attrs().ForwardingEquivalent(
                       local_routes_[*prev].attr_id, attr_id);
     const auto verdict = dampener_.OnAnnounce(
-        {route.prefix, bgp::kLocalPeer}, sched_.Now(), attr_change);
+        {prefix, bgp::kLocalPeer}, sched_.Now(), attr_change);
     suppressed = verdict != bgp::DampVerdict::kPass;
   }
-  auto [slot, fresh] = local_index_.TryEmplace(route.prefix);
+  auto [slot, fresh] = local_index_.TryEmplace(prefix);
   if (fresh || *slot == kNoLocalRoute) {
     *slot = static_cast<std::uint32_t>(local_routes_.size());
-    local_routes_.push_back(LocalRoute{route.prefix, attr_id});
+    local_routes_.push_back(LocalRoute{prefix, attr_id});
   } else {
     local_routes_[*slot].attr_id = attr_id;
   }
   const bgp::RibChange change =
-      rib_.Announce(bgp::kLocalPeer, route.prefix, attr_id);
+      rib_.Announce(bgp::kLocalPeer, prefix, attr_id);
   if (suppressed) {
     ++stats_.damped_updates;
     if (metrics_.damped_updates) metrics_.damped_updates->Add(1);
     // Re-advertise when the dampener releases the route — the "legitimate
     // announcements delayed" cost the paper warns about.
     const TimePoint reuse =
-        dampener_.ReuseTime({route.prefix, bgp::kLocalPeer}, sched_.Now());
-    const Prefix prefix = route.prefix;
+        dampener_.ReuseTime({prefix, bgp::kLocalPeer}, sched_.Now());
     sched_.At(reuse + Duration::Seconds(1), [this, prefix, cause] {
       if (crashed_ || !HasLocalRoute(prefix)) return;
       if (dampener_.IsSuppressed({prefix, bgp::kLocalPeer}, sched_.Now())) {
@@ -150,7 +158,7 @@ void Router::Originate(const bgp::Route& route) {
     return;
   }
   if (change.best_changed) {
-    PropagateChange(route.prefix, change.new_best, cause);
+    PropagateChange(prefix, change.new_best, cause);
   }
 }
 

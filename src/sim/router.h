@@ -143,9 +143,20 @@ class Router : public LinkEndpoint {
                          bgp::Policy import_policy = bgp::Policy::AcceptAll(),
                          bgp::Policy export_policy = bgp::Policy::AcceptAll());
 
-  // Originates a locally-sourced route (customer network / IGP injection).
-  // The attribute template's as_path may carry downstream customer ASes;
-  // this router's own AS is prepended at export time.
+  // Interns `attrs` as a locally-sourced attribute set: LOCAL_PREF 1000, so
+  // a local route wins the decision against any learned path. The id is
+  // this router's to keep: its table never shrinks or renumbers, so a
+  // caller that originates the same attributes again may cache it.
+  bgp::AttrSetId InternLocal(const bgp::PathAttributes& attrs);
+
+  // Originates a locally-sourced route (customer network / IGP injection)
+  // with an attribute set from InternLocal. The set's as_path may carry
+  // downstream customer ASes; this router's own AS is prepended at export
+  // time.
+  void Originate(const Prefix& prefix, bgp::AttrSetId attr_id);
+
+  // Interns route.attributes (InternLocal) and originates the route. A
+  // crashed router drops the call before interning anything.
   void Originate(const bgp::Route& route);
 
   // Withdraws a locally-sourced route.
@@ -310,7 +321,7 @@ class Router : public LinkEndpoint {
   std::vector<LocalRoute> local_routes_;
   ProbeMap<Prefix, std::uint32_t> local_index_;  // kNoLocalRoute = erased
   static constexpr std::uint32_t kNoLocalRoute = 0xFFFFFFFFu;
-  bgp::PathAttributes originate_scratch_;  // reused by Originate (hot path)
+  bgp::PathAttributes originate_scratch_;  // reused by InternLocal
   // FlushPeer's buffers, reused across flushes (their capacity persists).
   std::vector<bgp::RouteOp> flush_ops_;
   std::vector<bgp::RouteOp> final_ops_;

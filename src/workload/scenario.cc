@@ -177,17 +177,21 @@ void ExchangeScenario::Build() {
     links_.push_back(std::move(link));
   }
 
+  // The cached attribute ids sit in what was padding: one state per
+  // customer, 42 k at paper scale.
+  static_assert(sizeof(CustomerState) <= 40);
   customer_state_.assign(universe_.customers.size(), CustomerState{});
 
   // Weighted customer sampling table (per-provider flap multipliers).
-  customer_weight_cumulative_.reserve(universe_.customers.size());
+  std::vector<double> cumulative;
+  cumulative.reserve(universe_.customers.size());
   double acc = 0;
   for (const auto& c : universe_.customers) {
     acc += universe_.providers[static_cast<std::size_t>(c.primary_provider)]
                .customer_flap_multiplier;
-    customer_weight_cumulative_.push_back(acc);
+    cumulative.push_back(acc);
   }
-  customer_weight_total_ = acc;
+  customer_weights_ = GuideTable(std::move(cumulative));
 
   for (const auto& c : universe_.customers) {
     if (!c.aggregated) {
@@ -225,16 +229,29 @@ void ExchangeScenario::OriginateAt(int provider, const bgp::Route& route) {
   borders_[static_cast<std::size_t>(provider)]->Originate(route);
 }
 
+void ExchangeScenario::OriginateCustomer(int customer, bool alternate_path) {
+  auto& st = customer_state_[static_cast<std::size_t>(customer)];
+  const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
+  sim::Router& border = *borders_[static_cast<std::size_t>(c.primary_provider)];
+  // A crashed border drops the origination before interning, so the cache
+  // fills at the same call that would have minted the id.
+  if (border.crashed()) return;
+  bgp::AttrSetId& id = alternate_path ? st.alternate_attrs : st.direct_attrs;
+  if (id == bgp::kInvalidAttrSetId) {
+    id = border.InternLocal(
+        CustomerRoute(customer, /*via_primary=*/true, alternate_path)
+            .attributes);
+  }
+  border.Originate(c.prefix, id);
+}
+
 void ExchangeScenario::WithdrawAt(int provider, const Prefix& prefix) {
   borders_[static_cast<std::size_t>(provider)]->WithdrawLocal(prefix);
 }
 
 int ExchangeScenario::SampleCustomer() {
-  const double r = rng_.Uniform() * customer_weight_total_;
-  const auto it =
-      std::lower_bound(customer_weight_cumulative_.begin(),
-                       customer_weight_cumulative_.end(), r);
-  return static_cast<int>(it - customer_weight_cumulative_.begin());
+  const double r = rng_.Uniform() * customer_weights_.total();
+  return static_cast<int>(customer_weights_.LowerBound(r));
 }
 
 bgp::Route ExchangeScenario::CustomerRoute(int customer, bool via_primary,
@@ -285,9 +302,7 @@ void ExchangeScenario::Bootstrap() {
     }
     for (std::size_t ci = 0; ci < universe_.customers.size(); ++ci) {
       const auto& c = universe_.customers[ci];
-      OriginateAt(c.primary_provider,
-                  CustomerRoute(static_cast<int>(ci), /*via_primary=*/true,
-                                false));
+      OriginateCustomer(static_cast<int>(ci), /*alternate_path=*/false);
       if (c.backup_provider >= 0 &&
           c.multihomed_since <= sched_.Now()) {
         ActivateBackup(static_cast<int>(ci));
@@ -652,9 +667,7 @@ void ExchangeScenario::CustomerFlap(int customer, bool failover) {
       state.on_alternate = !state.on_alternate;
     }
     obs::CauseScope scope(&prov_, cause);
-    OriginateAt(cust.primary_provider,
-                CustomerRoute(customer, /*via_primary=*/true,
-                              state.on_alternate));
+    OriginateCustomer(customer, state.on_alternate);
   });
 }
 
@@ -662,7 +675,6 @@ void ExchangeScenario::PathChangeBurst(int customer, int flips_left,
                                        obs::CauseTag cause) {
   auto& st = customer_state_[static_cast<std::size_t>(customer)];
   if (!st.line_up || st.in_episode) return;
-  const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
   // Allocate lazily so a burst suppressed by the guards above never mints a
   // cause; every re-flip of the settle transient reuses the first one.
   if (cause.IsNull()) {
@@ -671,9 +683,7 @@ void ExchangeScenario::PathChangeBurst(int customer, int flips_left,
   st.on_alternate = !st.on_alternate;
   {
     obs::CauseScope scope(&prov_, cause);
-    OriginateAt(c.primary_provider,
-                CustomerRoute(customer, /*via_primary=*/true,
-                              st.on_alternate));
+    OriginateCustomer(customer, st.on_alternate);
   }
   if (flips_left > 1) {
     // The settle transient re-flips on the next flush tick or two.
@@ -718,9 +728,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
   if (sched_.Now() >= episode_end) {
     // Episode over: restore the line.
     if (!st.line_up) {
-      OriginateAt(c.primary_provider,
-                  CustomerRoute(customer, /*via_primary=*/true,
-                                st.on_alternate));
+      OriginateCustomer(customer, st.on_alternate);
       st.line_up = true;
     }
     st.in_episode = false;
@@ -747,9 +755,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
           rng_.Uniform() < kCsuPathToggleProb) {
         st.on_alternate = !st.on_alternate;
       }
-      OriginateAt(c.primary_provider,
-                  CustomerRoute(customer, /*via_primary=*/true,
-                                st.on_alternate));
+      OriginateCustomer(customer, st.on_alternate);
       st.line_up = true;
     }
     // Carrier holds per the beat profile before the next drop; the full
@@ -779,20 +785,18 @@ void ExchangeScenario::StartOscillationEpisode(int customer) {
 
 void ExchangeScenario::OscillationBeat(int customer, TimePoint episode_end) {
   auto& st = customer_state_[static_cast<std::size_t>(customer)];
-  const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
   obs::CauseScope scope(&prov_, st.episode_cause);
   if (sched_.Now() >= episode_end || !st.line_up) {
     // Settle back on the direct path.
     if (st.on_alternate && st.line_up) {
       st.on_alternate = false;
-      OriginateAt(c.primary_provider, CustomerRoute(customer, true, false));
+      OriginateCustomer(customer, /*alternate_path=*/false);
     }
     st.in_episode = false;
     return;
   }
   st.on_alternate = !st.on_alternate;
-  OriginateAt(c.primary_provider,
-              CustomerRoute(customer, true, st.on_alternate));
+  OriginateCustomer(customer, st.on_alternate);
   // IGP timers run on multiples of ~30 s, unjittered: alternate paths come
   // back every one or two flush intervals (30 s and 60 s gaps in Fig. 8).
   const double multiple = rng_.Bernoulli(0.7) ? 1.0 : 2.0;
@@ -805,12 +809,12 @@ void ExchangeScenario::OscillationBeat(int customer, TimePoint episode_end) {
 void ExchangeScenario::PolicyFluctuate(int customer) {
   auto& st = customer_state_[static_cast<std::size_t>(customer)];
   if (!st.line_up || st.in_episode) return;
-  const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
   ++st.policy_serial;
+  // The MED moved: both cached attribute sets are stale.
+  st.direct_attrs = st.alternate_attrs = bgp::kInvalidAttrSetId;
   obs::CauseScope scope(&prov_, obs::CauseKind::kPolicyFluctuation,
                         sched_.Now());
-  OriginateAt(c.primary_provider,
-              CustomerRoute(customer, true, st.on_alternate));
+  OriginateCustomer(customer, st.on_alternate);
 }
 
 void ExchangeScenario::StartInternalResetEpisode(int provider) {

@@ -43,6 +43,7 @@
 #include "sim/router.h"
 #include "sim/scheduler.h"
 #include "topology/universe.h"
+#include "workload/guide_table.h"
 #include "workload/usage.h"
 
 namespace iri::workload {
@@ -165,9 +166,14 @@ class ExchangeScenario {
   struct CustomerState {
     bool line_up = true;
     bool in_episode = false;
-    int policy_serial = 0;   // cycles MED values for policy fluctuation
     bool on_alternate = false;
     bool backup_active = false;
+    int policy_serial = 0;   // cycles MED values for policy fluctuation
+    // The route's attribute sets as interned at the primary border, on the
+    // direct and on the alternate (transit) path; kInvalidAttrSetId until
+    // first originated, and again whenever policy_serial moves the MED.
+    bgp::AttrSetId direct_attrs = bgp::kInvalidAttrSetId;
+    bgp::AttrSetId alternate_attrs = bgp::kInvalidAttrSetId;
     // CSU episode beat profile, as fractions of the flush interval. Fast
     // episodes (carrier loss and recovery inside one window) produce 30 s
     // W,A trains through stateless senders; slow episodes (one window down,
@@ -226,6 +232,11 @@ class ExchangeScenario {
   // Route construction helpers.
   bgp::Route CustomerRoute(int customer, bool via_primary,
                            bool alternate_path) const;
+  // Originates `customer`'s route at its primary border on the direct or
+  // the alternate path, from the attribute id cached in its state (built
+  // and interned on first use): a flap, beat or path change builds no
+  // route and interns nothing.
+  void OriginateCustomer(int customer, bool alternate_path);
 
   ScenarioConfig config_;
   topology::Universe universe_;
@@ -276,8 +287,7 @@ class ExchangeScenario {
   std::vector<std::function<void(int)>> daily_hooks_;
 
   // Weighted customer sampling (per-provider flap multipliers).
-  std::vector<double> customer_weight_cumulative_;
-  double customer_weight_total_ = 0;
+  GuideTable customer_weights_;
   int SampleCustomer();
 };
 

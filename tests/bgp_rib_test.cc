@@ -165,6 +165,15 @@ TEST_F(RibTest, PeerRouteCountTracksState) {
   EXPECT_EQ(rib.NumRoutes(), 1u);
 }
 
+TEST_F(RibTest, AnnounceFromAnUnregisteredPeerFailsTheCheck) {
+  // Registered ids are 1..3: id 0 is inside the table but never added,
+  // 99 is past it, and the fixture never registers kLocalPeer.
+  EXPECT_DEATH(rib.Announce(0, R("10.0.0.0/8", {701})), "never registered");
+  EXPECT_DEATH(rib.Announce(99, R("10.0.0.0/8", {701})), "never registered");
+  EXPECT_DEATH(rib.Announce(kLocalPeer, R("10.0.0.0/8", {})),
+               "never registered");
+}
+
 TEST_F(RibTest, VisitBestIsAddressOrdered) {
   // Nested and sibling prefixes announced out of order: the Loc-RIB walk
   // must be exactly a radix trie's pre-order (covering prefix, then its

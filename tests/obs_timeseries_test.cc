@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "netbase/crc32.h"
+#include "netbase/rng.h"
+#include "obs/format.h"
 
 namespace iri::obs {
 namespace {
@@ -149,6 +154,90 @@ TEST(SeriesFlusher, ChecksumsWithoutASink) {
   EXPECT_EQ(without_sink.records(), with_sink.records());
   EXPECT_EQ(without_sink.bytes(), text.size());
   EXPECT_EQ(without_sink.crc32(), with_sink.crc32());
+}
+
+// --- obs/format.h: the to_chars text equals the printf text it replaced ---
+
+std::string U64Text(std::uint64_t v) {
+  std::string out;
+  AppendU64(out, v);
+  return out;
+}
+std::string I64Text(std::int64_t v) {
+  std::string out;
+  AppendI64(out, v);
+  return out;
+}
+std::string Fixed6Text(double v) {
+  std::string out;
+  AppendFixed6(out, v);
+  return out;
+}
+std::string PrintfFixed6(double v) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+TEST(ObsFormat, IntegersMatchPrintfAtTheExtremes) {
+  constexpr auto kI64Min = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kI64Max = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(U64Text(0), "0");
+  EXPECT_EQ(I64Text(0), "0");
+  EXPECT_EQ(I64Text(kI64Min), "-9223372036854775808");
+  EXPECT_EQ(I64Text(kI64Max), "9223372036854775807");
+  EXPECT_EQ(U64Text(kU64Max), "18446744073709551615");
+  Rng rng(7);
+  for (int i = 0; i < 100000; ++i) {
+    // Every magnitude: shift a random word right by 0..63 bits.
+    const std::uint64_t u = rng.Next() >> rng.Below(64);
+    const auto s = static_cast<std::int64_t>(rng.Next()) >> rng.Below(64);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu",
+                  static_cast<unsigned long long>(u));
+    ASSERT_EQ(U64Text(u), buf);
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(s));
+    ASSERT_EQ(I64Text(s), buf);
+  }
+}
+
+TEST(ObsFormat, FixedSixMatchesPrintfIncludingTies) {
+  EXPECT_EQ(Fixed6Text(0.0), "0.000000");
+  EXPECT_EQ(Fixed6Text(-0.0), "-0.000000");
+  // An exact binary tie at the sixth decimal rounds to even, as printf does.
+  EXPECT_EQ(Fixed6Text(0.0078125), "0.007812");
+  EXPECT_EQ(Fixed6Text(0.0234375), "0.023438");
+  EXPECT_EQ(Fixed6Text(1e15), "1000000000000000.000000");
+  EXPECT_EQ(Fixed6Text(9.1), "9.100000");
+  for (const double v : {0.0, -0.0, 0.0078125, 1e15, 9.1, 13.0, 0.3,
+                         std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_EQ(Fixed6Text(v), PrintfFixed6(v)) << v;
+  }
+  Rng rng(1996);
+  for (int i = 0; i < 100000; ++i) {
+    // Exact ties (odd multiples of 2^-7 have a 5 in the seventh decimal),
+    // then values across twenty decades.
+    const double tie = static_cast<double>(2 * rng.Below(1 << 20) + 1) / 128;
+    ASSERT_EQ(Fixed6Text(tie), PrintfFixed6(tie));
+    const double wide =
+        std::ldexp(rng.Uniform(), static_cast<int>(rng.Below(66)) - 30);
+    ASSERT_EQ(Fixed6Text(wide), PrintfFixed6(wide));
+  }
+}
+
+TEST(ObsFormat, EwmaTextMatchesPrintfOverACounterRun) {
+  // The values the series records actually carry: EWMAs of windowed
+  // counts, blended one IEEE operation sequence at a time.
+  WindowedCounter c;
+  Rng rng(2718);
+  for (int tick = 0; tick < 20000; ++tick) {
+    c.Add(rng.Below(rng.Bernoulli(0.1) ? 5000 : 20));
+    c.CloseWindow();
+    ASSERT_EQ(Fixed6Text(c.ewma()), PrintfFixed6(c.ewma()))
+        << "tick " << tick;
+  }
 }
 
 }  // namespace

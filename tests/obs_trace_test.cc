@@ -36,9 +36,10 @@ TEST(TraceEvent, NumericFields) {
 
 TEST(TraceEvent, EscapesStringValues) {
   Tracer tracer;
-  { TraceEvent(&tracer, T(0), "ev").Str("k", "a\"b\\c\nd\x01"); }
+  { TraceEvent(&tracer, T(0), "ev").Str("k", "a\"b\\c\nd\x01\x1f"); }
   EXPECT_EQ(tracer.buffer(),
-            "{\"t_ns\":0,\"ev\":\"ev\",\"k\":\"a\\\"b\\\\c\\nd\\u0001\"}\n");
+            "{\"t_ns\":0,\"ev\":\"ev\","
+            "\"k\":\"a\\\"b\\\\c\\nd\\u0001\\u001f\"}\n");
 }
 
 TEST(TraceEvent, NullTracerIsANoOp) {

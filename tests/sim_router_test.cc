@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "core/event.h"
 #include "netbase/rng.h"
 
@@ -548,6 +551,77 @@ TEST(Router, CauseTagsNeverChangeTheWire) {
   EXPECT_EQ(tagged.causes.size(), untagged.causes.size());
   for (const obs::CauseTag& tag : tagged.causes) EXPECT_FALSE(tag.IsNull());
   for (const obs::CauseTag& tag : untagged.causes) EXPECT_TRUE(tag.IsNull());
+}
+
+TEST(Router, OriginateByCachedIdMatchesOriginateByRoute) {
+  // One router is fed bgp::Routes; its twin interns each distinct attribute
+  // set once (InternLocal) and re-originates by the cached id, as the
+  // scenario's customers do. MED changes, a path change, a withdrawal and a
+  // return to an earlier set come in between: the peer must receive the
+  // same bytes at the same times.
+  struct Received {
+    TimePoint time;
+    std::vector<std::uint8_t> wire;
+    bool operator==(const Received&) const = default;
+  };
+  const auto route = [](const std::string& prefix, std::optional<int> med,
+                        std::vector<bgp::Asn> path) {
+    bgp::Route r = LocalRoute(prefix, std::move(path));
+    r.attributes.communities = {(65000u << 16) | 2u};
+    if (med) r.attributes.med = static_cast<std::uint32_t>(*med);
+    return r;
+  };
+  const std::vector<bgp::Route> script = {
+      route("192.42.113.0/24", std::nullopt, {65001}),
+      route("192.42.114.0/24", std::nullopt, {65002}),
+      route("192.42.113.0/24", 1, {65001}),
+      route("192.42.114.0/24", 1, {65002}),
+      route("192.42.113.0/24", 2, {65001}),
+      route("192.42.113.0/24", 2, {7018, 65001}),  // the alternate path
+      route("192.42.113.0/24", std::nullopt, {65001}),  // an earlier set
+      route("192.42.114.0/24", 1, {65002}),  // unchanged: no update
+  };
+  const auto run = [&script](bool by_id) {
+    std::vector<Received> received;
+    Net net;
+    Router& a = net.AddRouter("A", 100, Stateless());
+    Router& b = net.AddRouter("B", 200);
+    net.Connect(a, b);
+    b.SetUpdateTap([&received](TimePoint now, bgp::PeerId, bgp::Asn,
+                               const bgp::UpdateMessage&,
+                               std::span<const std::uint8_t> wire,
+                               const obs::CauseVec&) {
+      received.push_back({now, {wire.begin(), wire.end()}});
+    });
+    net.Start();
+    std::vector<std::pair<bgp::PathAttributes, bgp::AttrSetId>> cache;
+    for (std::size_t step = 0; step < script.size(); ++step) {
+      const bgp::Route& r = script[step];
+      if (!by_id) {
+        a.Originate(r);
+      } else {
+        auto it = std::find_if(cache.begin(), cache.end(), [&r](auto& e) {
+          return e.first == r.attributes;
+        });
+        if (it == cache.end()) {
+          cache.emplace_back(r.attributes, a.InternLocal(r.attributes));
+          it = cache.end() - 1;
+        }
+        EXPECT_EQ(a.rib().attrs().Get(it->second).local_pref, 1000u);
+        a.Originate(r.prefix, it->second);
+      }
+      if (step == 4) {
+        net.Settle();
+        a.WithdrawLocal(r.prefix);
+      }
+      net.Settle();
+    }
+    return received;
+  };
+  const std::vector<Received> by_route = run(false);
+  const std::vector<Received> by_id = run(true);
+  EXPECT_GE(by_route.size(), 7u);
+  EXPECT_EQ(by_route, by_id);
 }
 
 TEST(Router, TransparentModeKeepsPathAndNextHop) {

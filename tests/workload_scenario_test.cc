@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "core/stats.h"
+#include "netbase/rng.h"
+#include "workload/guide_table.h"
 
 namespace iri::workload {
 namespace {
@@ -255,6 +262,111 @@ TEST(ScenarioDeathTest, MoreThanOneExchangeIsRefused) {
   cfg.duration = Duration::Minutes(10);
   cfg.num_exchanges = 2;
   EXPECT_DEATH(ExchangeScenario{cfg}, "num_exchanges == 1");
+}
+
+// --- GuideTable: SampleCustomer's lookup is exactly std::lower_bound ------
+
+// Cumulative weights shaped like the universe's: runs of customers share
+// their provider's log-normal flap multiplier, and a few zero weights make
+// equal neighbours (lower_bound must return the first of them).
+std::vector<double> CustomerLikeCumulative(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> multipliers(16);
+  for (double& m : multipliers) m = std::exp(rng.Normal(0.0, 0.7));
+  std::vector<double> cumulative;
+  double acc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!rng.Bernoulli(0.01)) {
+      acc += multipliers[rng.Below(multipliers.size())];
+    }
+    cumulative.push_back(acc);
+  }
+  return cumulative;
+}
+
+std::size_t Reference(const std::vector<double>& cumulative, double r) {
+  return static_cast<std::size_t>(
+      std::lower_bound(cumulative.begin(), cumulative.end(), r) -
+      cumulative.begin());
+}
+
+// Every guide boundary and every stored weight, each with its two
+// neighbouring doubles.
+void ExpectExactAtEveryBoundary(const std::vector<double>& cumulative) {
+  const GuideTable table(cumulative);
+  std::vector<double> probes = {0.0, -1.0, table.total(),
+                                std::nextafter(table.total(), 1e300),
+                                std::numeric_limits<double>::infinity()};
+  for (std::size_t g = 0; g <= table.guide_size(); ++g) {
+    probes.push_back(table.Bound(g));
+  }
+  probes.insert(probes.end(), cumulative.begin(), cumulative.end());
+  for (const double base : std::vector<double>(probes)) {
+    probes.push_back(std::nextafter(base, -1e300));
+    probes.push_back(std::nextafter(base, 1e300));
+  }
+  for (const double r : probes) {
+    ASSERT_EQ(table.LowerBound(r), Reference(cumulative, r)) << "r=" << r;
+  }
+}
+
+TEST(GuideTable, MatchesLowerBoundOnAMillionSeededDraws) {
+  const std::vector<double> cumulative = CustomerLikeCumulative(42000, 1996);
+  const GuideTable table(cumulative);
+  EXPECT_EQ(table.guide_size(), 42000u / 16);
+  Rng rng(2718);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // SampleCustomer's draw, then a range reaching past both ends.
+    const double r = rng.Uniform() * table.total();
+    ASSERT_EQ(table.LowerBound(r), Reference(cumulative, r)) << "r=" << r;
+    const double wide = (rng.Uniform() * 1.2 - 0.1) * table.total();
+    ASSERT_EQ(table.LowerBound(wide), Reference(cumulative, wide))
+        << "r=" << wide;
+  }
+}
+
+// Weights placed on every guide bound and one ulp either side of it, so a
+// lookup whose bucket arithmetic rounds the wrong way must still search
+// the right range.
+std::vector<double> BoundaryHuggingCumulative(std::size_t n, double total) {
+  const std::size_t guides = std::max<std::size_t>(1, n / 16);
+  const double width = total / static_cast<double>(guides);
+  std::vector<double> cumulative;
+  for (std::size_t g = 1; g < guides; ++g) {
+    const double bound = static_cast<double>(g) * width;
+    cumulative.push_back(std::nextafter(bound, 0.0));
+    cumulative.push_back(bound);
+    cumulative.push_back(std::nextafter(bound, total));
+  }
+  Rng rng(n);
+  while (cumulative.size() + 1 < n) {
+    cumulative.push_back(rng.Uniform() * total);
+  }
+  std::sort(cumulative.begin(), cumulative.end());
+  cumulative.push_back(total);
+  return cumulative;
+}
+
+TEST(GuideTable, MatchesLowerBoundAtEveryGuideBoundary) {
+  ExpectExactAtEveryBoundary(CustomerLikeCumulative(42000, 7));
+  for (const double total : {1.0, 3.0, 42000.0 * 1.37, 1e-3, 7e9}) {
+    SCOPED_TRACE(total);
+    const std::vector<double> hugging =
+        BoundaryHuggingCumulative(42000, total);
+    // The table's bounds are the ones the weights were placed on.
+    const GuideTable table(hugging);
+    for (std::size_t g = 1; g < table.guide_size(); ++g) {
+      ASSERT_TRUE(std::binary_search(hugging.begin(), hugging.end(),
+                                     table.Bound(g)));
+    }
+    ExpectExactAtEveryBoundary(hugging);
+  }
+  // Sizes around one guide entry, no weights, and all-zero weights.
+  for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 32u, 33u, 1000u}) {
+    SCOPED_TRACE(n);
+    ExpectExactAtEveryBoundary(CustomerLikeCumulative(n, n));
+  }
+  ExpectExactAtEveryBoundary(std::vector<double>(40, 0.0));
 }
 
 }  // namespace
