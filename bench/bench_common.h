@@ -182,7 +182,7 @@ inline void PrintHeader(const char* title, const Flags& flags) {
   if (flags.reads_scale) {
     std::printf("scale 1/%.0f of paper universe | ", flags.scale_denominator);
   }
-  if (flags.reads_days) std::printf("%.0f day(s) | ", flags.days);
+  if (flags.reads_days) std::printf("%g day(s) | ", flags.days);
   if (flags.reads_providers) std::printf("%d providers | ", flags.providers);
   std::printf("seed %llu\n", static_cast<unsigned long long>(flags.seed));
   std::printf("==================================================\n");

@@ -18,7 +18,16 @@ void Rib::AddPeer(PeerId peer, IPv4Address router_id) {
   peer_router_ids_[peer] = router_id;
 }
 
-RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
+PrefixSlot Rib::Slot(const Prefix& prefix) {
+  auto [slot, fresh] = index_.TryEmplace(prefix);
+  if (fresh) {
+    *slot = static_cast<PrefixSlot>(entries_.size());
+    entries_.push_back(Entry{prefix, {}, -1});
+  }
+  return *slot;
+}
+
+RibChange Rib::Announce(PeerId peer, PrefixSlot slot, AttrSetId attrs) {
   obs::ScopedTimer timer(&announce_site_, 1);
   const std::optional<IPv4Address>& router_id =
       peer == kLocalPeer               ? local_router_id_
@@ -27,13 +36,8 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   IRI_ASSERT(router_id.has_value(),
              "Announce from a peer never registered with AddPeer");
   IRI_ASSERT(attrs_.Contains(attrs), "Announce of an id not from attrs()");
-  auto [slot, fresh] = index_.TryEmplace(prefix);
-  if (fresh) {
-    *slot = static_cast<std::uint32_t>(entries_.size());
-    entries_.push_back(Entry{prefix, {}, -1});
-  }
-  Entry* entry = &entries_[*slot];
-  if (entry->candidates.empty()) ++num_prefixes_;  // fresh entry or tombstone
+  Entry* entry = &entries_[slot];
+  if (entry->candidates.empty()) ++num_prefixes_;  // tombstone revived
   const bool had_best = entry->best >= 0;
   const PeerId old_best_peer =
       had_best ? entry->candidates[static_cast<std::size_t>(entry->best)].peer
@@ -66,6 +70,7 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   const Candidate& new_best =
       entry->candidates[static_cast<std::size_t>(entry->best)];
   RibChange change;
+  change.slot = slot;
   change.new_best = &new_best;
   if (!had_best || old_best_peer != new_best.peer) {
     change.best_changed = true;
@@ -77,16 +82,17 @@ RibChange Rib::Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs) {
   return change;
 }
 
-RibChange Rib::Withdraw(PeerId peer, const Prefix& prefix) {
+RibChange Rib::Withdraw(PeerId peer, PrefixSlot slot) {
   obs::ScopedTimer timer(&withdraw_site_, 1);
-  Entry* entry = Find(prefix);
-  if (entry == nullptr) return {};
+  if (slot == kNoSlot) return {};
+  Entry* entry = &entries_[slot];
   const bool had_best = entry->best >= 0;
   const PeerId old_best_peer =
       had_best ? entry->candidates[static_cast<std::size_t>(entry->best)].peer
                : kLocalPeer;
 
   RibChange change;
+  change.slot = slot;
   auto own = std::find_if(
       entry->candidates.begin(), entry->candidates.end(),
       [peer](const Candidate& c) { return c.peer == peer; });
@@ -124,19 +130,17 @@ RibChange Rib::Withdraw(PeerId peer, const Prefix& prefix) {
   return change;
 }
 
-std::vector<Prefix> Rib::ClearPeer(PeerId peer) {
-  std::vector<Prefix> changed;
-  // Address-order scan, stopping once the peer holds nothing: Withdraw
-  // never mints a slot, so the order list is stable across the loop.
+std::vector<PrefixSlot> Rib::ClearPeer(PeerId peer) {
+  std::vector<PrefixSlot> changed;
+  // Address-order scan, stopping once the peer holds nothing: withdrawing
+  // by slot mints nothing, so the order list is stable across the loop.
   for (const std::uint32_t slot : AddressOrder()) {
     if (PeerRouteCount(peer) == 0) break;
     const Entry& e = entries_[slot];
     const bool held = std::any_of(
         e.candidates.begin(), e.candidates.end(),
         [peer](const Candidate& c) { return c.peer == peer; });
-    if (held && Withdraw(peer, e.prefix).best_changed) {
-      changed.push_back(e.prefix);
-    }
+    if (held && Withdraw(peer, slot).best_changed) changed.push_back(slot);
   }
   IRI_DCHECK(PeerRouteCount(peer) == 0,
              "ClearPeer must drop every route learned from the peer");
@@ -144,17 +148,17 @@ std::vector<Prefix> Rib::ClearPeer(PeerId peer) {
   return changed;
 }
 
-const Candidate* Rib::Best(const Prefix& prefix) const {
+const Candidate* Rib::Best(PrefixSlot slot) const {
   obs::ScopedTimer timer(&lookup_site_, 1);
-  const Entry* entry = Find(prefix);
-  if (entry == nullptr || entry->best < 0) return nullptr;
-  return &entry->candidates[static_cast<std::size_t>(entry->best)];
+  if (slot == kNoSlot || entries_[slot].best < 0) return nullptr;
+  const Entry& entry = entries_[slot];
+  return &entry.candidates[static_cast<std::size_t>(entry.best)];
 }
 
 std::vector<Candidate> Rib::CandidatesFor(const Prefix& prefix) const {
-  const Entry* entry = Find(prefix);
-  if (entry == nullptr) return {};
-  return entry->candidates;
+  const PrefixSlot slot = FindSlot(prefix);
+  if (slot == kNoSlot) return {};
+  return entries_[slot].candidates;
 }
 
 std::size_t Rib::PeerRouteCount(PeerId peer) const {

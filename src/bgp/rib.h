@@ -22,11 +22,12 @@ namespace iri::bgp {
 
 // Outcome of applying one route event to the RIB.
 struct RibChange {
+  PrefixSlot slot = kNoSlot;  // the prefix's (Rib::Slot), or kNoSlot
   // True if the Loc-RIB entry for the prefix changed (new best, different
   // best attributes, or loss of all routes).
   bool best_changed = false;
   // The prefix's best route after the event (whether or not it changed), or
-  // nullptr if the prefix is now unreachable: always equal to Best(prefix),
+  // nullptr if the prefix is now unreachable: always equal to Best(slot),
   // no-op withdrawals included, so callers need no second lookup. Points
   // into the RIB's own storage, not a copy (Announce/Withdraw are the
   // hottest calls in the full-paper-scale run): valid only until the next
@@ -36,11 +37,6 @@ struct RibChange {
 
 class Rib {
  public:
-  // Pre-size the probed-only exact-match index: a border router at paper
-  // scale tracks tens of thousands of prefixes, and the early rehash
-  // cascade shows up in the full-paper profile.
-  Rib() { index_.Reserve(1 << 12); }
-
   // Registers a peer before routes from it can be accepted. `router_id` is
   // used for the final decision tie-break.
   void AddPeer(PeerId peer, IPv4Address router_id);
@@ -69,37 +65,51 @@ class Rib {
     return attrs_.Get(c.attr_id);
   }
 
+  // The slot of `prefix`, minted on first sight as a tombstone (no paths)
+  // that NumPrefixes, the visitors and ClearPeer skip until it is announced.
+  // FindSlot, Withdraw and Best by prefix mint nothing (kNoSlot if unseen).
+  PrefixSlot Slot(const Prefix& prefix);
+  PrefixSlot FindSlot(const Prefix& prefix) const {
+    const PrefixSlot* slot = index_.Find(prefix);
+    return slot == nullptr ? kNoSlot : *slot;
+  }
+  const Prefix& PrefixOf(PrefixSlot s) const { return entries_[s].prefix; }
+
   // Applies an announcement from `peer` of the interned set `attrs` (an id
   // of attrs()). Replaces any previous route from the same peer for the
   // same prefix (implicit withdrawal).
-  RibChange Announce(PeerId peer, const Prefix& prefix, AttrSetId attrs);
+  RibChange Announce(PeerId peer, PrefixSlot slot, AttrSetId attrs);
 
   // Interns route.attributes, then announces it.
   RibChange Announce(PeerId peer, const Route& route) {
-    return Announce(peer, route.prefix, attrs_.Intern(route.attributes));
+    return Announce(peer, Slot(route.prefix), attrs_.Intern(route.attributes));
   }
 
   // Applies an explicit withdrawal. A withdrawal for a route the peer never
   // announced is a no-op (this is how WWDup pathologies look to a receiver)
-  // that still reports the prefix's current best.
-  RibChange Withdraw(PeerId peer, const Prefix& prefix);
+  // that still reports the prefix's current best (none for kNoSlot).
+  RibChange Withdraw(PeerId peer, PrefixSlot slot);
+  RibChange Withdraw(PeerId peer, const Prefix& prefix) {
+    return Withdraw(peer, FindSlot(prefix));
+  }
 
-  // Drops every route learned from `peer` (session loss). Returns the
-  // prefixes whose best route changed, in ascending address order (that
-  // order reaches the wire through Router::OnSessionDown); callers re-read
-  // Best() for the new state.
-  std::vector<Prefix> ClearPeer(PeerId peer);
+  // Drops every route learned from `peer` (session loss). Returns the slots
+  // whose best route changed, in ascending address order of their prefixes
+  // (that order reaches the wire through Router::OnSessionDown); callers
+  // re-read Best() for the new state.
+  std::vector<PrefixSlot> ClearPeer(PeerId peer);
 
-  // Current best route for `prefix`, or nullptr if unreachable.
-  const Candidate* Best(const Prefix& prefix) const;
+  // Current best route, or nullptr if unreachable or kNoSlot.
+  const Candidate* Best(PrefixSlot slot) const;
+  const Candidate* Best(const Prefix& p) const { return Best(FindSlot(p)); }
 
   // All candidates currently held for `prefix` (used by the multihoming
   // census and by tests).
   std::vector<Candidate> CandidatesFor(const Prefix& prefix) const;
 
-  // Number of distinct prefixes with at least one path. (Withdrawn-to-empty
-  // entries keep their slot as tombstones so a flap cycle reuses their
-  // storage; they are excluded here and skipped by every visitor.)
+  // Number of distinct prefixes with at least one path. (Tombstones, slots
+  // with no path, keep their storage so a flap cycle reuses it; they are
+  // excluded here and skipped by every visitor.)
   std::size_t NumPrefixes() const { return num_prefixes_; }
 
   // Number of routes (prefix, peer) pairs in all Adj-RIBs-In.
@@ -121,13 +131,13 @@ class Rib {
   // by debug builds after every ClearPeer.
   bool AuditInvariants() const;
 
-  // Visits (prefix, best candidate) over the whole Loc-RIB in address order.
+  // Visits (prefix, best, slot) over the whole Loc-RIB in address order.
   template <typename Fn>
   void VisitBest(Fn&& fn) const {
     for (const std::uint32_t slot : AddressOrder()) {
       const Entry& e = entries_[slot];
       if (e.best >= 0) {
-        fn(e.prefix, e.candidates[static_cast<std::size_t>(e.best)]);
+        fn(e.prefix, e.candidates[static_cast<std::size_t>(e.best)], slot);
       }
     }
   }
@@ -148,15 +158,6 @@ class Rib {
     std::vector<Candidate> candidates;
     int best = -1;  // index into candidates, -1 when empty
   };
-
-  // The entry of `prefix`, or nullptr if it was never announced.
-  Entry* Find(const Prefix& prefix) {
-    const std::uint32_t* slot = index_.Find(prefix);
-    return slot == nullptr ? nullptr : &entries_[*slot];
-  }
-  const Entry* Find(const Prefix& prefix) const {
-    return const_cast<Rib*>(this)->Find(prefix);
-  }
 
   // Routes held from `peer` (kLocalPeer included).
   std::size_t& RouteCount(PeerId peer) {

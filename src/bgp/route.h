@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "bgp/attributes.h"
 #include "netbase/ipv4.h"
@@ -15,6 +16,17 @@ namespace iri::bgp {
 // per-peer statistics (Table 1, Figure 6) are keyed by this.
 using PeerId = std::uint32_t;
 inline constexpr PeerId kLocalPeer = 0xFFFFFFFF;  // locally-originated routes
+
+// A prefix's dense id in one Rib (Rib::Slot), stable for the Rib's life.
+using PrefixSlot = std::uint32_t;
+inline constexpr PrefixSlot kNoSlot = 0xFFFFFFFF;  // never minted
+
+// `v[slot]`, growing `v` with `fill` to cover the slot.
+template <typename T>
+T& SlotEntry(std::vector<T>& v, PrefixSlot slot, T fill) {
+  if (slot >= v.size()) v.resize(std::size_t{slot} + 1, fill);
+  return v[slot];
+}
 
 // One announced route: a destination prefix and its attributes.
 struct Route {

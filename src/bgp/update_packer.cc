@@ -87,14 +87,14 @@ std::vector<std::uint8_t> UpdatePacker::Wire(const Packed& m,
 
 void OutboundQueue::Enqueue(TimePoint now, RouteOp op) {
   if (pending_.empty()) deadline_ = ComputeDeadline(now);
-  auto [slot, inserted] = index_.TryEmplace(op.prefix);
-  if (inserted) {
-    *slot = static_cast<std::uint32_t>(pending_.size());
+  std::uint32_t& pos = SlotEntry(index_, op.slot, kNotQueued);
+  if (pos == kNotQueued) {
+    pos = static_cast<std::uint32_t>(pending_.size());
     pending_.push_back(op);
   } else {
-    // Latest wins, keeping the original order slot; an announcement that
+    // Latest wins, keeping the original position; an announcement that
     // supersedes a queued withdrawal remembers it (see RouteOp).
-    RouteOp& prior = pending_[*slot];
+    RouteOp& prior = pending_[pos];
     if (!op.IsWithdraw() &&
         (prior.IsWithdraw() || prior.withdraw_preceded)) {
       op.withdraw_preceded = true;
@@ -121,7 +121,7 @@ void OutboundQueue::Flush(TimePoint now, std::vector<RouteOp>& out) {
   out.clear();
   if (pending_.empty() || now < deadline_) return;
   deadline_ = TimePoint::Max();
-  index_.Clear();
+  for (const RouteOp& op : pending_) index_[op.slot] = kNotQueued;
   out.swap(pending_);  // already in first-enqueue order
 }
 

@@ -30,7 +30,7 @@ namespace iri::bgp {
 
 // One net route change bound for a peer: announce (attr_id names an
 // interned set of the sending router's table) or withdraw (invalid id).
-// Trivially copyable, so queue slots move as plain bytes.
+// Trivially copyable, so queue entries move as plain bytes.
 struct RouteOp {
   Prefix prefix;
   AttrSetId attr_id = kInvalidAttrSetId;  // kInvalidAttrSetId == withdrawal
@@ -42,10 +42,11 @@ struct RouteOp {
   // trains that put half of Figure 8's mass in the 30 s bin.
   bool withdraw_preceded = false;
   // Provenance sideband: the injected cause this op descends from. Rides the
-  // queue slot under latest-wins coalescing (the surviving op's cause wins,
+  // queue entry under latest-wins coalescing (the surviving op's cause wins,
   // like its attribute id) and is excluded from equality — two ops that would
   // put the same bytes on the wire compare equal whatever their ancestry.
   obs::CauseTag cause{};
+  PrefixSlot slot = 0;  // the prefix's slot in the sender's Rib (queue key)
 
   bool IsWithdraw() const { return attr_id == kInvalidAttrSetId; }
 
@@ -151,12 +152,12 @@ class OutboundQueue {
   PackerConfig config_;
   Rng rng_;
   // Net ops in first-enqueue order: latest-wins updates overwrite their
-  // original slot, so the vector is already flush-ordered — no sequence
-  // numbers, no sort, no per-op tree node. index_ dedups by prefix; the
-  // flat ProbeMap is probed only by construction (no iteration API), so its
-  // slot order cannot reach any output.
+  // original position, so the vector is already flush-ordered — no sequence
+  // numbers, no sort, no per-op tree node. index_ holds each queued slot's
+  // position (grown on demand); Flush resets the positions it drains.
   std::vector<RouteOp> pending_;
-  ProbeMap<Prefix, std::uint32_t> index_;
+  std::vector<std::uint32_t> index_;  // kNotQueued = none
+  static constexpr std::uint32_t kNotQueued = 0xFFFFFFFFu;
   TimePoint deadline_ = TimePoint::Max();
 };
 

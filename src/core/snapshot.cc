@@ -40,7 +40,7 @@ std::string TableComposition::ToString() const {
 TableSnapshot TableSnapshot::Capture(const bgp::Rib& rib) {
   TableSnapshot snap;
   rib.VisitBest([&rib, &snap](const Prefix& prefix,
-                              const bgp::Candidate& best) {
+                              const bgp::Candidate& best, bgp::PrefixSlot) {
     snap.entries_[prefix] = rib.AttributesOf(best).as_path.ToString();
   });
   return snap;

@@ -1,8 +1,8 @@
 // A flat open-addressing hash map for probed-only workloads.
 //
-// The hot exact-match indexes in this codebase — the RIB's prefix index,
-// the classifier's (Prefix, peer) state table, the outbound packer's
-// per-window dedup, each router's per-peer Adj-RIB-Out — share one access
+// The hot exact-match indexes in this codebase — the RIB's prefix index (a
+// router's only prefix hash), the classifier's (Prefix, peer) state table,
+// the update packer's per-flush attribute-group table — share one access
 // pattern: try_emplace / find / clear, never iterate, never erase single
 // keys (a user that forgets a key stores a sentinel value instead).
 // std::unordered_map serves them with a heap node per entry, a prime-modulo
@@ -36,7 +36,6 @@ class ProbeMap {
   ProbeMap() = default;
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
   void Reserve(std::size_t n) {
     std::size_t cap = kMinCapacity;
@@ -79,13 +78,11 @@ class ProbeMap {
     return const_cast<ProbeMap*>(this)->Find(key);
   }
 
-  bool Contains(const Key& key) const { return Find(key) != nullptr; }
-
   // Drops every entry, keeping capacity. O(1): live slots are the ones
   // stamped with the current epoch, so bumping the epoch empties the table.
-  // The outbound packer clears its dedup index every flush window even when
-  // only a handful of ops are pending — an O(capacity) sweep there turns
-  // every ratcheted-up table into a per-flush tax that dominates long runs.
+  // The update packer clears its group table on every flush even when only
+  // a handful of ops are pending — an O(capacity) sweep there turns every
+  // ratcheted-up table into a per-flush tax that dominates long runs.
   void Clear() {
     if (size_ == 0) return;
     size_ = 0;

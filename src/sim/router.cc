@@ -117,29 +117,27 @@ void Router::Originate(const Prefix& prefix, bgp::AttrSetId attr_id) {
              "Originate takes an attribute set from InternLocal");
   // Injection entry point: ops emitted for this change carry the ambient cause.
   const obs::CauseTag cause = AmbientCause();
+  const bgp::PrefixSlot slot = rib_.Slot(prefix);
+  std::uint32_t& local = bgp::SlotEntry(local_index_, slot, kNoLocalRoute);
   // Border dampening (RFC 2439 deployed at the provider edge): flapping
   // customer routes accumulate penalty and, once suppressed, are installed
   // locally but NOT advertised until the reuse timer releases them.
   bool suppressed = false;
   if (config_.enable_dampening) {
-    const std::uint32_t* prev = local_index_.Find(prefix);
-    const bool exists = prev != nullptr && *prev != kNoLocalRoute;
     const bool attr_change =
-        exists && !rib_.attrs().ForwardingEquivalent(
-                      local_routes_[*prev].attr_id, attr_id);
+        local != kNoLocalRoute && !rib_.attrs().ForwardingEquivalent(
+                                      local_routes_[local].attr_id, attr_id);
     const auto verdict = dampener_.OnAnnounce(
         {prefix, bgp::kLocalPeer}, sched_.Now(), attr_change);
     suppressed = verdict != bgp::DampVerdict::kPass;
   }
-  auto [slot, fresh] = local_index_.TryEmplace(prefix);
-  if (fresh || *slot == kNoLocalRoute) {
-    *slot = static_cast<std::uint32_t>(local_routes_.size());
-    local_routes_.push_back(LocalRoute{prefix, attr_id});
+  if (local == kNoLocalRoute) {
+    local = static_cast<std::uint32_t>(local_routes_.size());
+    local_routes_.push_back(LocalRoute{slot, attr_id});
   } else {
-    local_routes_[*slot].attr_id = attr_id;
+    local_routes_[local].attr_id = attr_id;
   }
-  const bgp::RibChange change =
-      rib_.Announce(bgp::kLocalPeer, prefix, attr_id);
+  const bgp::RibChange change = rib_.Announce(bgp::kLocalPeer, slot, attr_id);
   if (suppressed) {
     ++stats_.damped_updates;
     if (metrics_.damped_updates) metrics_.damped_updates->Add(1);
@@ -147,19 +145,17 @@ void Router::Originate(const Prefix& prefix, bgp::AttrSetId attr_id) {
     // announcements delayed" cost the paper warns about.
     const TimePoint reuse =
         dampener_.ReuseTime({prefix, bgp::kLocalPeer}, sched_.Now());
-    sched_.At(reuse + Duration::Seconds(1), [this, prefix, cause] {
-      if (crashed_ || !HasLocalRoute(prefix)) return;
+    sched_.At(reuse + Duration::Seconds(1), [this, prefix, slot, cause] {
+      if (crashed_ || !HasLocalRoute(slot)) return;
       if (dampener_.IsSuppressed({prefix, bgp::kLocalPeer}, sched_.Now())) {
         return;  // re-flapped in the meantime; a later release is scheduled
       }
       // The delayed release still descends from the suppressed flap's cause.
-      PropagateChange(prefix, cause);
+      PropagateChange(slot, cause);
     });
     return;
   }
-  if (change.best_changed) {
-    PropagateChange(prefix, change.new_best, cause);
-  }
+  if (change.best_changed) PropagateChange(slot, change.new_best, cause);
 }
 
 void Router::WithdrawLocal(const Prefix& prefix) {
@@ -168,36 +164,29 @@ void Router::WithdrawLocal(const Prefix& prefix) {
   if (config_.enable_dampening) {
     dampener_.OnWithdraw({prefix, bgp::kLocalPeer}, sched_.Now());
   }
-  if (std::uint32_t* slot = local_index_.Find(prefix);
-      slot != nullptr && *slot != kNoLocalRoute) {
-    // Swap-erase the dense vector; the index has no single-key erase, so the
-    // vacated entry is tombstoned in place.
-    const std::uint32_t i = *slot;
-    const std::uint32_t last =
-        static_cast<std::uint32_t>(local_routes_.size()) - 1;
-    if (i != last) {
-      local_routes_[i] = local_routes_[last];
-      *local_index_.Find(local_routes_[i].prefix) = i;
-    }
+  const bgp::PrefixSlot slot = rib_.FindSlot(prefix);
+  if (HasLocalRoute(slot)) {
+    const std::uint32_t i = local_index_[slot];
+    local_routes_[i] = local_routes_.back();  // swap-erase
+    local_index_[local_routes_[i].slot] = i;
     local_routes_.pop_back();
-    *slot = kNoLocalRoute;
+    local_index_[slot] = kNoLocalRoute;
   }
-  const bgp::RibChange change = rib_.Withdraw(bgp::kLocalPeer, prefix);
+  const bgp::RibChange change = rib_.Withdraw(bgp::kLocalPeer, slot);
   if (config_.stateless_bgp && change.new_best == nullptr) {
-    BroadcastWithdraw(prefix, cause);
+    BroadcastWithdraw(slot == bgp::kNoSlot ? rib_.Slot(prefix) : slot, cause);
   }
-  if (change.best_changed) PropagateChange(prefix, change.new_best, cause);
+  if (change.best_changed) PropagateChange(slot, change.new_best, cause);
 }
 
 bool Router::HasLocalRoute(const Prefix& prefix) const {
-  const std::uint32_t* slot = local_index_.Find(prefix);
-  return slot != nullptr && *slot != kNoLocalRoute;
+  return HasLocalRoute(rib_.FindSlot(prefix));
 }
 
 void Router::SprayWithdrawals(std::span<const Prefix> prefixes) {
   if (crashed_ || !config_.stateless_bgp) return;
   const obs::CauseTag cause = AmbientCause();
-  for (const Prefix& p : prefixes) BroadcastWithdraw(p, cause);
+  for (const Prefix& p : prefixes) BroadcastWithdraw(rib_.Slot(p), cause);
 }
 
 void Router::InternalReset(double dirty_fraction) {
@@ -217,7 +206,7 @@ void Router::InternalReset(double dirty_fraction) {
   const std::size_t n = local_routes_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (dirty_fraction < 1.0 && rng_.Uniform() >= dirty_fraction) continue;
-    PropagateChange(local_routes_[i].prefix, cause);
+    PropagateChange(local_routes_[i].slot, cause);
   }
 }
 
@@ -425,15 +414,15 @@ void Router::OnSessionUp(bgp::PeerId id) {
 
 void Router::OnSessionDown(bgp::PeerId id) {
   Peer& p = peers_[id];
-  p.adj_rib_out.Clear();
+  p.adj_rib_out.clear();
   const obs::CauseTag cause =
       SessionCause(id, obs::CauseKind::kSessionReset);
   // Everything learned from this peer is gone: a genuine topology change.
-  for (const Prefix& prefix : rib_.ClearPeer(id)) {
-    if (config_.stateless_bgp && rib_.Best(prefix) == nullptr) {
-      BroadcastWithdraw(prefix, cause);
+  for (const bgp::PrefixSlot slot : rib_.ClearPeer(id)) {
+    if (config_.stateless_bgp && rib_.Best(slot) == nullptr) {
+      BroadcastWithdraw(slot, cause);
     }
-    PropagateChange(prefix, cause);
+    PropagateChange(slot, cause);
   }
 }
 
@@ -471,14 +460,14 @@ void Router::Transmit(Peer& p, std::vector<std::uint8_t> bytes, bool priority,
 
 // ------------------------------------------------------------ update path
 
-bool Router::DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
+bool Router::DampenAnnounce(bgp::PeerId from, bgp::PrefixSlot nlri,
                             bgp::AttrSetId attrs) {
   const auto* existing = rib_.Best(nlri);
   const bool attr_change =
       existing != nullptr && existing->peer == from &&
       !rib_.attrs().ForwardingEquivalent(existing->attr_id, attrs);
-  const auto verdict =
-      dampener_.OnAnnounce({nlri, from}, sched_.Now(), attr_change);
+  const auto verdict = dampener_.OnAnnounce({rib_.PrefixOf(nlri), from},
+                                            sched_.Now(), attr_change);
   if (verdict == bgp::DampVerdict::kPass) return false;
   ++stats_.damped_updates;
   if (metrics_.damped_updates) metrics_.damped_updates->Add(1);
@@ -506,11 +495,13 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
     }
     const bgp::RibChange change = rib_.Withdraw(from, w);
     if (config_.stateless_bgp && change.new_best == nullptr) {
-      // Any withdrawal — even for a route we never carried — is sprayed at
-      // every peer: the implementation keeps no record of what it told whom.
-      BroadcastWithdraw(w, cause);
+      // Any withdrawal — even for a route we never carried, whose slot is
+      // minted here — is sprayed at every peer: the implementation keeps no
+      // record of what it told whom.
+      BroadcastWithdraw(
+          change.slot == bgp::kNoSlot ? rib_.Slot(w) : change.slot, cause);
     }
-    if (change.best_changed) changed_.push_back({w, cause});
+    if (change.best_changed) changed_.push_back({change.slot, cause});
   }
 
   // The decoded attribute set passes the import policy and is interned
@@ -537,32 +528,28 @@ void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
       ++stats_.loops_rejected;
       continue;
     }
-    if (attr_id == bgp::kInvalidAttrSetId) {  // denied by import policy
-      const bgp::RibChange change = rib_.Withdraw(from, nlri);
-      if (change.best_changed) changed_.push_back({nlri, cause});
-      continue;
-    }
-    if (config_.enable_dampening && DampenAnnounce(from, nlri, attr_id)) {
-      if (rib_.Withdraw(from, nlri).best_changed) {
-        changed_.push_back({nlri, cause});
-      }
-      continue;
-    }
-    const bgp::RibChange change = rib_.Announce(from, nlri, attr_id);
-    if (change.best_changed) changed_.push_back({nlri, cause});
+    const bgp::PrefixSlot slot = rib_.Slot(nlri);
+    // Denied by import policy, or suppressed by the dampener: withdrawn.
+    const bool withdrawn =
+        attr_id == bgp::kInvalidAttrSetId ||
+        (config_.enable_dampening && DampenAnnounce(from, slot, attr_id));
+    const bgp::RibChange change = withdrawn
+                                      ? rib_.Withdraw(from, slot)
+                                      : rib_.Announce(from, slot, attr_id);
+    if (change.best_changed) changed_.push_back({slot, cause});
   }
 
   for (const ChangedEntry& entry : changed_) {
-    PropagateChange(entry.prefix, entry.cause);
+    PropagateChange(entry.slot, entry.cause);
   }
 }
 
-void Router::PropagateChange(const Prefix& prefix, obs::CauseTag cause) {
+void Router::PropagateChange(bgp::PrefixSlot slot, obs::CauseTag cause) {
   if (config_.no_reexport) return;
-  PropagateChange(prefix, rib_.Best(prefix), cause);
+  PropagateChange(slot, rib_.Best(slot), cause);
 }
 
-void Router::PropagateChange(const Prefix& prefix, const bgp::Candidate* best,
+void Router::PropagateChange(bgp::PrefixSlot slot, const bgp::Candidate* best,
                              obs::CauseTag cause) {
   if (config_.no_reexport) return;
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
@@ -571,14 +558,14 @@ void Router::PropagateChange(const Prefix& prefix, const bgp::Candidate* best,
     const bgp::AttrSetId exported = best != nullptr
                                         ? ExportCandidate(p, *best)
                                         : bgp::kInvalidAttrSetId;
-    EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
+    EnqueueOp(id, slot, exported, cause);
   }
 }
 
-void Router::BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause) {
+void Router::BroadcastWithdraw(bgp::PrefixSlot slot, obs::CauseTag cause) {
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
     if (!peers_[id].established) continue;
-    EnqueueOp(id, bgp::RouteOp{prefix, bgp::kInvalidAttrSetId, false, cause});
+    EnqueueOp(id, slot, bgp::kInvalidAttrSetId, cause);
   }
 }
 
@@ -592,9 +579,11 @@ bgp::AttrSetId Router::ExportCandidate(Peer& peer,
                                 peer.export_policy, config_);
 }
 
-void Router::EnqueueOp(bgp::PeerId id, bgp::RouteOp op) {
+void Router::EnqueueOp(bgp::PeerId id, bgp::PrefixSlot slot,
+                       bgp::AttrSetId attr_id, obs::CauseTag cause) {
   Peer& p = peers_[id];
-  p.queue.Enqueue(sched_.Now(), op);
+  p.queue.Enqueue(sched_.Now(), bgp::RouteOp{rib_.PrefixOf(slot), attr_id,
+                                             false, cause, slot});
   if (!p.flush_scheduled) {
     p.flush_scheduled = true;
     sched_.At(p.queue.NextFlush(), [this, id] { FlushPeer(id); });
@@ -617,25 +606,17 @@ void Router::FlushPeer(bgp::PeerId id) {
       // then the current state). The expanded W inherits the surviving op's
       // cause — the whole train descends from the same fault.
       if (op.withdraw_preceded) {
-        final_ops_.push_back(
-            bgp::RouteOp{op.prefix, bgp::kInvalidAttrSetId, false, op.cause});
+        final_ops_.push_back(bgp::RouteOp{op.prefix, bgp::kInvalidAttrSetId,
+                                          false, op.cause, op.slot});
       }
       final_ops_.push_back(op);
       continue;
     }
-    if (op.IsWithdraw()) {
-      bgp::AttrSetId* told = p.adj_rib_out.Find(op.prefix);
-      if (told == nullptr || *told == bgp::kInvalidAttrSetId) {
-        continue;  // never told them, or already withdrawn: suppress
-      }
-      *told = bgp::kInvalidAttrSetId;
-    } else {
-      const auto [told, inserted] = p.adj_rib_out.TryEmplace(op.prefix);
-      if (!inserted && *told == op.attr_id) {
-        continue;  // peer already has exactly this route: suppress duplicate
-      }
-      *told = op.attr_id;
-    }
+    // Suppress a duplicate, or a withdrawal of what the peer was never told.
+    bgp::AttrSetId& told =
+        bgp::SlotEntry(p.adj_rib_out, op.slot, bgp::kInvalidAttrSetId);
+    if (told == op.attr_id) continue;
+    told = op.attr_id;
     final_ops_.push_back(op);
   }
   if (final_ops_.empty()) return;
@@ -675,11 +656,12 @@ void Router::FullDump(bgp::PeerId id, obs::CauseTag cause) {
             .Str("session", PeerLabel(id)).U64("prefixes", rib_.NumPrefixes()));
   Peer& p = peers_[id];
   std::uint64_t exported_count = 0;
-  rib_.VisitBest([&](const Prefix& prefix, const bgp::Candidate& best) {
+  rib_.VisitBest([&](const Prefix&, const bgp::Candidate& best,
+                     bgp::PrefixSlot slot) {
     const bgp::AttrSetId exported = ExportCandidate(p, best);
     if (exported != bgp::kInvalidAttrSetId) {
       ++exported_count;
-      EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
+      EnqueueOp(id, slot, exported, cause);
     }
   });
   IRI_TRACE(tracer_, sched_.Now(), "redump_end",
@@ -728,7 +710,7 @@ void Router::Crash() {
     bgp::SessionFsm::Actions ignored;
     p.fsm.Stop(sched_.Now(), ignored);  // discard actions: a dead box is mute
     p.established = false;
-    p.adj_rib_out.Clear();
+    p.adj_rib_out.clear();
     p.timer_armed = TimePoint::Max();  // cancel outstanding timer polls
   }
   // Drop every learned route; local (customer) routes survive on NVRAM.

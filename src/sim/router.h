@@ -39,7 +39,6 @@
 #include "bgp/rib.h"
 #include "bgp/session.h"
 #include "bgp/update_packer.h"
-#include "netbase/probe_map.h"
 #include "netbase/rng.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -224,9 +223,9 @@ class Router : public LinkEndpoint {
     bgp::Policy import_policy;
     bgp::Policy export_policy;
     ExportMemo export_memo;  // for export_policy
-    // Adj-RIB-Out: what this peer was last told per prefix;
-    // kInvalidAttrSetId once withdrawn (ProbeMap has no single-key erase).
-    ProbeMap<Prefix, bgp::AttrSetId> adj_rib_out;
+    // Adj-RIB-Out: what this peer was last told, by RIB slot (grown on
+    // demand); kInvalidAttrSetId when never told or withdrawn.
+    std::vector<bgp::AttrSetId> adj_rib_out;
     bool established = false;
     bool flush_scheduled = false;
     // Earliest pending FSM-timer poll, TimePoint::Max() when none. The FSM's
@@ -272,25 +271,29 @@ class Router : public LinkEndpoint {
   void ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
                      const obs::CauseVec& causes);
   // Charges the dampener for an announcement; true means "suppress it".
-  bool DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
+  bool DampenAnnounce(bgp::PeerId from, bgp::PrefixSlot nlri,
                       bgp::AttrSetId attrs);
-  // Re-exports the new state of `prefix` to every eligible peer, stamping
-  // emitted ops with `cause`. `best` is the prefix's current best route
-  // (nullptr when unreachable), as a RibChange just reported it; the
+  // Re-exports the new state of the slot's prefix to every eligible peer,
+  // stamping emitted ops with `cause`. `best` is the prefix's current best
+  // route (nullptr when unreachable), as a RibChange just reported it; the
   // two-argument form resolves it with one Best() lookup, for callers whose
   // RibChange is stale (deferred or batched propagation).
-  void PropagateChange(const Prefix& prefix, const bgp::Candidate* best,
+  void PropagateChange(bgp::PrefixSlot slot, const bgp::Candidate* best,
                        obs::CauseTag cause);
-  void PropagateChange(const Prefix& prefix, obs::CauseTag cause);
+  void PropagateChange(bgp::PrefixSlot slot, obs::CauseTag cause);
   // Stateless pathology: spray a withdrawal at every established peer,
   // bypassing export policy and Adj-RIB-Out.
-  void BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause);
+  void BroadcastWithdraw(bgp::PrefixSlot slot, obs::CauseTag cause);
+  bool HasLocalRoute(bgp::PrefixSlot slot) const {
+    return slot < local_index_.size() && local_index_[slot] != kNoLocalRoute;
+  }
   // The interned set to announce to `peer` given a prefix's best candidate,
   // or kInvalidAttrSetId when it must not be announced (split horizon, loop,
   // policy deny). Callers resolve Best() once for a whole peer fan-out or
   // Loc-RIB sweep.
   bgp::AttrSetId ExportCandidate(Peer& peer, const bgp::Candidate& best);
-  void EnqueueOp(bgp::PeerId id, bgp::RouteOp op);
+  void EnqueueOp(bgp::PeerId id, bgp::PrefixSlot slot, bgp::AttrSetId attr_id,
+                 obs::CauseTag cause);
   void FlushPeer(bgp::PeerId id);
   void FullDump(bgp::PeerId id, obs::CauseTag cause);
 
@@ -310,16 +313,15 @@ class Router : public LinkEndpoint {
   bgp::Dampener dampener_;
   std::vector<Peer> peers_;
   // Locally-originated routes, flat: a dense vector in deterministic
-  // (insertion / swap-erase) order plus a probed index mapping prefix to
-  // slot. InternalReset's sweep order reaches the wire, so the container's
-  // iteration order must not depend on the platform's hash — the vector's
-  // order is a pure function of the Originate/WithdrawLocal call sequence.
+  // (insertion / swap-erase) order plus each RIB slot's position in it.
+  // InternalReset's sweep order reaches the wire: the vector's order is a
+  // pure function of the Originate/WithdrawLocal call sequence.
   struct LocalRoute {
-    Prefix prefix;
+    bgp::PrefixSlot slot;
     bgp::AttrSetId attr_id;  // as installed in the RIB (LOCAL_PREF 1000)
   };
   std::vector<LocalRoute> local_routes_;
-  ProbeMap<Prefix, std::uint32_t> local_index_;  // kNoLocalRoute = erased
+  std::vector<std::uint32_t> local_index_;  // kNoLocalRoute = none
   static constexpr std::uint32_t kNoLocalRoute = 0xFFFFFFFFu;
   bgp::PathAttributes originate_scratch_;  // reused by InternLocal
   // FlushPeer's buffers, reused across flushes (their capacity persists).
@@ -329,7 +331,7 @@ class Router : public LinkEndpoint {
   // ProcessUpdate's prefixes whose best route changed, paired with the
   // cause of the wire event that changed them; reused per UPDATE.
   struct ChangedEntry {
-    Prefix prefix;
+    bgp::PrefixSlot slot;
     obs::CauseTag cause{};
   };
   std::vector<ChangedEntry> changed_;

@@ -133,8 +133,10 @@ TEST_F(RibTest, ClearPeerWithdrawsEverything) {
   rib.Announce(1, R("11.0.0.0/8", {701}));
   rib.Announce(2, R("10.0.0.0/8", {1239, 9}));
   auto changes = rib.ClearPeer(1);
-  // 10/8 fails over (change), 11/8 disappears (change).
-  EXPECT_EQ(changes.size(), 2u);
+  // 10/8 fails over (change), 11/8 disappears (change), in address order.
+  ASSERT_EQ(changes.size(), 2u);
+  EXPECT_EQ(rib.PrefixOf(changes[0]), P("10.0.0.0/8"));
+  EXPECT_EQ(rib.PrefixOf(changes[1]), P("11.0.0.0/8"));
   EXPECT_EQ(rib.PeerRouteCount(1), 0u);
   EXPECT_EQ(rib.Best(P("10.0.0.0/8"))->peer, 2u);
   EXPECT_EQ(rib.Best(P("11.0.0.0/8")), nullptr);
@@ -191,7 +193,7 @@ TEST_F(RibTest, VisitBestIsAddressOrdered) {
   std::vector<Prefix> want;
   trie.Visit([&want](const Prefix& p, int) { want.push_back(p); });
   std::vector<Prefix> got;
-  rib.VisitBest([&got](const Prefix& p, const Candidate&) {
+  rib.VisitBest([&got](const Prefix& p, const Candidate&, PrefixSlot) {
     got.push_back(p);
   });
   EXPECT_EQ(got, want);
@@ -217,6 +219,57 @@ TEST_F(RibTest, VisitPathCountsForMultihomingCensus) {
     if (paths > 1) ++multihomed;
   });
   EXPECT_EQ(multihomed, 1u);
+}
+
+// A slot minted for a prefix that was never announced (a stateless router
+// mints one for a prefix it only withdraws or sprays) is a tombstone:
+// nothing that reads the table sees it, and the first announcement reuses
+// it. A withdrawal by prefix mints nothing.
+TEST_F(RibTest, MintedSlotOfANeverAnnouncedPrefixIsATombstone) {
+  rib.Announce(1, R("10.0.0.0/8", {701}));
+  const RibChange unseen = rib.Withdraw(2, P("8.0.0.0/8"));
+  EXPECT_FALSE(unseen.best_changed);
+  EXPECT_EQ(unseen.new_best, nullptr);
+  EXPECT_EQ(unseen.slot, kNoSlot);
+  EXPECT_EQ(rib.FindSlot(P("8.0.0.0/8")), kNoSlot);
+  EXPECT_EQ(rib.Best(kNoSlot), nullptr);
+
+  const PrefixSlot minted = rib.Slot(P("9.0.0.0/8"));
+  EXPECT_EQ(rib.PrefixOf(minted), P("9.0.0.0/8"));
+  EXPECT_EQ(rib.FindSlot(P("9.0.0.0/8")), minted);
+  EXPECT_EQ(rib.Slot(P("9.0.0.0/8")), minted);
+  const RibChange spray = rib.Withdraw(2, minted);
+  EXPECT_FALSE(spray.best_changed);
+  EXPECT_EQ(spray.new_best, nullptr);
+  EXPECT_EQ(spray.slot, minted);
+  EXPECT_EQ(rib.Best(minted), nullptr);
+
+  const PrefixSlot held = rib.Announce(2, R("12.0.0.0/8", {1239})).slot;
+  EXPECT_EQ(rib.NumPrefixes(), 2u);
+  std::vector<Prefix> got;
+  rib.VisitBest([&got](const Prefix& p, const Candidate&, PrefixSlot) {
+    got.push_back(p);
+  });
+  rib.VisitPathCounts([&got](const Prefix& p, std::size_t) {
+    got.push_back(p);
+  });
+  EXPECT_EQ(got, (std::vector<Prefix>{P("10.0.0.0/8"), P("12.0.0.0/8"),
+                                      P("10.0.0.0/8"), P("12.0.0.0/8")}));
+  EXPECT_TRUE(rib.AuditInvariants());
+  // The walk passes the tombstone (first in address order) before 12/8.
+  EXPECT_EQ(rib.ClearPeer(2), std::vector<PrefixSlot>{held});
+  EXPECT_EQ(rib.NumPrefixes(), 1u);
+  EXPECT_TRUE(rib.AuditInvariants());
+
+  const RibChange revived = rib.Announce(2, R("9.0.0.0/8", {1239}));
+  EXPECT_TRUE(revived.best_changed);
+  EXPECT_EQ(revived.slot, minted);
+  EXPECT_EQ(rib.Best(minted), revived.new_best);
+  EXPECT_EQ(rib.NumPrefixes(), 2u);
+  const std::vector<PrefixSlot> cleared = rib.ClearPeer(2);
+  EXPECT_EQ(cleared, std::vector<PrefixSlot>{minted});
+  EXPECT_EQ(rib.NumPrefixes(), 1u);
+  EXPECT_TRUE(rib.AuditInvariants());
 }
 
 TEST_F(RibTest, AttributeOnlyChangeIsBestChange) {

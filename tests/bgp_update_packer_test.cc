@@ -6,6 +6,8 @@
 #include <optional>
 #include <string>
 
+#include "bgp/rib.h"
+
 namespace iri::bgp {
 namespace {
 
@@ -48,6 +50,17 @@ WireBatch Pack(std::span<const RouteOp> ops, AttrTable& table) {
     out.causes.emplace_back(causes.begin(), causes.end());
   }
   return out;
+}
+
+// Queued ops carry the prefix's slot, minted here by one Rib as a router's
+// ops are by its own.
+Rib& Slots() {
+  static Rib rib;
+  return rib;
+}
+
+RouteOp Op(const Prefix& prefix, AttrSetId attr_id) {
+  return RouteOp{prefix, attr_id, false, {}, Slots().Slot(prefix)};
 }
 
 std::vector<RouteOp> FlushOps(OutboundQueue& q, TimePoint now) {
@@ -124,9 +137,9 @@ TEST(PackUpdates, EmptyInputYieldsNothing) {
 
 TEST(OutboundQueue, LatestWinsPerPrefix) {
   OutboundQueue q({}, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({701})});
-  q.Enqueue(T(2), {P("10.0.0.0/8"), kWithdraw});
-  q.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({1239})});
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), Attrs({701})));
+  q.Enqueue(T(2), Op(P("10.0.0.0/8"), kWithdraw));
+  q.Enqueue(T(3), Op(P("10.0.0.0/8"), Attrs({1239})));
   auto ops = FlushOps(q, T(100));
   ASSERT_EQ(ops.size(), 1u);
   ASSERT_FALSE(ops[0].IsWithdraw());
@@ -135,10 +148,10 @@ TEST(OutboundQueue, LatestWinsPerPrefix) {
 
 TEST(OutboundQueue, PreservesFirstEnqueueOrder) {
   OutboundQueue q({}, 1);
-  q.Enqueue(T(1), {P("12.0.0.0/8"), Attrs({1})});
-  q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({2})});
-  q.Enqueue(T(1), {P("11.0.0.0/8"), Attrs({3})});
-  q.Enqueue(T(2), {P("12.0.0.0/8"), Attrs({4})});  // replaces, keeps slot 0
+  q.Enqueue(T(1), Op(P("12.0.0.0/8"), Attrs({1})));
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), Attrs({2})));
+  q.Enqueue(T(1), Op(P("11.0.0.0/8"), Attrs({3})));
+  q.Enqueue(T(2), Op(P("12.0.0.0/8"), Attrs({4})));  // replaces, keeps position 0
   auto ops = FlushOps(q, T(100));
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[0].prefix, P("12.0.0.0/8"));
@@ -150,7 +163,7 @@ TEST(OutboundQueue, FlushBeforeDeadlineReturnsNothing) {
   PackerConfig cfg;
   cfg.interval = Duration::Seconds(30);
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({701})});
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), Attrs({701})));
   EXPECT_TRUE(FlushOps(q, T(2)).empty());
   EXPECT_EQ(q.pending_ops(), 1u);
   EXPECT_FALSE(FlushOps(q, T(31)).empty());
@@ -164,14 +177,14 @@ TEST(OutboundQueue, UnjitteredFlushesOnFixedPhase) {
   // Two queues with different seeds and different enqueue times must still
   // share the same flush phase — the self-synchronization substrate.
   OutboundQueue q1(cfg, 1), q2(cfg, 999);
-  q1.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({701})});
-  q2.Enqueue(T(17.5), {P("11.0.0.0/8"), Attrs({9})});
+  q1.Enqueue(T(3), Op(P("10.0.0.0/8"), Attrs({701})));
+  q2.Enqueue(T(17.5), Op(P("11.0.0.0/8"), Attrs({9})));
   EXPECT_EQ(q1.NextFlush(), T(30));
   EXPECT_EQ(q2.NextFlush(), T(30));
 
   // An enqueue exactly on the boundary goes to the *next* boundary.
   OutboundQueue q3(cfg, 5);
-  q3.Enqueue(T(30), {P("12.0.0.0/8"), Attrs({9})});
+  q3.Enqueue(T(30), Op(P("12.0.0.0/8"), Attrs({9})));
   EXPECT_EQ(q3.NextFlush(), T(60));
 }
 
@@ -182,7 +195,7 @@ TEST(OutboundQueue, JitteredSpreadsDeadlines) {
   std::vector<TimePoint> deadlines;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     OutboundQueue q(cfg, seed);
-    q.Enqueue(T(0), {P("10.0.0.0/8"), Attrs({701})});
+    q.Enqueue(T(0), Op(P("10.0.0.0/8"), Attrs({701})));
     deadlines.push_back(q.NextFlush());
     // All within interval*(1±0.25).
     EXPECT_GE(deadlines.back(), T(30 * 0.75));
@@ -200,10 +213,10 @@ TEST(OutboundQueue, DeadlineRearmsAfterFlush) {
   cfg.interval = Duration::Seconds(30);
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({701})});
+  q.Enqueue(T(3), Op(P("10.0.0.0/8"), Attrs({701})));
   (void)FlushOps(q, T(30));
   EXPECT_EQ(q.NextFlush(), TimePoint::Max());
-  q.Enqueue(T(42), {P("10.0.0.0/8"), kWithdraw});
+  q.Enqueue(T(42), Op(P("10.0.0.0/8"), kWithdraw));
   EXPECT_EQ(q.NextFlush(), T(60));
 }
 
@@ -216,9 +229,9 @@ TEST(OutboundQueue, OscillationWithinWindowCoalescesToFinalState) {
   OutboundQueue q(cfg, 1);
   const auto a1 = Attrs({701, 9});
   const auto a2 = Attrs({701, 1239, 9});
-  q.Enqueue(T(1), {P("10.0.0.0/8"), a1});
-  q.Enqueue(T(5), {P("10.0.0.0/8"), a2});
-  q.Enqueue(T(9), {P("10.0.0.0/8"), a1});
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), a1));
+  q.Enqueue(T(5), Op(P("10.0.0.0/8"), a2));
+  q.Enqueue(T(9), Op(P("10.0.0.0/8"), a1));
   auto ops = FlushOps(q, T(30));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].attr_id, a1);
@@ -230,28 +243,28 @@ TEST(OutboundQueue, WithdrawAnnounceWithdrawNetsToWithdraw) {
   PackerConfig cfg;
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), kWithdraw});
-  q.Enqueue(T(5), {P("10.0.0.0/8"), Attrs({701})});
-  q.Enqueue(T(9), {P("10.0.0.0/8"), kWithdraw});
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), kWithdraw));
+  q.Enqueue(T(5), Op(P("10.0.0.0/8"), Attrs({701})));
+  q.Enqueue(T(9), Op(P("10.0.0.0/8"), kWithdraw));
   auto ops = FlushOps(q, T(30));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_TRUE(ops[0].IsWithdraw());
 }
 
-// The probed dedup index is cleared on every flush: a prefix re-enqueued in
-// the next window must get a fresh order slot reflecting the new window's
+// The slot index's positions are reset on every flush: a prefix re-enqueued
+// in the next window must get a fresh position reflecting the new window's
 // enqueue sequence, not its position in the previous one.
 TEST(OutboundQueue, IndexResetsAcrossFlushWindows) {
   PackerConfig cfg;
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), Attrs({1})});
-  q.Enqueue(T(2), {P("11.0.0.0/8"), Attrs({2})});
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), Attrs({1})));
+  q.Enqueue(T(2), Op(P("11.0.0.0/8"), Attrs({2})));
   (void)FlushOps(q, T(30));
   // Second window: reversed enqueue order, plus an interleaved withdraw.
-  q.Enqueue(T(31), {P("11.0.0.0/8"), kWithdraw});
-  q.Enqueue(T(32), {P("10.0.0.0/8"), Attrs({3})});
-  q.Enqueue(T(33), {P("11.0.0.0/8"), Attrs({4})});
+  q.Enqueue(T(31), Op(P("11.0.0.0/8"), kWithdraw));
+  q.Enqueue(T(32), Op(P("10.0.0.0/8"), Attrs({3})));
+  q.Enqueue(T(33), Op(P("11.0.0.0/8"), Attrs({4})));
   auto ops = FlushOps(q, T(60));
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].prefix, P("11.0.0.0/8"));  // new window's first enqueue
@@ -267,36 +280,44 @@ TEST(OutboundQueue, WithdrawPrecededStickyAcrossReenqueues) {
   PackerConfig cfg;
   cfg.discipline = TimerDiscipline::kUnjittered;
   OutboundQueue q(cfg, 1);
-  q.Enqueue(T(1), {P("10.0.0.0/8"), kWithdraw});
-  q.Enqueue(T(2), {P("10.0.0.0/8"), Attrs({701})});
-  q.Enqueue(T(3), {P("10.0.0.0/8"), Attrs({1239})});
+  q.Enqueue(T(1), Op(P("10.0.0.0/8"), kWithdraw));
+  q.Enqueue(T(2), Op(P("10.0.0.0/8"), Attrs({701})));
+  q.Enqueue(T(3), Op(P("10.0.0.0/8"), Attrs({1239})));
   auto ops = FlushOps(q, T(30));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_TRUE(ops[0].withdraw_preceded);
   // ...but it does not leak into the next window.
-  q.Enqueue(T(31), {P("10.0.0.0/8"), Attrs({701})});
+  q.Enqueue(T(31), Op(P("10.0.0.0/8"), Attrs({701})));
   ops = FlushOps(q, T(60));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_FALSE(ops[0].withdraw_preceded);
 }
 
-// Differential check of the probed index against a naive reference model
+// Differential check of the slot index against a naive reference model
 // under a randomized re-enqueue/withdraw interleaving: flush order is the
-// first-enqueue order of each window and the net op is latest-wins,
-// regardless of how many prefixes collide in the flat table's probe chains.
+// first-enqueue order of each window and the net op is latest-wins. The 48
+// prefixes' slots recur in every window at new positions, so a position
+// left over from an earlier window would misplace or overwrite an op.
 TEST(OutboundQueue, RandomInterleavingMatchesReferenceModel) {
   PackerConfig cfg;
   cfg.discipline = TimerDiscipline::kUnjittered;
   cfg.interval = Duration::Seconds(30);
   OutboundQueue q(cfg, 1);
   Rng rng(2024);
+  // One warmed-up drain buffer for every window, as a router reuses its
+  // own: the swapped buffers keep their capacity, so a stale position lands
+  // inside it and shows as a wrong op instead of a fault.
+  std::vector<RouteOp> ops;
+  ops.reserve(64);
   for (int window = 0; window < 8; ++window) {
     std::vector<RouteOp> reference;  // net ops in first-enqueue order
     const double base = window * 30.0;
     for (int i = 0; i < 200; ++i) {
-      RouteOp op;
-      op.prefix = Prefix(
-          IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(48)), 0), 24);
+      RouteOp op = Op(
+          Prefix(IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(48)),
+                             0),
+                 24),
+          kWithdraw);
       if (rng.Below(3) != 0) {
         op.attr_id = Attrs({static_cast<Asn>(701 + rng.Below(4))});
       }
@@ -313,10 +334,11 @@ TEST(OutboundQueue, RandomInterleavingMatchesReferenceModel) {
         *it = op;
       }
     }
-    auto ops = FlushOps(q, T(base + 30.0));
+    q.Flush(T(base + 30.0), ops);
     ASSERT_EQ(ops.size(), reference.size()) << "window " << window;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       EXPECT_EQ(ops[i], reference[i]) << "window " << window << " op " << i;
+      EXPECT_EQ(ops[i].slot, reference[i].slot);
     }
   }
 }

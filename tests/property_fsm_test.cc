@@ -101,12 +101,11 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
     std::set<Prefix> enqueued;
     const int ops = 1 + static_cast<int>(rng.Below(40));
     for (int i = 0; i < ops; ++i) {
-      const Prefix prefix(
-          IPv4Address((10u << 24) |
-                      (static_cast<std::uint32_t>(rng.Below(12)) << 8)),
-          24);
+      const auto n = static_cast<PrefixSlot>(rng.Below(12));
+      const Prefix prefix(IPv4Address((10u << 24) | (n << 8)), 24);
       RouteOp op;
       op.prefix = prefix;
+      op.slot = n;  // the queue's key: one slot per prefix, as a Rib mints
       if (rng.Bernoulli(0.5)) {
         PathAttributes attrs;
         attrs.as_path = AsPath::Sequence({static_cast<Asn>(rng.Below(9) + 1)});

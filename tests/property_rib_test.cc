@@ -127,6 +127,19 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
              (before->peer != after->peer ||
               !(before->attributes == after->attributes)));
         EXPECT_EQ(change.best_changed, expect_change);
+        // A withdrawal of a prefix no op announces (the upper half of a
+        // random /24), by a minted slot as a stateless router sprays one:
+        // a tombstone between the live slots that the full-state checks
+        // below must never see.
+        const Prefix never(IPv4Address((10u << 24) |
+                                       (static_cast<std::uint32_t>(
+                                            rng.Below(24)) << 8) |
+                                       128),
+                           25);
+        const RibChange spray = rib.Withdraw(peer, rib.Slot(never));
+        EXPECT_FALSE(spray.best_changed);
+        EXPECT_EQ(spray.new_best, nullptr);
+        EXPECT_EQ(rib.PrefixOf(spray.slot), never);
         break;
       }
       default: {  // session loss
@@ -134,7 +147,10 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
         // survivors' relative order).
         std::map<Prefix, std::vector<PeerId>> orders;
         for (const auto& [p, peers] : model) orders[p] = rib_order(p);
-        const std::vector<Prefix> cleared = rib.ClearPeer(peer);
+        std::vector<Prefix> cleared;
+        for (const PrefixSlot slot : rib.ClearPeer(peer)) {
+          cleared.push_back(rib.PrefixOf(slot));
+        }
         // Exactly the prefixes whose best changed, in ascending address
         // order (std::map order): that order reaches the wire.
         std::vector<Prefix> want_cleared;
@@ -173,7 +189,7 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
       // The Loc-RIB walk visits exactly the model's prefixes in std::map
       // order.
       std::vector<Prefix> visited;
-      rib.VisitBest([&visited](const Prefix& p, const Candidate&) {
+      rib.VisitBest([&visited](const Prefix& p, const Candidate&, PrefixSlot) {
         visited.push_back(p);
       });
       std::vector<Prefix> want_visited;
@@ -247,8 +263,8 @@ TEST_P(RibAttrIdAudit, CandidatesMatchTheAttributeTable) {
       }
       if (rng.Bernoulli(0.5)) attrs.med = static_cast<std::uint32_t>(rng.Below(3));
       attrs.origin = static_cast<Origin>(rng.Below(3));
-      const RibChange change =
-          rib.Announce(peer, prefix, rib.attrs().Intern(attrs));
+      const RibChange change = rib.Announce(peer, rib.Slot(prefix),
+                                           rib.attrs().Intern(attrs));
       ASSERT_NE(change.new_best, nullptr);
       EXPECT_EQ(change.new_best->decision,
                 DecisionFields::Of(rib.AttributesOf(*change.new_best)));

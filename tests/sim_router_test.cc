@@ -714,6 +714,48 @@ TEST(Router, CrashesUnderUpdateLoadAndReboots) {
   EXPECT_EQ(b.rib().NumPrefixes(), 40u);
 }
 
+// A crash loses all protocol state, the Adj-RIB-Out included. The local
+// routes survive it, and the rebooted stateful router must re-announce them
+// to a peer that dropped them with the dead session: a stale Adj-RIB-Out
+// would suppress the re-dump as duplicates of what the peer was once told.
+TEST(Router, RebootedStatefulRouterReannouncesItsTable) {
+  Net net;
+  RouterConfig frail;
+  frail.crash_backlog = Duration::Millis(300);
+  frail.cost_per_prefix = Duration::Millis(2);
+  frail.reboot_time = Duration::Seconds(30);
+  Router& a = net.AddRouter("A", 100);
+  Router& b = net.AddRouter("B", 200, frail);
+  net.Connect(a, b);
+  net.Start();
+  for (int i = 0; i < 10; ++i) {
+    b.Originate(LocalRoute("192.168." + std::to_string(i) + ".0/24"));
+  }
+  net.Settle();
+  ASSERT_EQ(a.rib().NumPrefixes(), 10u);
+
+  // A burst from A crashes B; withdrawing it lets B's recovery hold.
+  const auto burst = [](int i) {
+    return "10." + std::to_string(i / 250) + "." + std::to_string(i % 250) +
+           ".0/24";
+  };
+  for (int i = 0; i < 500; ++i) a.Originate(LocalRoute(burst(i)));
+  net.Settle(Duration::Seconds(10));
+  ASSERT_GE(b.stats().crashes, 1u);
+  for (int i = 0; i < 500; ++i) a.WithdrawLocal(P(burst(i)));
+  net.Settle(Duration::Minutes(10));
+  ASSERT_FALSE(b.crashed());
+  ASSERT_EQ(b.PeerSessionState(0), bgp::SessionState::kEstablished);
+  EXPECT_GE(a.stats().session_downs, 1u);  // A dropped B's routes
+  EXPECT_EQ(a.rib().NumPrefixes(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    const bgp::Candidate* best =
+        a.rib().Best(P("192.168." + std::to_string(i) + ".0/24"));
+    ASSERT_NE(best, nullptr) << i;
+    EXPECT_EQ(best->peer, 0u);
+  }
+}
+
 TEST(Router, UpdateTapSeesInboundUpdates) {
   Net net;
   Router& a = net.AddRouter("A", 100);
